@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .semantics import ExploreConfig, StateGraph, Trace, explore
 from .terms import COMM, GlobalGraph, IN, OUT, Session, participants
@@ -34,8 +33,11 @@ LOCKFREEDOM_NOTE = (
 )
 
 
-@lru_cache(maxsize=None)
 def _plays_at(g: GlobalGraph, node_id: int) -> frozenset[str]:
+    return g.cached(("plays", node_id), lambda: _collect_plays(g, node_id))
+
+
+def _collect_plays(g: GlobalGraph, node_id: int) -> frozenset[str]:
     seen = {node_id}
     todo = [node_id]
     out = set()
@@ -102,9 +104,12 @@ class BoundednessVerdict:
         return self.holds
 
 
-@lru_cache(maxsize=None)
 def bounded(g: GlobalGraph) -> BoundednessVerdict:
     """True iff every participant of every subterm has finite depth there."""
+    return g.cached("bounded", lambda: _bounded(g))
+
+
+def _bounded(g: GlobalGraph) -> BoundednessVerdict:
     reachable = {g.root}
     todo = [g.root]
     while todo:

@@ -49,6 +49,9 @@ class RunConfig:
     depth_of: str | None = None
 
     def __post_init__(self) -> None:
+        self.check_budget()
+
+    def check_budget(self) -> None:
         if self.max_outcomes <= 0 or self.max_states <= 0:
             raise CliError("budget values must be positive")
         if self.max_size is not None and self.max_size <= 0:
@@ -89,6 +92,7 @@ def _apply_env_budget(config: RunConfig) -> None:
             config.max_states = number
         else:
             raise CliError(f"unknown MPST_BUDGET key {key!r}")
+    config.check_budget()
 
 
 def _load(config: RunConfig) -> SpecFile:
@@ -260,16 +264,18 @@ def cmd_analyze(config: RunConfig) -> int:
                 "value": "inf" if value == float("inf") else value,
             }
         )
-    if "lockfree" in config.checks:
+    if "lockfree" in config.checks or "deadlockfree" in config.checks:
         m = _pick_session(spec, config)
-        verdict = excluded_lock_free(m, _pick_ignored(spec, config), config.explore_config())
-        results.append(verdict.to_json_dict())
-        failed = failed or not verdict.holds
-    if "deadlockfree" in config.checks:
-        m = _pick_session(spec, config)
-        verdict = excluded_deadlock_free(m, _pick_ignored(spec, config), config.explore_config())
-        results.append(verdict.to_json_dict())
-        failed = failed or not verdict.holds
+        ignored = _pick_ignored(spec, config)
+        graph = explore(m, config.explore_config())  # one exploration serves both checks
+        verdicts = []
+        if "lockfree" in config.checks:
+            verdicts.append(excluded_lock_free(m, ignored, graph=graph))
+        if "deadlockfree" in config.checks:
+            verdicts.append(excluded_deadlock_free(m, ignored, graph=graph))
+        for verdict in verdicts:
+            results.append(verdict.to_json_dict())
+            failed = failed or not verdict.holds
 
     if not results:
         raise CliError("nothing to analyze: pass --bounded, --depth, --lockfree, --deadlockfree or --stategraph")

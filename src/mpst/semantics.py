@@ -10,7 +10,9 @@ every branch at once.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .terms import (
     COMM,
@@ -115,8 +117,15 @@ class StateGraph:
     edges: tuple[tuple[int, CommLabel, int], ...]
     initial: int = 0
 
+    @cached_property
+    def _successor_index(self) -> list[list[tuple[CommLabel, int]]]:
+        index: list[list[tuple[CommLabel, int]]] = [[] for _ in self.states]
+        for i, lab, j in self.edges:
+            index[i].append((lab, j))
+        return index
+
     def successors(self, state: int) -> list[tuple[CommLabel, int]]:
-        return [(lab, j) for i, lab, j in self.edges if i == state]
+        return list(self._successor_index[state])
 
     def terminal_states(self) -> list[int]:
         sources = {i for i, _, _ in self.edges}
@@ -125,12 +134,12 @@ class StateGraph:
     def path_to(self, state: int) -> Trace:
         """A shortest label sequence from the initial state to the given one."""
         best: dict[int, tuple[CommLabel, ...]] = {self.initial: ()}
-        queue = [self.initial]
+        queue = deque([self.initial])
         while queue:
-            i = queue.pop(0)
+            i = queue.popleft()
             if i == state:
                 return Trace(best[i])
-            for lab, j in self.successors(i):
+            for lab, j in self._successor_index[i]:
                 if j not in best:
                     best[j] = best[i] + (lab,)
                     queue.append(j)
@@ -170,9 +179,9 @@ def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
     ids: dict[Session, int] = {start: 0}
     states: list[Session] = [start]
     edges: list[tuple[int, CommLabel, int]] = []
-    queue = [0]
+    queue = deque([0])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for lab, succ in session_transitions(states[i]):
             j = ids.get(succ)
             if j is None:

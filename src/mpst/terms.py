@@ -4,11 +4,17 @@ A regular (possibly infinite) term has finitely many distinct subterms, so it
 is stored as a finite rooted graph.  Graphs are brought to a canonical form
 (bisimulation-minimal, breadth-first numbered, branches sorted by label), which
 makes equality of regular terms plain structural equality of the dataclasses.
+
+Canonical forms are kept, not recomputed: every graph remembers its hash, its
+canonical form and the subgraphs asked of it, and every session its normal
+form.  Minimizing a canonical graph is O(1), and stepping one only renumbers
+the nodes reachable from the new root.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -115,6 +121,13 @@ class PNode:
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.branches)
 
+    def signature(self) -> tuple:
+        """Everything but the successors: what bisimilar states share."""
+        return (self.kind, self.partner)
+
+    def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "PNode":
+        return PNode(self.kind, self.partner, branches)
+
 
 @dataclass(frozen=True)
 class GNode:
@@ -127,6 +140,12 @@ class GNode:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.branches)
+
+    def signature(self) -> tuple:
+        return (self.kind, self.sender, self.receiver)
+
+    def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "GNode":
+        return GNode(self.kind, self.sender, self.receiver, branches)
 
 
 def _check_branches(branches: Sequence[tuple[str, int]], n_nodes: int) -> None:
@@ -142,8 +161,116 @@ def _check_branches(branches: Sequence[tuple[str, int]], n_nodes: int) -> None:
             raise TermError(f"branch target {tgt} out of range")
 
 
-@dataclass(frozen=True)
-class ProcessGraph:
+class _Value:
+    """Frozen value whose hash is computed once, on first use.
+
+    Subclasses keep their fields and their memo in ``__slots__``.  Equality
+    is structural, as for a dataclass, but tries identity and the hashes
+    first.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and self._key() == other._key()
+
+    def __reduce__(self):
+        # Copies and pickles go through the validating constructor.
+        return (self.__class__, self._key())
+
+
+def _make(cls, *fields, **memo):
+    """An instance built from already-validated parts, without re-validating."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    for name, value in memo.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Graph(_Value):
+    """What ProcessGraph and GlobalGraph share: canonical forms and memos.
+
+    A graph computes its canonical form once and keeps it in ``_canon``
+    (``None`` when the graph is canonical itself, so that a canonical graph
+    holds no reference to itself there).  Subgraphs and analysis results are
+    kept in ``_memo``, see ``cached``.  All of it lives and dies with the
+    graph: no table outside it keeps a term alive.
+    """
+
+    __slots__ = ("_canon", "_memo")
+
+    def _key(self) -> tuple:
+        return (self.nodes, self.root)
+
+    @property
+    def root_node(self):
+        return self.nodes[self.root]
+
+    @property
+    def is_end(self) -> bool:
+        return self.root_node.kind == END
+
+    def _canonical(self):
+        """The canonical form; a canonical graph is returned as it is."""
+        try:
+            canon = self._canon
+        except AttributeError:
+            canon = _canonical_form(self, self.root, refine=True)
+            if canon == self:
+                canon = None
+            object.__setattr__(self, "_canon", canon)
+        return self if canon is None else canon
+
+    def _known_canonical(self) -> bool:
+        return getattr(self, "_canon", self) is None
+
+    def cached(self, key, compute):
+        """compute(), computed once per graph and kept on it under key.
+
+        Integer keys are taken: they hold the subgraphs of ``_subgraph``.
+        """
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute()
+            return value
+
+    def _subgraph(self, node_id: int):
+        """Canonical graph of the subterm at node_id, computed once."""
+        if not (0 <= node_id < len(self.nodes)):
+            raise TermError("root out of range")
+        if node_id == self.root:
+            return self._canonical()
+        # The nodes of a canonical graph are pairwise non-bisimilar, so
+        # re-rooting one only renumbers: partition refinement is skipped.
+        refine = not self._known_canonical()
+        return self.cached(node_id, lambda: _canonical_form(self, node_id, refine))
+
+
+@dataclass(frozen=True, eq=False)
+class ProcessGraph(_Graph):
     """Finite rooted graph of process states.
 
     Construction validates node shape; re-rooting may leave unreachable
@@ -151,6 +278,7 @@ class ProcessGraph:
     only).
     """
 
+    __slots__ = ("nodes", "root")
     nodes: tuple[PNode, ...]
     root: int
 
@@ -167,25 +295,18 @@ class ProcessGraph:
             else:
                 raise TermError(f"unknown process node kind {node.kind!r}")
 
-    @property
-    def root_node(self) -> PNode:
-        return self.nodes[self.root]
-
-    @property
-    def is_end(self) -> bool:
-        return self.root_node.kind == END
-
     def step(self, label: str) -> "ProcessGraph":
         """Canonical graph re-rooted at the continuation of the given branch."""
-        node = self.root_node
-        for lab, tgt in node.branches:
+        canon = self._canonical()
+        for lab, tgt in canon.root_node.branches:
             if lab == label:
-                return minimize(ProcessGraph(self.nodes, tgt))
+                return canon._subgraph(tgt)
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class GlobalGraph:
+@dataclass(frozen=True, eq=False)
+class GlobalGraph(_Graph):
+    __slots__ = ("nodes", "root")
     nodes: tuple[GNode, ...]
     root: int
 
@@ -205,17 +326,9 @@ class GlobalGraph:
             else:
                 raise TermError(f"unknown global node kind {node.kind!r}")
 
-    @property
-    def root_node(self) -> GNode:
-        return self.nodes[self.root]
-
-    @property
-    def is_end(self) -> bool:
-        return self.root_node.kind == END
-
     def at(self, node_id: int) -> "GlobalGraph":
         """Canonical subgraph rooted at the given node."""
-        return minimize_global(GlobalGraph(self.nodes, node_id))
+        return self._subgraph(node_id)
 
 
 END_PROCESS = ProcessGraph((PNode(END, None, ()),), 0)
@@ -256,62 +369,58 @@ def _refine(sigs: list, branches: list[tuple[tuple[str, int], ...]]) -> list[int
 
 
 def _canonical_order(
-    cls: list[int], branches: list[tuple[tuple[str, int], ...]], root: int
+    cls: Sequence[int], branches: list[tuple[tuple[str, int], ...]], root: int
 ) -> tuple[list[int], dict[int, int]]:
-    """BFS over blocks from the root block; returns block visit order and ids."""
+    """BFS over blocks from the root block.
+
+    Returns one representative node per reachable block, in visit order, and
+    the new number of every reachable block.
+    """
     rep: dict[int, int] = {}
     for i, c in enumerate(cls):
         rep.setdefault(c, i)
-    order: list[int] = []
-    number: dict[int, int] = {}
-    queue = [cls[root]]
-    number[cls[root]] = 0
-    order.append(cls[root])
+    order: list[int] = [rep[cls[root]]]
+    number: dict[int, int] = {cls[root]: 0}
+    queue = deque(order)
     while queue:
-        b = queue.pop(0)
-        for lab, tgt in branches[rep[b]]:
+        i = queue.popleft()
+        for lab, tgt in branches[i]:
             tb = cls[tgt]
             if tb not in number:
                 number[tb] = len(number)
-                order.append(tb)
-                queue.append(tb)
+                order.append(rep[tb])
+                queue.append(rep[tb])
     return order, number
 
 
-def minimize(g: ProcessGraph) -> ProcessGraph:
-    sigs = [(n.kind, n.partner) for n in g.nodes]
-    branches = [n.branches for n in g.nodes]
-    cls = _refine(sigs, branches)
-    order, number = _canonical_order(cls, branches, g.root)
-    rep = {}
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
+def _canonical_form(g: _Graph, root: int, refine: bool) -> _Graph:
+    """Canonical graph of the subterm of g at root.
+
+    Without refine, the nodes of g must be pairwise non-bisimilar (g is
+    canonical) and only the numbering is redone.
+    """
+    nodes = g.nodes
+    branches = [n.branches for n in nodes]
+    if refine:
+        cls = _refine([n.signature() for n in nodes], branches)
+    else:
+        cls = range(len(nodes))
+    order, number = _canonical_order(cls, branches, root)
     new_nodes = []
-    for b in order:
-        n = g.nodes[rep[b]]
-        new_branches = tuple(
-            sorted((lab, number[cls[t]]) for lab, t in n.branches)
-        )
-        new_nodes.append(PNode(n.kind, n.partner, new_branches))
-    return ProcessGraph(tuple(new_nodes), 0)
+    for i in order:
+        n = nodes[i]
+        new_branches = tuple(sorted((lab, number[cls[t]]) for lab, t in n.branches))
+        new_nodes.append(n if new_branches == n.branches else n.rebranch(new_branches))
+    return _make(type(g), tuple(new_nodes), 0, _canon=None)
+
+
+def minimize(g: ProcessGraph) -> ProcessGraph:
+    """The canonical form of g, computed once per graph: O(1) when canonical."""
+    return g._canonical()
 
 
 def minimize_global(g: GlobalGraph) -> GlobalGraph:
-    sigs = [(n.kind, n.sender, n.receiver) for n in g.nodes]
-    branches = [n.branches for n in g.nodes]
-    cls = _refine(sigs, branches)
-    order, number = _canonical_order(cls, branches, g.root)
-    rep = {}
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
-    new_nodes = []
-    for b in order:
-        n = g.nodes[rep[b]]
-        new_branches = tuple(
-            sorted((lab, number[cls[t]]) for lab, t in n.branches)
-        )
-        new_nodes.append(GNode(n.kind, n.sender, n.receiver, new_branches))
-    return GlobalGraph(tuple(new_nodes), 0)
+    return g._canonical()
 
 
 def processes_equivalent(a: ProcessGraph, b: ProcessGraph) -> bool:
@@ -414,7 +523,8 @@ def build_process_graph(
     root_id = resolve(root, ())
     if builder.end_id is not None:
         builder.nodes[builder.end_id] = PNode(END, None, ())
-    return minimize(ProcessGraph(tuple(builder.nodes), root_id))
+    # fill has validated every node, so the graph is made without re-checking
+    return minimize(_make(ProcessGraph, tuple(builder.nodes), root_id))
 
 
 def build_global_graph(
@@ -473,7 +583,7 @@ def build_global_graph(
     root_id = resolve(root, ())
     if builder.end_id is not None:
         builder.nodes[builder.end_id] = GNode(END, None, None, ())
-    return minimize_global(GlobalGraph(tuple(builder.nodes), root_id))
+    return minimize_global(_make(GlobalGraph, tuple(builder.nodes), root_id))
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +591,16 @@ def build_global_graph(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Session:
+@dataclass(frozen=True, eq=False)
+class Session(_Value):
     """Parallel composition of participant-owned processes.
 
     Bindings are kept sorted by participant.  A binding to a terminated
-    process is legal here and erased by normalize_session.
+    process is legal here and erased by normalize_session.  A session keeps
+    its normal form in ``_normal`` (``None`` when it is normal itself).
     """
 
+    __slots__ = ("bindings", "_normal")
     bindings: tuple[tuple[str, ProcessGraph], ...]
 
     def __post_init__(self) -> None:
@@ -500,6 +612,12 @@ class Session:
             raise DuplicateParticipant(f"participant(s) bound twice: {', '.join(dup)}")
         if names != sorted(names):
             raise TermError("session bindings must be sorted by participant")
+
+    def _key(self) -> tuple:
+        return (self.bindings,)
+
+    def _known_normal(self) -> bool:
+        return getattr(self, "_normal", self) is None
 
     @property
     def is_null(self) -> bool:
@@ -515,13 +633,24 @@ class Session:
         return iter(self.bindings)
 
     def replace(self, participant: str, graph: ProcessGraph) -> "Session":
+        for k, (p, _) in enumerate(self.bindings):
+            if p == participant:
+                bindings = self.bindings[:k] + ((p, graph),) + self.bindings[k + 1 :]
+                normal = self._known_normal() and graph._known_canonical() and not graph.is_end
+                return _derived_session(bindings, normal)
         pairs = dict(self.bindings)
         pairs[participant] = graph
         return session_of(pairs)
 
     def without(self, participants: Iterable[str]) -> "Session":
         drop = set(participants)
-        return Session(tuple((p, g) for p, g in self.bindings if p not in drop))
+        bindings = tuple((p, g) for p, g in self.bindings if p not in drop)
+        return _derived_session(bindings, self._known_normal())
+
+
+def _derived_session(bindings: tuple[tuple[str, ProcessGraph], ...], normal: bool) -> Session:
+    """A session whose bindings come, in order, from a validated one."""
+    return _make(Session, bindings, _normal=None) if normal else _make(Session, bindings)
 
 
 def session_of(bindings: Mapping[str, ProcessGraph] | Iterable[tuple[str, ProcessGraph]]) -> Session:
@@ -537,18 +666,20 @@ def normalize_session(s: Session) -> Session:
 
     Drops terminated participants, minimizes every process and keeps the
     bindings sorted, so == on normalized sessions decides equivalence.
+    Computed once per session: a normal session is returned as it is.
     """
-    kept = []
-    for p, g in s.bindings:
-        g = minimize(g)
-        if not g.is_end:
-            kept.append((p, g))
-    return Session(tuple(kept))
+    try:
+        normal = s._normal
+    except AttributeError:
+        kept = tuple((p, g._canonical()) for p, g in s.bindings if not g.is_end)
+        normal = None if kept == s.bindings else _derived_session(kept, True)
+        object.__setattr__(s, "_normal", normal)
+    return s if normal is None else normal
 
 
 def participants(s: Session) -> frozenset[str]:
     """The active participants: those bound to a process that is not 0."""
-    return frozenset(p for p, g in s.bindings if not minimize(g).is_end)
+    return frozenset(p for p, g in s.bindings if not g.is_end)
 
 
 def sessions_equivalent(a: Session, b: Session) -> bool:

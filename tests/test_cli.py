@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from mpst import analysis, cli
 from mpst.cli import run
 
 from .conftest import golden_path
@@ -140,6 +141,20 @@ class TestAnalyze:
         assert code == 1
         assert data["results"][0]["witness"]["participant"] == "r"
 
+    def test_liveness_checks_share_one_exploration(self, capsys, monkeypatch):
+        explored = []
+        for module in (cli, analysis):
+            real = module.explore
+            monkeypatch.setattr(
+                module, "explore", lambda *args, real=real, **kw: explored.append(1) or real(*args, **kw)
+            )
+        code, data = run_json(
+            capsys, ["analyze", "--session", "M", "--lockfree", "--deadlockfree", MUTUAL]
+        )
+        assert code == 1
+        assert [r["holds"] for r in data["results"]] == [False, True]
+        assert len(explored) == 1
+
     def test_stategraph_json_schema(self, capsys):
         code, data = run_json(capsys, ["analyze", "--session", "M", "--stategraph", BUYER])
         assert code == 0
@@ -207,3 +222,18 @@ class TestBudgetEnv:
     def test_env_malformed(self, capsys, monkeypatch):
         monkeypatch.setenv("MPST_BUDGET", "bogus")
         assert run(["infer", "--session", "M", SOCIAL]) == 2
+
+    @pytest.mark.parametrize(
+        "budget, argv",
+        [
+            ("states=0", ["analyze", "--session", "M", "--lockfree", BUYER]),
+            ("outcomes=-1", ["infer", "--session", "M", BUYER]),
+            ("size=0", ["infer", "--session", "M", BUYER]),
+        ],
+    )
+    def test_env_values_must_be_positive(self, capsys, monkeypatch, budget, argv):
+        monkeypatch.setenv("MPST_BUDGET", budget)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget values must be positive\n"

@@ -1,14 +1,22 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from mpst.random_sessions import random_process
+from mpst import terms
+from mpst.frontend import parse
+from mpst.random_sessions import random_global, random_process, random_session
+from mpst.semantics import explore
 from mpst.terms import (
+    BadIdentifier,
     DuplicateBranchLabel,
     DuplicateParticipant,
     EmptyChoice,
     END,
+    END_GLOBAL,
     END_PROCESS,
+    GlobalGraph,
     IN,
     OUT,
     PNode,
@@ -17,10 +25,12 @@ from mpst.terms import (
     ProcessGraph,
     ProcRef,
     Session,
+    TermError,
     UndefinedName,
     UnguardedRecursion,
     build_process_graph,
     minimize,
+    minimize_global,
     normalize_session,
     participants,
     session_of,
@@ -179,3 +189,142 @@ class TestGraphInvariants:
                 labels = [lab for lab, _ in node.branches]
                 assert labels, "empty choice"
                 assert len(set(labels)) == len(labels)
+
+
+# ---------------------------------------------------------------------------
+# Canonical by construction: canonical terms are never minimized again.
+# ---------------------------------------------------------------------------
+
+
+def _doubled(g):
+    """A bisimilar but non-minimal copy of g: every node points into a
+    duplicate of the graph, and the duplicate points back."""
+    n = len(g.nodes)
+
+    def shifted(node, by):
+        return node.rebranch(tuple((lab, (t + by) % (2 * n)) for lab, t in node.branches))
+
+    nodes = tuple(shifted(node, n) for node in g.nodes) + tuple(shifted(node, 0) for node in g.nodes)
+    return type(g)(nodes, g.root)
+
+
+def _minimize(g):
+    return minimize_global(g) if isinstance(g, GlobalGraph) else minimize(g)
+
+
+def _random_graphs(seed):
+    rng = random.Random(seed)
+    graphs = [random_process(rng, ["q", "r"], max_nodes=6), random_global(rng, max_nodes=6)]
+    graphs += [g for _, g in random_session(rng).bindings]
+    return graphs
+
+
+def _pairs_text(k):
+    lines, binds = [], []
+    for i in range(k):
+        lines.append(f"process P{i} = q{i}!a . q{i}?b . P{i}")
+        lines.append(f"process Q{i} = p{i}?a . p{i}!b . Q{i}")
+        binds.append(f"p{i}: P{i} | q{i}: Q{i}")
+    return "\n".join(lines + ["session M = " + " | ".join(binds)])
+
+
+class TestCanonicalByConstruction:
+    def test_minimize_returns_canonical_input_itself(self, social_media):
+        for g in list(social_media.processes.values()) + [END_PROCESS]:
+            c = minimize(g)
+            assert minimize(c) is c
+        for g in list(social_media.globals.values()) + [END_GLOBAL]:
+            c = minimize_global(g)
+            assert minimize_global(c) is c
+
+    def test_minimize_of_a_canonical_copy_is_the_copy(self, social_media):
+        g = social_media.processes["U"]
+        copy = ProcessGraph(tuple(g.nodes), g.root)
+        assert copy is not g and minimize(copy) is copy and copy == g
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repeated_step_and_at_are_equal_and_canonical(self, seed):
+        for g in _random_graphs(seed):
+            if isinstance(g, GlobalGraph):
+                pairs = [(g.at(i), g.at(i)) for i in range(len(g.nodes))]
+            else:
+                pairs = [(g.step(lab), g.step(lab)) for lab in g.root_node.labels()]
+            for first, again in pairs:
+                assert again is first  # computed once, then reused
+                assert _minimize(first) is first
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cached_results_match_fresh_minimization(self, seed):
+        for g in _random_graphs(seed):
+            raw = _doubled(g)
+            assert _minimize(raw) == g and _minimize(raw) is not raw
+            for node_id in range(len(g.nodes)):
+                # A structurally equal, distinct, unminimized copy of the subterm.
+                fresh = _minimize(type(g)(tuple(g.nodes), node_id))
+                if isinstance(g, GlobalGraph):
+                    assert g.at(node_id) == fresh
+                    assert raw.at(node_id) == fresh
+                    assert raw.at(node_id + len(g.nodes)) == fresh
+                else:
+                    sub = g if node_id == g.root else None
+                    for lab, t in g.root_node.branches:
+                        if t == node_id:
+                            sub = g.step(lab)
+                            assert raw.step(lab) == sub
+                    if sub is not None:
+                        assert sub == fresh
+                assert hash(fresh) == hash(type(g)(tuple(fresh.nodes), fresh.root))
+
+    def test_session_normal_form_is_kept(self, social_media):
+        m = normalize_session(social_media.sessions["M"])
+        assert normalize_session(m) is m
+        raw = session_of({p: _doubled(g) for p, g in m.bindings} | {"z": END_PROCESS})
+        assert normalize_session(raw) == m
+        assert normalize_session(raw) is normalize_session(raw)
+
+    @staticmethod
+    def _count_refinements(monkeypatch) -> list:
+        calls = []
+        refine = terms._refine
+
+        def counting(*args):
+            calls.append(1)
+            return refine(*args)
+
+        monkeypatch.setattr(terms, "_refine", counting)
+        return calls
+
+    def test_explore_does_not_rerun_partition_refinement(self, monkeypatch):
+        m = parse(_pairs_text(7)).sessions["M"]
+        calls = self._count_refinements(monkeypatch)
+        graph = explore(m)
+        assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
+        assert len(calls) <= 100  # 16,142 when every step re-minimized
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_subgraphs_of_canonical_graphs_are_only_renumbered(self, monkeypatch, seed):
+        graphs = _random_graphs(seed)
+        calls = self._count_refinements(monkeypatch)
+        for g in graphs:
+            if isinstance(g, GlobalGraph):
+                for node_id in range(len(g.nodes)):
+                    g.at(node_id)
+                continue
+            walk = [g]
+            for _ in range(2 * len(g.nodes)):  # every subterm, and some repeats
+                walk = [h.step(lab) for h in walk for lab in h.root_node.labels()][:20]
+        assert calls == []
+
+    def test_copies_and_pickles_are_equal_values(self, social_media):
+        m = social_media.sessions["M"]
+        for value in (m, m.bindings[0][1], social_media.globals["G"]):
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value and hash(twin) == hash(value)
+
+    def test_direct_construction_still_validates(self):
+        with pytest.raises(BadIdentifier):
+            ProcessGraph((PNode(OUT, "not an ident", (("a", 0),)),), 0)
+        with pytest.raises(BadIdentifier):
+            Session((("bad name", END_PROCESS),))
+        with pytest.raises(TermError):
+            END_GLOBAL.at(1)
