@@ -17,8 +17,6 @@ from .frontend import (
     format_process,
     format_session,
     parse,
-    print_global,
-    print_process,
 )
 from .inference import (
     BudgetExhausted,
@@ -44,6 +42,7 @@ from .semantics import (
     explore,
     global_successor,
     global_transitions,
+    ready_pairs,
     reduce,
     session_transitions,
 )

@@ -1,8 +1,9 @@
 """Command-line driver: check, infer, analyze and meta over .mpst files.
 
 Exit codes: 0 when the property holds / a derivation or solution was found,
-1 when it fails / nothing was found, 2 on usage or parse errors.  JSON output
-is byte-stable for fixed inputs, seeds and budgets.
+1 when it fails / nothing was found, 2 on usage or parse errors, 3 when an
+exploration hit its state or edge budget (no answer is given then).  JSON
+output is byte-stable for fixed inputs, seeds and budgets.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass, field
 from . import inference
 from .analysis import bounded, depth, excluded_deadlock_free, excluded_lock_free
 from .frontend import ParseError, SpecFile, format_global, format_session, parse
-from .inference import SearchBudget, enumerate_solutions, render_outcome
+from .inference import SearchBudget, enumerate_solutions, minimal_key, render_outcome
 from .metatheory import run_file_suite
-from .semantics import ExploreConfig, explore
+from .semantics import ExploreConfig, StateLimitExceeded, explore
 from .terms import Session, GlobalGraph
 from .typecheck import Derivation, typecheck
 
 USAGE_ERROR = 2
+BUDGET_EXCEEDED = 3
 
 
 class CliError(Exception):
@@ -178,7 +180,7 @@ def cmd_infer(config: RunConfig) -> int:
     except inference.BudgetExhausted:
         pass
     if config.minimal:
-        found.sort(key=lambda item: (len(item[3]), item[0].weak_count, tuple(sorted(item[3]))))
+        found.sort(key=lambda item: minimal_key(item[0], item[3]))
         found = found[:1]
     payload_outcomes = []
     for outcome, theta, g, p in found:
@@ -401,6 +403,9 @@ def run(argv: list[str]) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except StateLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_EXCEEDED
 
 
 def main() -> None:

@@ -392,10 +392,6 @@ def format_process(g: ProcessGraph, name: str = "P") -> str:
     )
 
 
-def print_process(g: ProcessGraph, name: str = "P") -> str:
-    return format_process(g, name)
-
-
 def format_global(g: GlobalGraph, name: str = "G") -> str:
     """Equation text for a global graph, e.g. ``G = b->s:{ add . G, pay }``."""
     g = terms.minimize_global(g)
@@ -408,10 +404,6 @@ def format_global(g: GlobalGraph, name: str = "G") -> str:
         len(g.nodes),
         name,
     )
-
-
-def print_global(g: GlobalGraph, name: str = "G") -> str:
-    return format_global(g, name)
 
 
 def parse_global(text: str, name: str = "G") -> GlobalGraph:

@@ -29,20 +29,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .analysis import bounded, plays_global
-from .semantics import ExploreConfig, explore
+from .semantics import ExploreConfig, communicate, explore, ready_pairs
 from .terms import (
     COMM,
     END,
     GNode,
     GlobalGraph,
-    IN,
-    OUT,
     Session,
     minimize_global,
     normalize_session,
     participants,
 )
-from .typecheck import Derivation, typecheck
+from .typecheck import Derivation, subsets, typecheck
 
 log = logging.getLogger(__name__)
 
@@ -165,22 +163,6 @@ class _Piece:
     weaks: int
 
 
-def _ready_pairs(m: Session):
-    for p, gp in m.items():
-        node = gp.root_node
-        if node.kind != OUT:
-            continue
-        q = node.partner
-        gq = m.get(q)
-        if gq is None:
-            continue
-        qnode = gq.root_node
-        if qnode.kind != IN or qnode.partner != p:
-            continue
-        if set(node.labels()) <= set(qnode.labels()):
-            yield p, q, node.labels(), gp, gq
-
-
 class _Search:
     def __init__(self, supply: Iterator[int], width: int):
         self.supply = supply
@@ -230,7 +212,7 @@ class _Search:
                 )
 
         goals2 = goals + ((m, pv, tv),)
-        for p, q, labels, gp, gq in _ready_pairs(m):
+        for p, q, labels in ready_pairs(m):
             if width_left <= 0:
                 self.pruned = True
                 return
@@ -238,9 +220,7 @@ class _Search:
             residual_plays = participants(m.without((p, q)))
             branch_goals = []
             for lab in labels:
-                mi = normalize_session(
-                    m.replace(p, gp.step(lab)).replace(q, gq.step(lab))
-                )
+                mi = communicate(m, p, q, lab)
                 branch_goals.append((lab, mi, self.fresh_tv(), self.fresh_pv()))
             eq = (
                 tv,
@@ -262,26 +242,26 @@ class _Search:
                 )
 
         if allow_weak:
-            active = sorted(participants(m))
-            for size in range(1, len(active) + 1):
-                for split in itertools.combinations(active, size):
-                    if width_left <= 0:
-                        self.pruned = True
-                        return
-                    width_left -= 1
-                    m1 = normalize_session(m.without(split))
-                    yv, pw = self.fresh_tv(), self.fresh_pv()
-                    eq = (tv, PatVar(yv))
-                    peq = (pv, PSetPattern(frozenset(split), (pw,)))
-                    for sub in self.derive(m1, yv, pw, goals, budget - 1, False):
-                        yield _Piece(
-                            (eq,) + sub.eqs,
-                            (peq,) + sub.peqs,
-                            sub.conds,
-                            here + sub.goals,
-                            1 + sub.size,
-                            1 + sub.weaks,
-                        )
+            for split in subsets(participants(m)):
+                if not split:
+                    continue
+                if width_left <= 0:
+                    self.pruned = True
+                    return
+                width_left -= 1
+                m1 = normalize_session(m.without(split))
+                yv, pw = self.fresh_tv(), self.fresh_pv()
+                eq = (tv, PatVar(yv))
+                peq = (pv, PSetPattern(split, (pw,)))
+                for sub in self.derive(m1, yv, pw, goals, budget - 1, False):
+                    yield _Piece(
+                        (eq,) + sub.eqs,
+                        (peq,) + sub.peqs,
+                        sub.conds,
+                        here + sub.goals,
+                        1 + sub.size,
+                        1 + sub.weaks,
+                    )
 
     def derive_seq(self, items: list, goals: tuple, budget: int) -> Iterator[_Piece]:
         if not items:
@@ -528,15 +508,24 @@ def enumerate_solutions(
             yield outcome, theta, g, p
 
 
+def minimal_key(outcome: InferenceOutcome, ignored: frozenset[str]) -> tuple:
+    """What "minimal" orders solutions by: fewest ignored participants, then
+    fewest Weak steps, then the ignored names."""
+    return (len(ignored), outcome.weak_count, tuple(sorted(ignored)))
+
+
 def infer_minimal(
     s: Session, budget: SearchBudget = SearchBudget()
 ) -> tuple[GlobalGraph, frozenset[str]]:
-    """The solution with the fewest ignored participants within the budget."""
+    """The solution with the fewest ignored participants within the budget.
+
+    Among equal keys the first solution found wins.
+    """
     best = None
     best_key = None
     try:
         for outcome, _, g, p in enumerate_solutions(s, budget):
-            key = (len(p), outcome.weak_count, tuple(sorted(p)))
+            key = minimal_key(outcome, p)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (g, p)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .analysis import excluded_lock_free, plays_global, top_partner
 from .semantics import (
@@ -36,7 +35,7 @@ from .terms import (
     normalize_session,
     participants,
 )
-from .typecheck import Derivation, Rejection, _Checker
+from .typecheck import Derivation, Rejection, Typechecker
 
 
 @dataclass
@@ -46,33 +45,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.check}] {self.detail}"
-
-
-class Typechecker:
-    """typecheck() with caches that persist across queries."""
-
-    def __init__(self) -> None:
-        self._checker = _Checker()
-
-    def check(self, g: GlobalGraph, m: Session, ignored) -> Derivation | Rejection:
-        result = self._checker.check(
-            minimize_global(g), normalize_session(m), frozenset(ignored), frozenset()
-        )
-        if isinstance(result, Rejection):
-            return result
-        return result[0]
-
-    def accepts(self, g, m, ignored) -> bool:
-        return isinstance(self.check(g, m, ignored), Derivation)
-
-    def smallest_accepted_subset(self, g, m, p_set: frozenset) -> frozenset | None:
-        """The first subset of p_set (smallest, then lexicographic) that types."""
-        pool = sorted(p_set)
-        for size in range(len(pool) + 1):
-            for combo in combinations(pool, size):
-                if self.accepts(g, m, frozenset(combo)):
-                    return frozenset(combo)
-        return None
 
 
 def check_subject_reduction(

@@ -13,6 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .terms import (
     COMM,
@@ -72,33 +73,40 @@ class ExploreConfig:
     max_edges: int = 4_000_000
 
 
-def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
-    """All enabled single steps of a session, with canonical successors.
+def ready_pairs(m: Session) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+    """(p, q, labels) for every p sending labels to q that q can all receive.
 
-    One entry per sender p, matching receiver q and message h, subject to the
-    output labels being contained in the input labels.
+    These are the pairs the Comm rule can fire on, in the order of p.
     """
-    s = normalize_session(s)
-    out: list[tuple[CommLabel, Session]] = []
-    for p, gp in s.items():
+    for p, gp in m.items():
         node = gp.root_node
         if node.kind != OUT:
             continue
         q = node.partner
-        gq = s.get(q)
+        gq = m.get(q)
         if gq is None:
             continue
         qnode = gq.root_node
-        if qnode.kind != IN or qnode.partner != p:
-            continue
-        labels_out = set(node.labels())
-        labels_in = set(qnode.labels())
-        if not labels_out <= labels_in:
-            continue
-        for h in node.labels():
-            succ = s.replace(p, gp.step(h)).replace(q, gq.step(h))
-            out.append((CommLabel(p, h, q), normalize_session(succ)))
-    return out
+        if qnode.kind == IN and qnode.partner == p and set(node.labels()) <= set(qnode.labels()):
+            yield p, q, node.labels()
+
+
+def communicate(m: Session, p: str, q: str, label: str) -> Session:
+    """The normal session after p sends label to q; nobody else moves."""
+    return normalize_session(m.replace(p, m.get(p).step(label)).replace(q, m.get(q).step(label)))
+
+
+def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
+    """All enabled single steps of a session, with canonical successors.
+
+    One entry per ready pair (p, q) and message h that p may send.
+    """
+    s = normalize_session(s)
+    return [
+        (CommLabel(p, h, q), communicate(s, p, q, h))
+        for p, q, labels in ready_pairs(s)
+        for h in labels
+    ]
 
 
 def reduce(s: Session, label: CommLabel) -> Session | None:

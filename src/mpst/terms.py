@@ -110,6 +110,18 @@ GlobalExpr = Union[GlobalEnd, GlobalRef, GlobalComm]
 # ---------------------------------------------------------------------------
 
 
+def _check_choice(labels: Sequence[str]) -> None:
+    """A choice has at least one branch and distinct, valid labels."""
+    if not labels:
+        raise EmptyChoice("choice with no branches")
+    seen = set()
+    for lab in labels:
+        check_ident(lab, "message label")
+        if lab in seen:
+            raise DuplicateBranchLabel(f"duplicate branch label {lab!r}")
+        seen.add(lab)
+
+
 @dataclass(frozen=True)
 class PNode:
     """One process state: terminated, or a send/receive choice."""
@@ -127,6 +139,17 @@ class PNode:
 
     def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "PNode":
         return PNode(self.kind, self.partner, branches)
+
+    def check(self) -> None:
+        """The shape rules of a process state; successors are not looked at."""
+        if self.kind == END:
+            if self.partner is not None or self.branches:
+                raise TermError("end node must carry no partner or branches")
+        elif self.kind in (OUT, IN):
+            check_ident(self.partner, "participant")
+            _check_choice(self.labels())
+        else:
+            raise TermError(f"unknown process node kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -147,18 +170,19 @@ class GNode:
     def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "GNode":
         return GNode(self.kind, self.sender, self.receiver, branches)
 
-
-def _check_branches(branches: Sequence[tuple[str, int]], n_nodes: int) -> None:
-    if not branches:
-        raise EmptyChoice("communication node with no branches")
-    seen = set()
-    for lab, tgt in branches:
-        check_ident(lab, "message label")
-        if lab in seen:
-            raise DuplicateBranchLabel(f"duplicate branch label {lab!r}")
-        seen.add(lab)
-        if not (0 <= tgt < n_nodes):
-            raise TermError(f"branch target {tgt} out of range")
+    def check(self) -> None:
+        """The shape rules of a global-type state; successors are not looked at."""
+        if self.kind == END:
+            if self.sender is not None or self.branches:
+                raise TermError("end node must carry no roles or branches")
+        elif self.kind == COMM:
+            check_ident(self.sender, "participant")
+            check_ident(self.receiver, "participant")
+            if self.sender == self.receiver:
+                raise TermError(f"self-communication {self.sender!r}")
+            _check_choice(self.labels())
+        else:
+            raise TermError(f"unknown global node kind {self.kind!r}")
 
 
 class _Value:
@@ -215,6 +239,16 @@ class _Graph(_Value):
     """
 
     __slots__ = ("_canon", "_memo")
+
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        if not (0 <= self.root < n):
+            raise TermError("root out of range")
+        for node in self.nodes:
+            node.check()
+            for _, tgt in node.branches:
+                if not (0 <= tgt < n):
+                    raise TermError(f"branch target {tgt} out of range")
 
     def _key(self) -> tuple:
         return (self.nodes, self.root)
@@ -282,19 +316,6 @@ class ProcessGraph(_Graph):
     nodes: tuple[PNode, ...]
     root: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.root < len(self.nodes)):
-            raise TermError("root out of range")
-        for node in self.nodes:
-            if node.kind == END:
-                if node.partner is not None or node.branches:
-                    raise TermError("end node must carry no partner or branches")
-            elif node.kind in (OUT, IN):
-                check_ident(node.partner, "participant")
-                _check_branches(node.branches, len(self.nodes))
-            else:
-                raise TermError(f"unknown process node kind {node.kind!r}")
-
     def step(self, label: str) -> "ProcessGraph":
         """Canonical graph re-rooted at the continuation of the given branch."""
         canon = self._canonical()
@@ -309,22 +330,6 @@ class GlobalGraph(_Graph):
     __slots__ = ("nodes", "root")
     nodes: tuple[GNode, ...]
     root: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.root < len(self.nodes)):
-            raise TermError("root out of range")
-        for node in self.nodes:
-            if node.kind == END:
-                if node.sender is not None or node.branches:
-                    raise TermError("end node must carry no roles or branches")
-            elif node.kind == COMM:
-                check_ident(node.sender, "participant")
-                check_ident(node.receiver, "participant")
-                if node.sender == node.receiver:
-                    raise TermError(f"self-communication {node.sender!r}")
-                _check_branches(node.branches, len(self.nodes))
-            else:
-                raise TermError(f"unknown global node kind {node.kind!r}")
 
     def at(self, node_id: int) -> "GlobalGraph":
         """Canonical subgraph rooted at the given node."""
@@ -436,32 +441,50 @@ def globals_equivalent(a: GlobalGraph, b: GlobalGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _GraphBuilder:
-    def __init__(self) -> None:
-        self.nodes: list = []
-        self.end_id: int | None = None
+def _build(end: _Graph, definitions: Mapping, root: str | None, what: str, head) -> _Graph:
+    """The canonical graph of the equation named root (default: the first).
 
-    def end(self) -> int:
-        if self.end_id is None:
-            self.end_id = len(self.nodes)
-            self.nodes.append(None)  # patched by caller
-        return self.end_id
+    end is the kind's terminated graph and what its name in messages; head
+    turns a communication into its node, whose branches still hold the
+    continuations.  A communication's head is checked before its branches
+    are placed, which fixes the fault reported on input with several.
+    """
+    nodes: list = [end.root_node]  # node 0 is End; minimization drops it when unused
+    named: dict[str, int] = {}
 
-    def reserve(self) -> int:
-        self.nodes.append(None)
-        return len(self.nodes) - 1
+    def resolve(name: str, trail: tuple[str, ...] = ()) -> int:
+        if name not in definitions:
+            raise UndefinedName(f"undefined {what} {name!r}")
+        if name in trail:
+            raise UnguardedRecursion(
+                f"{what} {name!r} is defined in terms of itself without any communication"
+            )
+        expr = definitions[name]
+        if isinstance(expr, (ProcRef, GlobalRef)):
+            return resolve(expr.name, trail + (name,))
+        return place(expr, name)
 
+    def place(expr, name: str | None = None) -> int:
+        if isinstance(expr, (ProcEnd, GlobalEnd)):
+            return 0
+        if isinstance(expr, (ProcRef, GlobalRef)):
+            return resolve(expr.name)
+        if name in named:
+            return named[name]
+        node = head(expr)
+        if node.kind == END:
+            raise TermError(f"unknown {what} node kind {node.kind!r}")
+        node.check()
+        nid = len(nodes)
+        nodes.append(node)
+        if name is not None:
+            named[name] = nid
+        nodes[nid] = node.rebranch(tuple(sorted((lab, place(sub)) for lab, sub in node.branches)))
+        return nid
 
-def _branch_pairs(branches: Sequence[tuple[str, object]]) -> list[tuple[str, object]]:
-    if not branches:
-        raise EmptyChoice("choice with no branches")
-    seen = set()
-    for lab, _ in branches:
-        check_ident(lab, "message label")
-        if lab in seen:
-            raise DuplicateBranchLabel(f"duplicate branch label {lab!r}")
-        seen.add(lab)
-    return list(branches)
+    root_id = resolve(next(iter(definitions)) if root is None else root)
+    # every node has been checked, so the graph is made without re-checking
+    return _make(type(end), tuple(nodes), root_id)._canonical()
 
 
 def build_process_graph(
@@ -472,118 +495,19 @@ def build_process_graph(
     Every name must be defined and every recursion must pass through at least
     one send or receive; pure aliasing cycles (``P = P``) are rejected.
     """
-    if root is None:
-        root = next(iter(definitions))
-    if root not in definitions:
-        raise UndefinedName(f"undefined process {root!r}")
-    builder = _GraphBuilder()
-    def_node: dict[str, int] = {}
-
-    def resolve(name: str, trail: tuple[str, ...]) -> int:
-        if name not in definitions:
-            raise UndefinedName(f"undefined process {name!r}")
-        if name in trail:
-            raise UnguardedRecursion(
-                f"process {name!r} is defined in terms of itself without any communication"
-            )
-        expr = definitions[name]
-        if isinstance(expr, ProcRef):
-            return resolve(expr.name, trail + (name,))
-        if isinstance(expr, ProcEnd):
-            return builder.end()
-        return node_for(name)
-
-    def node_for(name: str) -> int:
-        if name in def_node:
-            return def_node[name]
-        expr = definitions[name]
-        assert isinstance(expr, ProcComm)
-        nid = builder.reserve()
-        def_node[name] = nid
-        fill(nid, expr)
-        return nid
-
-    def place(expr: ProcExpr) -> int:
-        if isinstance(expr, ProcEnd):
-            return builder.end()
-        if isinstance(expr, ProcRef):
-            return resolve(expr.name, ())
-        nid = builder.reserve()
-        fill(nid, expr)
-        return nid
-
-    def fill(nid: int, expr: ProcComm) -> None:
-        if expr.kind not in (OUT, IN):
-            raise TermError(f"bad process kind {expr.kind!r}")
-        check_ident(expr.partner, "participant")
-        pairs = _branch_pairs(expr.branches)
-        targets = tuple(sorted((lab, place(sub)) for lab, sub in pairs))
-        builder.nodes[nid] = PNode(expr.kind, expr.partner, targets)
-
-    root_id = resolve(root, ())
-    if builder.end_id is not None:
-        builder.nodes[builder.end_id] = PNode(END, None, ())
-    # fill has validated every node, so the graph is made without re-checking
-    return minimize(_make(ProcessGraph, tuple(builder.nodes), root_id))
+    return _build(
+        END_PROCESS, definitions, root, "process", lambda e: PNode(e.kind, e.partner, e.branches)
+    )
 
 
 def build_global_graph(
     definitions: Mapping[str, GlobalExpr], root: str | None = None
 ) -> GlobalGraph:
     """Same construction for global-type equations."""
-    if root is None:
-        root = next(iter(definitions))
-    if root not in definitions:
-        raise UndefinedName(f"undefined global type {root!r}")
-    builder = _GraphBuilder()
-    def_node: dict[str, int] = {}
-
-    def resolve(name: str, trail: tuple[str, ...]) -> int:
-        if name not in definitions:
-            raise UndefinedName(f"undefined global type {name!r}")
-        if name in trail:
-            raise UnguardedRecursion(
-                f"global type {name!r} is defined in terms of itself without any communication"
-            )
-        expr = definitions[name]
-        if isinstance(expr, GlobalRef):
-            return resolve(expr.name, trail + (name,))
-        if isinstance(expr, GlobalEnd):
-            return builder.end()
-        return node_for(name)
-
-    def node_for(name: str) -> int:
-        if name in def_node:
-            return def_node[name]
-        expr = definitions[name]
-        assert isinstance(expr, GlobalComm)
-        nid = builder.reserve()
-        def_node[name] = nid
-        fill(nid, expr)
-        return nid
-
-    def place(expr: GlobalExpr) -> int:
-        if isinstance(expr, GlobalEnd):
-            return builder.end()
-        if isinstance(expr, GlobalRef):
-            return resolve(expr.name, ())
-        nid = builder.reserve()
-        fill(nid, expr)
-        return nid
-
-    def fill(nid: int, expr: GlobalComm) -> None:
-        check_ident(expr.sender, "participant")
-        check_ident(expr.receiver, "participant")
-        if expr.sender == expr.receiver:
-            raise TermError(f"self-communication {expr.sender!r}")
-        pairs = _branch_pairs(expr.branches)
-        targets = tuple(sorted((lab, place(sub)) for lab, sub in pairs))
-        builder.nodes[nid] = GNode(COMM, expr.sender, expr.receiver, targets)
-
-    root_id = resolve(root, ())
-    if builder.end_id is not None:
-        builder.nodes[builder.end_id] = GNode(END, None, None, ())
-    return minimize_global(_make(GlobalGraph, tuple(builder.nodes), root_id))
+    return _build(
+        END_GLOBAL, definitions, root, "global type",
+        lambda e: GNode(COMM, e.sender, e.receiver, e.branches),
+    )
 
 
 # ---------------------------------------------------------------------------

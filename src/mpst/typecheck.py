@@ -26,15 +26,17 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import bounded, plays_global
+from .semantics import communicate
 from .terms import (
     COMM,
     GlobalGraph,
     IN,
     OUT,
     Session,
+    minimize_global,
     normalize_session,
     participants,
 )
@@ -147,8 +149,9 @@ def check_participant_equation(
     return (plays_global(gi) | frozenset(pi)) - {p, q} == participants(residual)
 
 
-def _subsets(pool: list[str]):
-    """All subsets, smallest first, then lexicographic."""
+def subsets(pool: Iterable[str]) -> Iterator[frozenset[str]]:
+    """All subsets of pool, smallest first, then lexicographic."""
+    pool = sorted(pool)
     for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
             yield frozenset(combo)
@@ -157,17 +160,35 @@ def _subsets(pool: list[str]):
 _Triple = tuple[GlobalGraph, Session, frozenset]
 
 
-class _Checker:
+class Typechecker:
+    """The decision procedure, with caches that persist across queries."""
+
     def __init__(self) -> None:
         self.accepted: dict[_Triple, list[tuple[frozenset, Derivation]]] = {}
         self.rejected: dict[_Triple, list[tuple[frozenset, Rejection]]] = {}
 
-    # Result of check: (Derivation, refs) on success, where refs is the set of
+    def check(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> Derivation | Rejection:
+        """A full derivation of the judgment, or the best rejection."""
+        result = self._judge(
+            minimize_global(g), normalize_session(m), frozenset(ignored), frozenset()
+        )
+        return result if isinstance(result, Rejection) else result[0]
+
+    def accepts(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> bool:
+        return isinstance(self.check(g, m, ignored), Derivation)
+
+    def smallest_accepted_subset(
+        self, g: GlobalGraph, m: Session, p_set: frozenset
+    ) -> frozenset | None:
+        """The first subset of p_set (smallest, then lexicographic) that types."""
+        return next((sub for sub in subsets(p_set) if self.accepts(g, m, sub)), None)
+
+    # Result of _judge: (Derivation, refs) on success, where refs is the set of
     # hypothesis triples the derivation's Cycle leaves point at; a Rejection
     # otherwise.  A success is reusable under any hypothesis superset of refs;
     # a rejection under any hypothesis subset of the recorded one.
 
-    def check(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
+    def _judge(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
         triple = (g, m, p_set)
         if triple in hyps:
             return Derivation("Cycle", Judgment(g, m, p_set)), frozenset([triple])
@@ -177,7 +198,7 @@ class _Checker:
         for cached_hyps, rej in self.rejected.get(triple, ()):
             if hyps <= cached_hyps:
                 return rej
-        result = self._check(g, m, p_set, hyps)
+        result = self._decide(g, m, p_set, hyps)
         if isinstance(result, Rejection):
             self.rejected.setdefault(triple, []).append((hyps, result))
         else:
@@ -185,7 +206,7 @@ class _Checker:
             self.accepted.setdefault(triple, []).append((refs, result[0]))
         return result
 
-    def _check(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
+    def _decide(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
         judgment = Judgment(g, m, p_set)
         if g.is_end and m.is_null:
             if not p_set:
@@ -256,14 +277,13 @@ class _Checker:
         for lab in labels:
             target = dict(node.branches)[lab]
             gi = g.at(target)
-            mi = normalize_session(m.replace(p, gp.step(lab)).replace(q, gq.step(lab)))
+            mi = communicate(m, p, q, lab)
             plays_gi = plays_global(gi)
             plays_mi = participants(mi)
             base = plays_mi - plays_gi
             candidates = []
             if plays_gi <= plays_mi and base <= p_set:
-                pool = sorted(plays_mi & plays_gi & p_set)
-                for extra in _subsets(pool):
+                for extra in subsets(plays_mi & plays_gi & p_set):
                     pi = base | extra
                     if (plays_gi | pi) - {p, q} == residual_plays:
                         candidates.append(pi)
@@ -276,7 +296,7 @@ class _Checker:
                 )
             options = []
             for pi in candidates:
-                sub = self.check(gi, mi, pi, hyps2)
+                sub = self._judge(gi, mi, pi, hyps2)
                 if isinstance(sub, Rejection):
                     lifted = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
                     if best_premise_rej is None or lifted.depth > best_premise_rej.depth:
@@ -327,7 +347,7 @@ class _Checker:
 
     def _try_weak(self, judgment: Judgment, hyps: frozenset):
         g, m, p_set = judgment.global_type, judgment.session, judgment.ignored
-        pool = sorted((participants(m) & p_set) - plays_global(g))
+        pool = (participants(m) & p_set) - plays_global(g)
         if not pool:
             return Rejection(
                 "IgnoredMismatch",
@@ -336,12 +356,12 @@ class _Checker:
             )
         hyps2 = hyps | {(g, m, p_set)}
         best: Rejection | None = None
-        for split in _subsets(pool):
+        for split in subsets(pool):
             if not split:
                 continue
             m1 = normalize_session(m.without(split))
             p1 = p_set - split
-            sub = self.check(g, m1, p1, hyps2)
+            sub = self._judge(g, m1, p1, hyps2)
             if isinstance(sub, Rejection):
                 lifted = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
                 if best is None or lifted.depth > best.depth:
@@ -358,18 +378,7 @@ def typecheck(
     ignored: Iterable[str] = (),
 ) -> Derivation | Rejection:
     """Decide the judgment and return a full derivation or the best rejection."""
-    from .terms import minimize_global
-
-    g = minimize_global(global_type)
-    m = normalize_session(session)
-    result = _Checker().check(g, m, frozenset(ignored), frozenset())
-    if isinstance(result, Rejection):
-        return result
-    return result[0]
-
-
-def check_judgment(j: Judgment) -> Derivation | Rejection:
-    return typecheck(j.global_type, j.session, j.ignored)
+    return Typechecker().check(global_type, session, ignored)
 
 
 def accepts(global_type: GlobalGraph, session: Session, ignored: Iterable[str] = ()) -> bool:

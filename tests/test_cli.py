@@ -237,3 +237,19 @@ class TestBudgetEnv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: budget values must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--session", "M", "--lockfree"],
+        ["infer", "--session", "M"],
+        ["meta"],
+    ],
+)
+def test_state_budget_exceeded_is_exit_3(capsys, argv):
+    code = run(argv + ["--max-states", "1", BUYER])
+    captured = capsys.readouterr()
+    assert code == cli.BUDGET_EXCEEDED == 3
+    assert captured.err.startswith("error: state limit of 1")
+    assert "Traceback" not in captured.out + captured.err

@@ -16,7 +16,10 @@ from mpst.terms import (
     END,
     END_GLOBAL,
     END_PROCESS,
+    GlobalComm,
+    GlobalEnd,
     GlobalGraph,
+    GlobalRef,
     IN,
     OUT,
     PNode,
@@ -28,6 +31,7 @@ from mpst.terms import (
     TermError,
     UndefinedName,
     UnguardedRecursion,
+    build_global_graph,
     build_process_graph,
     minimize,
     minimize_global,
@@ -87,6 +91,69 @@ class TestBuildProcessGraph:
     def test_empty_choice(self):
         with pytest.raises(EmptyChoice):
             build_process_graph({"P": ProcComm(OUT, "q", ())})
+
+
+class _ProcessEquations:
+    build = staticmethod(build_process_graph)
+    end, ref = ProcEnd(), ProcRef
+
+    @staticmethod
+    def comm(*branches, who="q"):
+        return ProcComm(OUT, who, branches)
+
+
+class _GlobalEquations:
+    build = staticmethod(build_global_graph)
+    end, ref = GlobalEnd(), GlobalRef
+
+    @staticmethod
+    def comm(*branches, who="q"):
+        return GlobalComm("p", who, branches)
+
+
+BUILDERS = [_ProcessEquations, _GlobalEquations]
+
+# One table of malformed equation systems, written once for both builders.
+MALFORMED = {
+    "undefined name": (lambda t: {"X": t.comm(("a", t.ref("Nope")))}, UndefinedName),
+    "alias cycle": (lambda t: {"X": t.ref("Y"), "Y": t.ref("X")}, UnguardedRecursion),
+    "duplicate label": (
+        lambda t: {"X": t.comm(("a", t.end), ("a", t.end))},
+        DuplicateBranchLabel,
+    ),
+    "empty choice": (lambda t: {"X": t.comm()}, EmptyChoice),
+    "bad label": (lambda t: {"X": t.comm(("not a label", t.end))}, BadIdentifier),
+    "bad participant": (lambda t: {"X": t.comm(("a", t.end), who="not ok")}, BadIdentifier),
+}
+
+
+class TestBothBuilders:
+    @pytest.mark.parametrize("kind", BUILDERS, ids=["process", "global"])
+    @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+    def test_malformed_equations(self, kind, case):
+        equations, error = MALFORMED[case]
+        with pytest.raises(TermError) as excinfo:
+            kind.build(equations(kind), "X")
+        assert excinfo.type is error
+
+    def test_self_communication_in_a_global_type(self):
+        with pytest.raises(TermError) as excinfo:
+            build_global_graph({"G": GlobalComm("p", "p", (("a", GlobalEnd()),))})
+        assert excinfo.type is TermError
+        assert "self-communication" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", BUILDERS, ids=["process", "global"])
+    def test_head_is_checked_before_branches(self, kind):
+        # the duplicate label of X is reported, not the undefined name below it
+        equations = {"X": kind.comm(("a", kind.ref("Nope")), ("a", kind.end))}
+        with pytest.raises(DuplicateBranchLabel):
+            kind.build(equations, "X")
+
+    def test_global_loop_through_alias(self):
+        loop = GlobalComm("p", "q", (("a", GlobalRef("G")), ("b", GlobalEnd())))
+        g = build_global_graph({"G": GlobalRef("H"), "H": loop})
+        assert g.root_node.sender == "p" and dict(g.root_node.branches)["a"] == g.root
+        assert g.nodes[dict(g.root_node.branches)["b"]].kind == END
 
 
 class TestMinimize:
