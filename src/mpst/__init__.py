@@ -51,7 +51,9 @@ from .terms import (
     ProcessGraph,
     Session,
     build_global_graph,
+    build_global_graphs,
     build_process_graph,
+    build_process_graphs,
     minimize,
     minimize_global,
     normalize_session,

@@ -15,7 +15,6 @@ eventually takes it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -174,9 +173,6 @@ class LivenessVerdict:
         if self.note:
             out["note"] = self.note
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def _states_reaching_label_of(graph: StateGraph, p: str) -> set[int]:

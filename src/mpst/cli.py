@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the property holds / a derivation or solution was found,
 1 when it fails / nothing was found, 2 on usage or parse errors, 3 when an
-exploration hit its state or edge budget (no answer is given then).  JSON
+exploration hit its state or edge budget or the input is nested deeper than
+the interpreter's recursion limit allows (no answer is given then).  JSON
 output is byte-stable for fixed inputs, seeds and budgets.
 """
 
@@ -405,6 +406,10 @@ def run(argv: list[str]) -> int:
         return exc.code
     except StateLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_EXCEEDED
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input nested too deeply for the recursion limit of {limit}", file=sys.stderr)
         return BUDGET_EXCEEDED
 
 

@@ -239,6 +239,15 @@ class _Parser:
         return frozenset(names)
 
 
+def _built(build, definitions: Mapping, roots: list[str], spans: Mapping[str, Span]) -> dict:
+    """The graphs of roots from one build; a fault is reported at the span of
+    the root it was reached from."""
+    try:
+        return dict(zip(roots, build(definitions, roots)))
+    except TermError as exc:
+        raise ParseError(str(exc), spans[exc.root]) from exc
+
+
 def parse(text: str) -> SpecFile:
     """Parse one source file into built graphs; diagnostics carry positions."""
     p = _Parser(text)
@@ -282,33 +291,31 @@ def parse(text: str) -> SpecFile:
         else:
             pset_defs[name.text] = p.pset()
 
-    processes: dict[str, ProcessGraph] = {}
-    for name in proc_defs:
-        try:
-            processes[name] = terms.build_process_graph(proc_defs, name)
-        except TermError as exc:
-            raise ParseError(str(exc), spans[name]) from exc
+    processes = _built(terms.build_process_graphs, proc_defs, list(proc_defs), spans)
+    globals_ = _built(terms.build_global_graphs, glob_defs, list(glob_defs), spans)
 
-    globals_: dict[str, GlobalGraph] = {}
-    for name in glob_defs:
-        try:
-            globals_[name] = terms.build_global_graph(glob_defs, name)
-        except TermError as exc:
-            raise ParseError(str(exc), spans[name]) from exc
-
-    sessions: dict[str, Session] = {}
-    binding_key = "binding expression"  # not a lexable identifier, cannot collide
+    # The bindings are more roots of the process system, under keys that are
+    # no identifiers, so that no process name can clash with them.
+    binding_defs, binding_spans = dict(proc_defs), {}
     for name, bindings in sess_defs.items():
-        built: dict[str, ProcessGraph] = {}
         for part, expr, span in bindings:
-            try:
-                defs = dict(proc_defs)
-                defs[binding_key] = expr
-                built[part] = terms.build_process_graph(defs, binding_key)
-            except TermError as exc:
-                raise ParseError(str(exc), span) from exc
+            binding_defs[f"{name}: {part}"], binding_spans[f"{name}: {part}"] = expr, span
+    try:
+        graphs = _built(terms.build_process_graphs, binding_defs, list(binding_spans), binding_spans)
+        fault = None
+    except ParseError as exc:
+        graphs, fault = {}, exc
+    sessions: dict[str, Session] = {}
+    for name, bindings in sess_defs.items():
+        keys = [f"{name}: {part}" for part, _, _ in bindings]
+        if fault is not None and fault.__cause__.root in keys:
+            raise fault
+        # A session is checked after its own bindings and before later ones,
+        # so also when a later binding is faulty and no graph was built.
         try:
-            sessions[name] = session_of(built)
+            sessions[name] = session_of(
+                (part, graphs.get(key, terms.END_PROCESS)) for (part, _, _), key in zip(bindings, keys)
+            )
         except TermError as exc:
             raise ParseError(str(exc), spans[name]) from exc
 

@@ -31,12 +31,15 @@ from typing import Iterable, Iterator, Mapping, Union
 from .analysis import bounded, plays_global
 from .semantics import ExploreConfig, communicate, explore, ready_pairs
 from .terms import (
-    COMM,
-    END,
-    GNode,
+    GlobalComm,
+    GlobalEnd,
+    GlobalExpr,
     GlobalGraph,
+    GlobalRef,
     Session,
-    minimize_global,
+    UndefinedName,
+    UnguardedRecursion,
+    build_global_graphs,
     normalize_session,
     participants,
 )
@@ -362,58 +365,26 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
 # ---------------------------------------------------------------------------
 
 
+def _as_global(pat: TypePattern) -> GlobalExpr:
+    """The pattern as a global-type expression, its variables named by str."""
+    if isinstance(pat, PatEnd):
+        return GlobalEnd()
+    if isinstance(pat, PatVar):
+        return GlobalRef(str(pat.var))
+    branches = tuple((lab, _as_global(sub)) for lab, sub in pat.branches)
+    return GlobalComm(pat.sender, pat.receiver, branches)
+
+
 def solve_type_equations(eqs: Mapping[TypeVar, TypePattern]) -> dict[TypeVar, GlobalGraph]:
     """The unique regular-tree solution of a closed, guarded system."""
-
-    def resolve(v: TypeVar, trail: tuple) -> TypeVar:
-        if v not in eqs:
-            raise FreeVariable(f"type variable {v} has no equation")
-        if v in trail:
-            raise UnguardedEquations(
-                f"variable cycle {' = '.join(map(str, trail + (v,)))} has no communication"
-            )
-        pat = eqs[v]
-        if isinstance(pat, PatVar):
-            return resolve(pat.var, trail + (v,))
-        return v
-
-    nodes: list[GNode | None] = []
-    var_node: dict[TypeVar, int] = {}
-
-    def node_of_var(v: TypeVar) -> int:
-        v = resolve(v, ())
-        if v in var_node:
-            return var_node[v]
-        nid = len(nodes)
-        nodes.append(None)
-        var_node[v] = nid
-        fill(nid, eqs[v])
-        return nid
-
-    def place(pat: TypePattern) -> int:
-        if isinstance(pat, PatVar):
-            return node_of_var(pat.var)
-        nid = len(nodes)
-        nodes.append(None)
-        fill(nid, pat)
-        return nid
-
-    def fill(nid: int, pat: TypePattern) -> None:
-        if isinstance(pat, PatEnd):
-            nodes[nid] = GNode(END, None, None, ())
-        else:
-            assert isinstance(pat, PatComm)
-            branches = tuple(sorted((lab, place(sub)) for lab, sub in pat.branches))
-            nodes[nid] = GNode(COMM, pat.sender, pat.receiver, branches)
-
-    for v in eqs:
-        node_of_var(v)
-    graph_nodes = tuple(nodes)
-    out = {}
-    for v in eqs:
-        root = var_node[resolve(v, ())]
-        out[v] = minimize_global(GlobalGraph(graph_nodes, root))
-    return out
+    names = [str(v) for v in eqs]
+    try:
+        graphs = build_global_graphs(dict(zip(names, map(_as_global, eqs.values()))), names)
+    except UndefinedName as exc:
+        raise FreeVariable(str(exc)) from exc
+    except UnguardedRecursion as exc:
+        raise UnguardedEquations(str(exc)) from exc
+    return dict(zip(eqs, graphs))
 
 
 def _eval_pset(pat: PSetPattern, values: Mapping[PSetVar, frozenset[str]]) -> frozenset[str]:

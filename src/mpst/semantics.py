@@ -9,7 +9,6 @@ every branch at once.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +16,6 @@ from typing import Iterator
 
 from .terms import (
     COMM,
-    END,
     GNode,
     GlobalGraph,
     IN,
@@ -164,9 +162,6 @@ class StateGraph:
             "initial": self.initial,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     def to_dot(self) -> str:
         from .frontend import format_session
 
@@ -231,71 +226,35 @@ def _direct_branch(node: GNode, label: CommLabel) -> int | None:
     return None
 
 
-def _enabled_nodes(g: GlobalGraph, label: CommLabel) -> set[int]:
-    """Least set of nodes at which the label can fire.
+def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
+    """The global type after one step with the given label, or None.
 
-    A node joins the set either because the label matches its own root
-    communication, or because its roles are disjoint from the label's and the
-    label is already enabled in every branch.  Cyclic dependencies never join:
-    they would require an infinite derivation.
+    Least fixpoint over the nodes of g: a node steps when the label fires at
+    its root, to that branch's target, or when its roles are disjoint from
+    the label's and every branch has stepped, to a copy of it over the
+    stepped branches, appended after the nodes of g.  Cyclic dependencies
+    never step: they would require an infinite derivation.
     """
-    enabled: set[int] = set()
+    nodes = list(g.nodes)
+    stepped: dict[int, int] = {}  # node of g -> its successor in nodes
     changed = True
     while changed:
         changed = False
         for i, node in enumerate(g.nodes):
-            if i in enabled or node.kind != COMM:
+            if i in stepped or node.kind != COMM:
                 continue
-            if _direct_branch(node, label) is not None:
-                enabled.add(i)
-                changed = True
-            elif not ({node.sender, node.receiver} & set(label.plays)) and all(
-                t in enabled for _, t in node.branches
+            tgt = _direct_branch(node, label)
+            if tgt is None and not ({node.sender, node.receiver} & label.plays) and all(
+                t in stepped for _, t in node.branches
             ):
-                enabled.add(i)
-                changed = True
-    return enabled
-
-
-def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
-    """The global type after one step with the given label, or None."""
-    enabled = _enabled_nodes(g, label)
-    if g.root not in enabled:
-        return None
-
-    # New graph over keys: ("succ", i) for rebuilt nodes, ("orig", i) for
-    # untouched subgraphs reached after the communication fired.
-    key_ids: dict[tuple[str, int], int] = {}
-    nodes: list[GNode | None] = []
-
-    def key_id(key: tuple[str, int]) -> int:
-        tag, i = key
-        if tag == "succ":
-            tgt = _direct_branch(g.nodes[i], label)
+                tgt = len(nodes)
+                nodes.append(node.rebranch(tuple((lab, stepped[t]) for lab, t in node.branches)))
             if tgt is not None:
-                return key_id(("orig", tgt))
-        if key in key_ids:
-            return key_ids[key]
-        nid = len(nodes)
-        key_ids[key] = nid
-        nodes.append(None)
-        node = g.nodes[i]
-        if tag == "orig":
-            if node.kind == END:
-                nodes[nid] = GNode(END, None, None, ())
-            else:
-                branches = tuple(
-                    (lab, key_id(("orig", t))) for lab, t in node.branches
-                )
-                nodes[nid] = GNode(COMM, node.sender, node.receiver, branches)
-        else:
-            branches = tuple((lab, key_id(("succ", t))) for lab, t in node.branches)
-            nodes[nid] = GNode(COMM, node.sender, node.receiver, branches)
-        return nid
-
-    root = key_id(("succ", g.root))
-    assert all(n is not None for n in nodes)
-    return minimize_global(GlobalGraph(tuple(nodes), root))
+                stepped[i] = tgt
+                changed = True
+    if g.root not in stepped:
+        return None
+    return minimize_global(GlobalGraph(tuple(nodes), stepped[g.root]))
 
 
 def global_transitions(g: GlobalGraph) -> list[tuple[CommLabel, GlobalGraph]]:

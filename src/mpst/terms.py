@@ -14,7 +14,6 @@ the nodes reachable from the new root.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -173,7 +172,7 @@ class GNode:
     def check(self) -> None:
         """The shape rules of a global-type state; successors are not looked at."""
         if self.kind == END:
-            if self.sender is not None or self.branches:
+            if self.sender is not None or self.receiver is not None or self.branches:
                 raise TermError("end node must carry no roles or branches")
         elif self.kind == COMM:
             check_ident(self.sender, "participant")
@@ -266,7 +265,7 @@ class _Graph(_Value):
         try:
             canon = self._canon
         except AttributeError:
-            canon = _canonical_form(self, self.root, refine=True)
+            canon = _canonical_forms(self, (self.root,), refine=True)[0]
             if canon == self:
                 canon = None
             object.__setattr__(self, "_canon", canon)
@@ -300,7 +299,7 @@ class _Graph(_Value):
         # The nodes of a canonical graph are pairwise non-bisimilar, so
         # re-rooting one only renumbers: partition refinement is skipped.
         refine = not self._known_canonical()
-        return self.cached(node_id, lambda: _canonical_form(self, node_id, refine))
+        return self.cached(node_id, lambda: _canonical_forms(self, (node_id,), refine)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,33 +372,8 @@ def _refine(sigs: list, branches: list[tuple[tuple[str, int], ...]]) -> list[int
         cls = new_cls
 
 
-def _canonical_order(
-    cls: Sequence[int], branches: list[tuple[tuple[str, int], ...]], root: int
-) -> tuple[list[int], dict[int, int]]:
-    """BFS over blocks from the root block.
-
-    Returns one representative node per reachable block, in visit order, and
-    the new number of every reachable block.
-    """
-    rep: dict[int, int] = {}
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
-    order: list[int] = [rep[cls[root]]]
-    number: dict[int, int] = {cls[root]: 0}
-    queue = deque(order)
-    while queue:
-        i = queue.popleft()
-        for lab, tgt in branches[i]:
-            tb = cls[tgt]
-            if tb not in number:
-                number[tb] = len(number)
-                order.append(rep[tb])
-                queue.append(rep[tb])
-    return order, number
-
-
-def _canonical_form(g: _Graph, root: int, refine: bool) -> _Graph:
-    """Canonical graph of the subterm of g at root.
+def _canonical_forms(g: _Graph, roots: Iterable[int], refine: bool) -> list:
+    """Canonical graphs of the subterms of g at roots, from one refinement.
 
     Without refine, the nodes of g must be pairwise non-bisimilar (g is
     canonical) and only the numbering is redone.
@@ -410,13 +384,26 @@ def _canonical_form(g: _Graph, root: int, refine: bool) -> _Graph:
         cls = _refine([n.signature() for n in nodes], branches)
     else:
         cls = range(len(nodes))
-    order, number = _canonical_order(cls, branches, root)
-    new_nodes = []
-    for i in order:
-        n = nodes[i]
-        new_branches = tuple(sorted((lab, number[cls[t]]) for lab, t in n.branches))
-        new_nodes.append(n if new_branches == n.branches else n.rebranch(new_branches))
-    return _make(type(g), tuple(new_nodes), 0, _canon=None)
+    rep: dict[int, int] = {}  # one node of every block
+    for i, c in enumerate(cls):
+        rep.setdefault(c, i)
+    out = []
+    for root in roots:
+        # BFS over the blocks reachable from the root's: order grows as it is read
+        order = [rep[cls[root]]]
+        number = {cls[root]: 0}
+        for i in order:
+            for _, t in branches[i]:
+                if cls[t] not in number:
+                    number[cls[t]] = len(number)
+                    order.append(rep[cls[t]])
+        new_nodes = []
+        for i in order:
+            n = nodes[i]
+            new_branches = tuple(sorted((lab, number[cls[t]]) for lab, t in n.branches))
+            new_nodes.append(n if new_branches == n.branches else n.rebranch(new_branches))
+        out.append(_make(type(g), tuple(new_nodes), 0, _canon=None))
+    return out
 
 
 def minimize(g: ProcessGraph) -> ProcessGraph:
@@ -441,18 +428,10 @@ def globals_equivalent(a: GlobalGraph, b: GlobalGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _build(end: _Graph, definitions: Mapping, root: str | None, what: str, head) -> _Graph:
-    """The canonical graph of the equation named root (default: the first).
-
-    end is the kind's terminated graph and what its name in messages; head
-    turns a communication into its node, whose branches still hold the
-    continuations.  A communication's head is checked before its branches
-    are placed, which fixes the fault reported on input with several.
-    """
-    nodes: list = [end.root_node]  # node 0 is End; minimization drops it when unused
-    named: dict[str, int] = {}
-
-    def resolve(name: str, trail: tuple[str, ...] = ()) -> int:
+def _resolve(definitions: Mapping, name: str, what: str) -> tuple:
+    """The first equation on the alias chain from name that is no alias, and its name."""
+    trail = set()
+    while True:
         if name not in definitions:
             raise UndefinedName(f"undefined {what} {name!r}")
         if name in trail:
@@ -460,54 +439,97 @@ def _build(end: _Graph, definitions: Mapping, root: str | None, what: str, head)
                 f"{what} {name!r} is defined in terms of itself without any communication"
             )
         expr = definitions[name]
-        if isinstance(expr, (ProcRef, GlobalRef)):
-            return resolve(expr.name, trail + (name,))
-        return place(expr, name)
+        if not isinstance(expr, (ProcRef, GlobalRef)):
+            return expr, name
+        trail.add(name)
+        name = expr.name
 
-    def place(expr, name: str | None = None) -> int:
-        if isinstance(expr, (ProcEnd, GlobalEnd)):
-            return 0
-        if isinstance(expr, (ProcRef, GlobalRef)):
-            return resolve(expr.name)
-        if name in named:
-            return named[name]
-        node = head(expr)
-        if node.kind == END:
-            raise TermError(f"unknown {what} node kind {node.kind!r}")
-        node.check()
-        nid = len(nodes)
-        nodes.append(node)
-        if name is not None:
-            named[name] = nid
-        nodes[nid] = node.rebranch(tuple(sorted((lab, place(sub)) for lab, sub in node.branches)))
-        return nid
 
-    root_id = resolve(next(iter(definitions)) if root is None else root)
+def _build(end: _Graph, definitions: Mapping, roots: Iterable[str], what: str, head) -> list:
+    """The canonical graphs of the equations named in roots, in their order.
+
+    end is the kind's terminated graph and what its name in messages; head
+    turns a communication into its node, whose branches still hold the
+    continuations.  All roots share one node list and one partition
+    refinement.  Nodes are placed depth first from each root in turn, with a
+    communication's head checked before its branches are placed, which fixes
+    the fault reported on input with several.
+    """
+    nodes: list = [end.root_node]  # node 0 is End; minimization drops it when unused
+    targets: list[list[int]] = [[]]  # each node's successors, in branch order
+    named: dict[str, int] = {}
+    root_ids: list[int] = []
+    for root in roots:
+        root_ids.append(0)
+        try:
+            # (expression, its equation's name or None, list and index to store its node in)
+            stack = [(*_resolve(definitions, root, what), root_ids, len(root_ids) - 1)]
+            while stack:
+                expr, name, slot, k = stack.pop()
+                if isinstance(expr, (ProcRef, GlobalRef)):
+                    expr, name = _resolve(definitions, expr.name, what)
+                if isinstance(expr, (ProcEnd, GlobalEnd)):
+                    nid = 0
+                elif name in named:
+                    nid = named[name]
+                else:
+                    node = head(expr)
+                    if node.kind == END:
+                        raise TermError(f"unknown {what} node kind {node.kind!r}")
+                    node.check()
+                    nid = len(nodes)
+                    nodes.append(node)
+                    targets.append([0] * len(node.branches))
+                    if name is not None:
+                        named[name] = nid
+                    # pushed last branch first, so that the first is placed first
+                    for j in reversed(range(len(node.branches))):
+                        stack.append((node.branches[j][1], None, targets[nid], j))
+                slot[k] = nid
+        except TermError as exc:
+            exc.root = root
+            raise
+    nodes = [n.rebranch(tuple(sorted(zip(n.labels(), t)))) for n, t in zip(nodes, targets)]
     # every node has been checked, so the graph is made without re-checking
-    return _make(type(end), tuple(nodes), root_id)._canonical()
+    return _canonical_forms(_make(type(end), tuple(nodes), 0), root_ids, refine=True)
+
+
+def build_process_graphs(
+    definitions: Mapping[str, ProcExpr], roots: Iterable[str]
+) -> list[ProcessGraph]:
+    """Turn named recursive process equations into canonical ProcessGraphs,
+    one per name in roots, building the whole system once.
+
+    Every name must be defined and every recursion must pass through at least
+    one send or receive; pure aliasing cycles (``P = P``) are rejected.  A
+    TermError names the root it was reached from in its ``root`` attribute.
+    """
+    return _build(
+        END_PROCESS, definitions, roots, "process", lambda e: PNode(e.kind, e.partner, e.branches)
+    )
+
+
+def build_global_graphs(
+    definitions: Mapping[str, GlobalExpr], roots: Iterable[str]
+) -> list[GlobalGraph]:
+    """Same construction for global-type equations."""
+    return _build(
+        END_GLOBAL, definitions, roots, "global type",
+        lambda e: GNode(COMM, e.sender, e.receiver, e.branches),
+    )
 
 
 def build_process_graph(
     definitions: Mapping[str, ProcExpr], root: str | None = None
 ) -> ProcessGraph:
-    """Turn named recursive process equations into a canonical ProcessGraph.
-
-    Every name must be defined and every recursion must pass through at least
-    one send or receive; pure aliasing cycles (``P = P``) are rejected.
-    """
-    return _build(
-        END_PROCESS, definitions, root, "process", lambda e: PNode(e.kind, e.partner, e.branches)
-    )
+    """The canonical graph of the equation named root (default: the first)."""
+    return build_process_graphs(definitions, [next(iter(definitions)) if root is None else root])[0]
 
 
 def build_global_graph(
     definitions: Mapping[str, GlobalExpr], root: str | None = None
 ) -> GlobalGraph:
-    """Same construction for global-type equations."""
-    return _build(
-        END_GLOBAL, definitions, root, "global type",
-        lambda e: GNode(COMM, e.sender, e.receiver, e.branches),
-    )
+    return build_global_graphs(definitions, [next(iter(definitions)) if root is None else root])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ Rule mechanics, given judgment (G, M, P):
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -92,9 +91,6 @@ class Derivation:
             out["premises"] = [{"derivation": self.premises[0].to_json_dict()}]
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     def to_text(self, indent: int = 0) -> str:
         from .frontend import format_session
 
@@ -137,9 +133,6 @@ class Rejection:
             "ignored": sorted(self.judgment.ignored),
             "detail": self.detail,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def check_participant_equation(

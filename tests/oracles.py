@@ -39,6 +39,35 @@ def unfold_global(g: GlobalGraph, depth: int, node: int | None = None):
     )
 
 
+def global_step_oracle(
+    g: GlobalGraph, label, depth: int, node: int | None = None, budget: int | None = None
+):
+    """Tree unfolding, as unfold_global, of g after one step with label; None
+    when the label cannot fire.
+
+    A root match yields the unfolded branch.  A root whose roles are disjoint
+    from the label's steps when every branch steps; a finite derivation
+    passes each node at most once, so len(g.nodes) nested steps suffice.
+    """
+    node_id = g.root if node is None else node
+    budget = len(g.nodes) if budget is None else budget
+    n = g.nodes[node_id]
+    if n.kind == END or budget == 0:
+        return None
+    if (n.sender, n.receiver) == (label.sender, label.receiver):
+        targets = [t for lab, t in n.branches if lab == label.message]
+        return unfold_global(g, depth, targets[0]) if targets else None
+    if {n.sender, n.receiver} & {label.sender, label.receiver}:
+        return None
+    branches = []
+    for lab, t in n.branches:
+        sub = global_step_oracle(g, label, max(depth - 1, 0), t, budget - 1)
+        if sub is None:
+            return None
+        branches.append((lab, sub))
+    return ("...",) if depth == 0 else (n.sender, n.receiver, tuple(branches))
+
+
 def lock_free_oracle(graph: StateGraph, ignored: frozenset[str]) -> bool:
     """Forward search per state and participant for a reachable involvement."""
     outgoing: dict[int, list] = {}

@@ -253,3 +253,20 @@ def test_state_budget_exceeded_is_exit_3(capsys, argv):
     assert code == cli.BUDGET_EXCEEDED == 3
     assert captured.err.startswith("error: state limit of 1")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--global", "G", "--session", "M", "--ignored", ""],
+        ["analyze", "--session", "M", "--stategraph"],
+    ],
+)
+def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
+    path = tmp_path / "deep.mpst"
+    path.write_text("process P = " + "q!a . " * 2000 + "0\nsession M = p: P\nglobal G = end\n")
+    code = run(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.BUDGET_EXCEEDED
+    assert captured.err.startswith("error: ") and "recursion limit" in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -146,3 +146,60 @@ class TestPrinting:
     def test_format_null_session(self):
         spec = parse("session Empty = 0")
         assert format_session(spec.sessions["Empty"]) == "0"
+
+
+def _chain(n: int, last: str) -> str:
+    lines = [f"process P{i} = q!a . P{i + 1}" for i in range(n - 1)]
+    return "\n".join(lines + [f"process P{n - 1} = q!a . {last}"])
+
+
+@pytest.mark.parametrize(
+    "n, last, states",
+    [
+        # closed into a loop, every definition is the same one-state process
+        (2000, "P0", 1),
+        # an open chain gives every definition its own graph, quadratic in n
+        (400, "0", 401),
+    ],
+)
+def test_long_definition_chains_parse(n, last, states):
+    spec = parse(_chain(n, last))
+    assert len(spec.processes) == n
+    assert len(spec.processes["P0"].nodes) == states
+
+
+# Files with several faults: the first met is reported, processes before
+# global types before session bindings, each at the definition it was
+# reached from; a session's own check comes before later sessions.
+SEVERAL_FAULTS = {
+    "two bad processes": (
+        "process B = Missing\nprocess A = q!{ a, a }", "undefined process 'Missing'", 1
+    ),
+    "good A reaches bad B": (
+        "process A = q!a . B\nprocess B = q!{ b, b }", "duplicate branch label 'b'", 1
+    ),
+    "bad global and bad binding": (
+        "session M = p: Nowhere\nglobal G = p->p:a", "self-communication 'p'", 2
+    ),
+    "bad binding in the second session": (
+        "process P = q!a\nsession M = p: P\nsession N = p: P | q: Gone",
+        "undefined process 'Gone'",
+        3,
+    ),
+    "bad participant and a later bad binding": (
+        "session M = \u00e9: 0\nsession N = p: Gone",
+        "participant '\u00e9' is not a valid identifier",
+        1,
+    ),
+    "bad participant with a bad binding": (
+        "session M = \u00e9: Gone", "undefined process 'Gone'", 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SEVERAL_FAULTS)
+def test_the_first_of_several_faults_is_reported(case):
+    text, message, line = SEVERAL_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.span.line) == (message, line)

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from mpst.frontend import format_session, parse
-from mpst.random_sessions import random_process, random_session
+from mpst.random_sessions import random_global, random_process, random_session
 from mpst.semantics import (
     CommLabel,
     ExploreConfig,
     StateLimitExceeded,
+    _candidate_labels,
     explore,
     global_successor,
     global_transitions,
@@ -20,6 +21,8 @@ from mpst.terms import (
     participants,
     session_of,
 )
+
+from .oracles import global_step_oracle, unfold_global
 
 
 def sess(text: str):
@@ -224,3 +227,16 @@ class TestGlobalTransitions:
         assert set(steps) == {"a x b", "c y d", "p l q"}
         expected = glob("global H = a->b:x . c->d:y . end")
         assert globals_equivalent(steps["p l q"], expected)
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 30))
+def test_global_successor_agrees_with_the_tree_oracle(seed):
+    pairs = 0
+    for s in range(seed, seed + 30):
+        g = random_global(random.Random(s))
+        for lab in _candidate_labels(g):
+            succ = global_successor(g, lab)
+            found = None if succ is None else unfold_global(succ, 8)
+            assert found == global_step_oracle(g, lab, 8), (s, str(lab))
+            pairs += 1
+    assert pairs > 0

@@ -6,6 +6,7 @@ import pytest
 
 from mpst import terms
 from mpst.frontend import parse
+from mpst.inference import PatComm, PatEnd, PatVar, TypeVar, solve_type_equations
 from mpst.random_sessions import random_global, random_process, random_session
 from mpst.semantics import explore
 from mpst.terms import (
@@ -16,6 +17,7 @@ from mpst.terms import (
     END,
     END_GLOBAL,
     END_PROCESS,
+    GNode,
     GlobalComm,
     GlobalEnd,
     GlobalGraph,
@@ -382,6 +384,24 @@ class TestCanonicalByConstruction:
                 walk = [h.step(lab) for h in walk for lab in h.root_node.labels()][:20]
         assert calls == []
 
+    def test_a_file_runs_one_refinement_per_equation_system(self, monkeypatch):
+        text = _pairs_text(7)
+        calls = self._count_refinements(monkeypatch)
+        parse(text)
+        assert len(calls) <= 3  # processes, global types, bindings; 28 when built one by one
+
+    def test_a_type_equation_system_is_solved_with_one_refinement(self, monkeypatch):
+        x, y, z = TypeVar(0), TypeVar(1), TypeVar(2)
+        eqs = {
+            x: PatComm("p", "q", (("a", PatVar(y)), ("b", PatEnd()))),
+            y: PatVar(z),
+            z: PatComm("q", "p", (("c", PatVar(x)),)),
+        }
+        calls = self._count_refinements(monkeypatch)
+        sol = solve_type_equations(eqs)
+        assert len(calls) == 1
+        assert sol[y] == sol[z] == sol[x].at(dict(sol[x].root_node.branches)["a"])
+
     def test_copies_and_pickles_are_equal_values(self, social_media):
         m = social_media.sessions["M"]
         for value in (m, m.bindings[0][1], social_media.globals["G"]):
@@ -395,3 +415,9 @@ class TestCanonicalByConstruction:
             Session((("bad name", END_PROCESS),))
         with pytest.raises(TermError):
             END_GLOBAL.at(1)
+
+
+def test_an_end_node_carries_no_receiver():
+    # it would be a terminated global type unequal to END_GLOBAL
+    with pytest.raises(TermError):
+        GlobalGraph((GNode(END, None, "x", ()),), 0)
