@@ -237,13 +237,10 @@ def excluded_deadlock_free(
     ignored = frozenset(ignored)
     if graph is None:
         graph = explore(s, config)
-    has_edge = {i for i, _, _ in graph.edges}
-    for i, state in enumerate(graph.states):
-        if i in has_edge:
-            continue
-        stuck = sorted(participants(state) - ignored)
+    for i in graph.terminal_states():
+        stuck = sorted(participants(graph.states[i]) - ignored)
         if stuck:
             return LivenessVerdict(
-                "deadlock-freedom", ignored, False, i, state, stuck[0], graph.path_to(i)
+                "deadlock-freedom", ignored, False, i, graph.states[i], stuck[0], graph.path_to(i)
             )
     return LivenessVerdict("deadlock-freedom", ignored, True)

@@ -3,8 +3,10 @@
 Exit codes: 0 when the property holds / a derivation or solution was found,
 1 when it fails / nothing was found, 2 on usage or parse errors, 3 when an
 exploration hit its state or edge budget or the input is nested deeper than
-the interpreter's recursion limit allows (no answer is given then).  JSON
-output is byte-stable for fixed inputs, seeds and budgets.
+the interpreter's recursion limit allows (no answer is given then).  The
+state budget also bounds ``meta``'s walks over typed triples, which never
+close on tests/golden/two_loops.mpst.  JSON output is byte-stable for fixed
+inputs, seeds and budgets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .frontend import ParseError, SpecFile, format_global, format_session, parse
 from .inference import SearchBudget, enumerate_solutions, minimal_key, render_outcome
 from .metatheory import run_file_suite
 from .semantics import ExploreConfig, StateLimitExceeded, explore
-from .terms import Session, GlobalGraph
+from .terms import GlobalGraph, Session, TermError, check_ident
 from .typecheck import Derivation, typecheck
 
 USAGE_ERROR = 2
@@ -132,7 +134,14 @@ def _pick_ignored(spec: SpecFile, config: RunConfig) -> frozenset[str]:
         return frozenset()
     if spec_text in spec.ignored_sets:
         return spec.ignored_sets[spec_text]
-    return frozenset(p.strip() for p in spec_text.split(",") if p.strip())
+    return frozenset(_participant(p.strip()) for p in spec_text.split(",") if p.strip())
+
+
+def _participant(name: str) -> str:
+    try:
+        return check_ident(name, "participant")
+    except TermError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
@@ -258,7 +267,7 @@ def cmd_analyze(config: RunConfig) -> int:
         failed = failed or not verdict.holds
     if config.depth_of is not None:
         g = _pick_global(spec, config)
-        value = depth(g, config.depth_of)
+        value = depth(g, _participant(config.depth_of))
         results.append(
             {
                 "property": "depth",

@@ -161,6 +161,15 @@ class _Parser:
             raise ParseError(f"keyword {tok.text!r} cannot be used as {what}", tok.span)
         return self.next()
 
+    def name(self, what: str) -> _Token:
+        """An identifier checked now; names inside terms are left to the builders."""
+        tok = self.ident(f"a {what}")
+        try:
+            terms.check_ident(tok.text, what)
+        except TermError as exc:
+            raise ParseError(str(exc), tok.span) from None
+        return tok
+
     # -- processes ---------------------------------------------------------
 
     def proc(self) -> ProcExpr:
@@ -231,10 +240,10 @@ class _Parser:
         self.expect("punct", "{")
         names = []
         if self.peek().text != "}":
-            names.append(self.ident("a participant").text)
+            names.append(self.name("participant").text)
             while self.peek().text == ",":
                 self.next()
-                names.append(self.ident("a participant").text)
+                names.append(self.name("participant").text)
         self.expect("punct", "}")
         return frozenset(names)
 
@@ -270,7 +279,7 @@ def parse(text: str) -> SpecFile:
             raise ParseError(
                 f"expected a definition keyword, found {kw.text!r}", kw.span
             )
-        name = p.ident("a definition name")
+        name = p.name("definition name")
         define(name.text, name.span)
         p.expect("punct", "=")
         if kw.text == "process":

@@ -1,7 +1,6 @@
 """Cross-checks tying the checker, the two semantics and the analyses together.
 
-For an accepted judgment these verify, exhaustively over the finite state
-graphs:
+For an accepted judgment these verify:
 
 * subject reduction  -- every session step is matched by the global type
   (when both communicating participants occur in it) or leaves the judgment
@@ -13,6 +12,11 @@ graphs:
 * the participant accounting equation plays(G) | P = plays(M) at every
   derivation node, the top-partner closure, and stability of typing under
   replacement of processes the global type does not mention.
+
+The first two walk the reachable typed triples (G, M, P) breadth first, up to
+the state budget (``--max-states``), and raise StateLimitExceeded past it: a
+session has finitely many states, but the global types reachable from
+independent loops need not be finite in number.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from .analysis import excluded_lock_free, plays_global, top_partner
 from .semantics import (
     ExploreConfig,
+    closure,
     global_successor,
     global_transitions,
     reduce,
@@ -47,61 +52,71 @@ class Violation:
         return f"[{self.check}] {self.detail}"
 
 
+def _session_steps(g: GlobalGraph, m: Session, p: frozenset):
+    """Subject reduction's edges: each session step and the global step matching it.
+
+    Yields (label, (G', M') or None, why), where why says what went wrong if
+    the step has no successor or no ignored subset re-types its successor.
+    """
+    gplays = plays_global(g)
+    for lab, m2 in session_transitions(m):
+        if lab.plays <= gplays:
+            g2 = global_successor(g, lab)
+            if g2 is None:
+                yield lab, None, f"session step {lab} has no matching global step"
+                continue
+        elif lab.plays.isdisjoint(gplays):
+            g2 = g
+        else:
+            yield lab, None, f"step {lab}: exactly one endpoint occurs in the global type"
+            continue
+        yield lab, (g2, m2), f"after step {lab}: no ignored subset of {sorted(p)} re-types the session"
+
+
+def _global_steps(g: GlobalGraph, m: Session, p: frozenset):
+    """Session fidelity's edges: each global step, taken by the session."""
+    for lab, g2 in global_transitions(g):
+        m2 = reduce(m, lab)
+        if m2 is None:
+            yield lab, None, f"global step {lab} cannot be taken by the session"
+        else:
+            yield lab, (g2, m2), f"after global step {lab}: no ignored subset of {sorted(p)} re-types"
+
+
+def _replay(check, steps, g, m, ignored, checker, config) -> list[Violation]:
+    """Close the accepted triple (G, M, P) under steps, re-typing every successor.
+
+    Each step that fails, or whose successor no subset of P re-types, is a
+    violation; the walk raises StateLimitExceeded past config's budget.
+    """
+    checker = checker or Typechecker()
+    root = (minimize_global(g), normalize_session(m), frozenset(ignored))
+    if not checker.accepts(*root):
+        return [Violation(check, "the root judgment is not derivable")]
+    out: list[Violation] = []
+
+    def successors(triple):
+        _, _, p1 = triple
+        for lab, succ, why in steps(*triple):
+            p2 = None if succ is None else checker.smallest_accepted_subset(*succ, p1)
+            if p2 is None:
+                out.append(Violation(check, why))
+            else:
+                yield lab, (*succ, p2)
+
+    closure(root, successors, config)
+    return out
+
+
 def check_subject_reduction(
     g: GlobalGraph,
     m: Session,
     ignored,
     checker: Typechecker | None = None,
+    config: ExploreConfig = ExploreConfig(),
 ) -> list[Violation]:
-    """Walk the reachable states, threading a typed judgment along each edge."""
-    checker = checker or Typechecker()
-    g = minimize_global(g)
-    m = normalize_session(m)
-    p0 = frozenset(ignored)
-    out: list[Violation] = []
-    if not checker.accepts(g, m, p0):
-        return [Violation("subject-reduction", "the root judgment is not derivable")]
-    seen = {(g, m, p0)}
-    stack = [(g, m, p0)]
-    while stack:
-        g1, m1, p1 = stack.pop()
-        gplays = plays_global(g1)
-        for lab, m2 in session_transitions(m1):
-            pq = lab.plays
-            if pq <= gplays:
-                g2 = global_successor(g1, lab)
-                if g2 is None:
-                    out.append(
-                        Violation(
-                            "subject-reduction",
-                            f"session step {lab} has no matching global step",
-                        )
-                    )
-                    continue
-            elif pq.isdisjoint(gplays):
-                g2 = g1
-            else:
-                out.append(
-                    Violation(
-                        "subject-reduction",
-                        f"step {lab}: exactly one endpoint occurs in the global type",
-                    )
-                )
-                continue
-            p2 = checker.smallest_accepted_subset(g2, m2, p1)
-            if p2 is None:
-                out.append(
-                    Violation(
-                        "subject-reduction",
-                        f"after step {lab}: no ignored subset of {sorted(p1)} re-types the session",
-                    )
-                )
-                continue
-            key = (g2, m2, p2)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return out
+    """Walk the reachable states, threading a typed judgment along each session step."""
+    return _replay("subject-reduction", _session_steps, g, m, ignored, checker, config)
 
 
 def check_session_fidelity(
@@ -109,42 +124,10 @@ def check_session_fidelity(
     m: Session,
     ignored,
     checker: Typechecker | None = None,
+    config: ExploreConfig = ExploreConfig(),
 ) -> list[Violation]:
-    checker = checker or Typechecker()
-    g = minimize_global(g)
-    m = normalize_session(m)
-    p0 = frozenset(ignored)
-    out: list[Violation] = []
-    if not checker.accepts(g, m, p0):
-        return [Violation("session-fidelity", "the root judgment is not derivable")]
-    seen = {(g, m, p0)}
-    stack = [(g, m, p0)]
-    while stack:
-        g1, m1, p1 = stack.pop()
-        for lab, g2 in global_transitions(g1):
-            m2 = reduce(m1, lab)
-            if m2 is None:
-                out.append(
-                    Violation(
-                        "session-fidelity",
-                        f"global step {lab} cannot be taken by the session",
-                    )
-                )
-                continue
-            p2 = checker.smallest_accepted_subset(g2, m2, p1)
-            if p2 is None:
-                out.append(
-                    Violation(
-                        "session-fidelity",
-                        f"after global step {lab}: no ignored subset of {sorted(p1)} re-types",
-                    )
-                )
-                continue
-            key = (g2, m2, p2)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return out
+    """Walk the reachable states, threading a typed judgment along each global step."""
+    return _replay("session-fidelity", _global_steps, g, m, ignored, checker, config)
 
 
 def check_lock_freedom_soundness(
@@ -261,8 +244,8 @@ def run_suite(
     violations = []
     violations += check_plays_equation(result)
     violations += check_top_partner_closure(g, normalize_session(m), ignored)
-    violations += check_subject_reduction(g, m, ignored, checker)
-    violations += check_session_fidelity(g, m, ignored, checker)
+    violations += check_subject_reduction(g, m, ignored, checker, config)
+    violations += check_session_fidelity(g, m, ignored, checker, config)
     violations += check_lock_freedom_soundness(g, m, ignored, config)
     violations += check_replacement(g, m, ignored, rng, checker=checker)
     return True, violations

@@ -109,10 +109,7 @@ def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
 
 def reduce(s: Session, label: CommLabel) -> Session | None:
     """The unique successor of s under the given label, or None if disabled."""
-    for lab, succ in session_transitions(s):
-        if lab == label:
-            return succ
-    return None
+    return dict(session_transitions(s)).get(label)
 
 
 @dataclass(frozen=True)
@@ -176,16 +173,19 @@ class StateGraph:
         return "\n".join(lines)
 
 
-def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
-    """Breadth-first closure of session_transitions from a canonical start."""
-    start = normalize_session(s)
-    ids: dict[Session, int] = {start: 0}
-    states: list[Session] = [start]
-    edges: list[tuple[int, CommLabel, int]] = []
+def closure(start, successors, config: ExploreConfig = ExploreConfig()) -> tuple[list, list]:
+    """Breadth-first closure of successors from start, within config's budget.
+
+    successors(state) gives (label, state) pairs.  Returns the states in the
+    order found, start first, and the (i, label, j) edges between them.
+    """
+    ids = {start: 0}
+    states = [start]
+    edges = []
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for lab, succ in session_transitions(states[i]):
+        for lab, succ in successors(states[i]):
             j = ids.get(succ)
             if j is None:
                 if len(states) >= config.max_states:
@@ -197,6 +197,12 @@ def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
             if len(edges) >= config.max_edges:
                 raise StateLimitExceeded(config.max_edges, "edge")
             edges.append((i, lab, j))
+    return states, edges
+
+
+def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
+    """The closure of session_transitions from a canonical start."""
+    states, edges = closure(normalize_session(s), session_transitions, config)
     return StateGraph(tuple(states), tuple(edges), 0)
 
 

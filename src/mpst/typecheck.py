@@ -57,13 +57,7 @@ class Derivation:
     discharged: frozenset[str] = frozenset()  # Weak: participants split off
 
     def rule_counts(self) -> Counter:
-        counts: Counter = Counter()
-        stack = [self]
-        while stack:
-            d = stack.pop()
-            counts[d.rule] += 1
-            stack.extend(d.premises)
-        return counts
+        return Counter(d.rule for d in self.iter_nodes())
 
     def iter_nodes(self):
         stack = [self]

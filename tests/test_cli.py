@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -26,6 +27,7 @@ BUYER = str(golden_path("buyer_seller.mpst"))
 UNBOUNDED = str(golden_path("unbounded.mpst"))
 EMPTY = str(golden_path("empty.mpst"))
 MUTUAL = str(golden_path("mutual_loop.mpst"))
+TWO_LOOPS = str(golden_path("two_loops.mpst"))
 
 
 class TestCheck:
@@ -270,3 +272,39 @@ def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
     assert code == cli.BUDGET_EXCEEDED
     assert captured.err.startswith("error: ") and "recursion limit" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["check", "--global", "G", "--session", "M", "--ignored", "{u}"], "{u}"),
+        (["check", "--global", "G", "--session", "M", "--ignored", "u, p q"], "p q"),
+        (["analyze", "--session", "M", "--lockfree", "--ignored", "\u00e9"], "\u00e9"),
+        (["analyze", "--global", "G", "--depth", "\u00e9"], "\u00e9"),
+    ],
+)
+def test_participant_names_on_the_command_line_are_checked(capsys, argv, name):
+    assert run(argv + [SOCIAL]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: participant {name!r} is not a valid identifier\n"
+
+
+class TestTwoLoops:
+    """Two independent loops: 4 session states, unboundedly many typed triples."""
+
+    def test_check_accepts(self, capsys):
+        assert run(["check", "--global", "G", "--session", "M", "--ignored", "", TWO_LOOPS]) == 0
+
+    def test_session_exploration_fits_the_budget(self, capsys):
+        assert run(["analyze", "--session", "M", "--lockfree", "--max-states", "200", TWO_LOOPS]) == 0
+
+    def test_meta_walks_stop_at_the_state_budget(self, capsys):
+        start = time.monotonic()
+        code = run(["meta", "--max-states", "200", TWO_LOOPS])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == cli.BUDGET_EXCEEDED
+        assert elapsed < 5
+        assert captured.err.startswith("error: state limit of 200")
+        assert "Traceback" not in captured.out + captured.err

@@ -203,3 +203,20 @@ def test_the_first_of_several_faults_is_reported(case):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.message, err.value.span.line) == (message, line)
+
+
+# Names the parser takes as they are, not through a term builder, follow the
+# same identifier rule as participants and labels inside terms.
+BAD_NAMES = {
+    "ignored-set member": ("ignored S = { p, \u00e9 }", "participant '\u00e9' is not a valid identifier", 18),
+    "process name": ("process \u00e9 = q!a", "definition name '\u00e9' is not a valid identifier", 9),
+    "global-type name": ("global \u00e9 = end", "definition name '\u00e9' is not a valid identifier", 8),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAMES)
+def test_names_outside_terms_must_be_identifiers(case):
+    text, message, column = BAD_NAMES[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.span.line, err.value.span.column) == (message, 1, column)

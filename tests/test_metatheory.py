@@ -16,6 +16,7 @@ from mpst.metatheory import (
     run_suite,
 )
 from mpst.random_sessions import random_session
+from mpst.semantics import ExploreConfig, StateLimitExceeded
 from mpst.terms import normalize_session
 
 
@@ -105,3 +106,32 @@ class TestRandomTriples:
             accepted, violations = run_suite(g, m, p, random.Random(seed), checker)
             assert accepted
             assert violations == []
+
+
+class _RetypesNothing(Typechecker):
+    """Accepts the root triple as Typechecker does, but re-types no successor."""
+
+    def smallest_accepted_subset(self, g, m, p_set):
+        return None
+
+
+class TestWalks:
+    def test_each_walk_reports_a_successor_it_cannot_retype(self, social_media):
+        g, m = social_media.globals["G"], social_media.sessions["M"]
+        checker = _RetypesNothing()
+        assert [str(v) for v in check_subject_reduction(g, m, {"u"}, checker)] == [
+            "[subject-reduction] after step q hello p: no ignored subset of ['u'] re-types the session"
+        ]
+        assert [str(v) for v in check_session_fidelity(g, m, {"u"}, checker)] == [
+            "[session-fidelity] after global step q hello p: no ignored subset of ['u'] re-types"
+        ]
+
+    @pytest.mark.parametrize("walk", [check_subject_reduction, check_session_fidelity])
+    def test_unbounded_walk_stops_at_the_state_budget(self, walk):
+        from .conftest import load_golden
+
+        # The session has 4 states, but one loop may run ahead of the other
+        # in the global type, so the typed triples never close.
+        spec = load_golden("two_loops.mpst")
+        with pytest.raises(StateLimitExceeded, match="state limit of 50"):
+            walk(spec.globals["G"], spec.sessions["M"], set(), config=ExploreConfig(max_states=50))
