@@ -1,5 +1,12 @@
 """Command-line driver: check, infer, analyze and meta over .mpst files.
 
+Each subcommand takes only the options its handler reads: ``check`` the
+judgment and ``--format``; ``infer`` the session, ``--minimal``,
+``--show-equations`` and all three budgets; ``analyze`` its checks and
+``--max-states``; ``meta`` ``--seed`` and ``--max-states``.  A budget option
+left unset takes its value from MPST_BUDGET, else its built-in default, and
+the variable is checked as a whole for every subcommand.
+
 Exit codes: 0 when the property holds / a derivation or solution was found,
 1 when it fails / nothing was found, 2 on usage or parse errors, 3 when an
 exploration hit its state or edge budget or the input is nested deeper than
@@ -15,12 +22,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import inference
 from .analysis import bounded, depth, excluded_deadlock_free, excluded_lock_free
 from .frontend import ParseError, SpecFile, format_global, format_session, parse
-from .inference import SearchBudget, enumerate_solutions, minimal_key, render_outcome
+from .inference import SearchBudget, render_outcome
 from .metatheory import run_file_suite
 from .semantics import ExploreConfig, StateLimitExceeded, explore
 from .terms import GlobalGraph, Session, TermError, check_ident
@@ -29,6 +35,10 @@ from .typecheck import Derivation, typecheck
 USAGE_ERROR = 2
 BUDGET_EXCEEDED = 3
 
+# Budget options by their MPST_BUDGET key: the flag is --max-<key>.  A size of
+# None means four times the number of reachable session states.
+BUDGET_DEFAULTS = {"size": None, "outcomes": 64, "states": 1_000_000}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR):
@@ -36,49 +46,10 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    path: str
-    command: str
-    global_name: str | None = None
-    session_name: str | None = None
-    ignored_spec: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    max_size: int | None = None
-    max_outcomes: int = 64
-    max_states: int = 1_000_000
-    minimal: bool = False
-    show_equations: bool = False
-    checks: list[str] = field(default_factory=list)
-    depth_of: str | None = None
-
-    def __post_init__(self) -> None:
-        self.check_budget()
-
-    def check_budget(self) -> None:
-        if self.max_outcomes <= 0 or self.max_states <= 0:
-            raise CliError("budget values must be positive")
-        if self.max_size is not None and self.max_size <= 0:
-            raise CliError("budget values must be positive")
-
-    def budget(self) -> SearchBudget:
-        return SearchBudget(
-            max_size=self.max_size,
-            max_outcomes=self.max_outcomes,
-            explore=self.explore_config(),
-        )
-
-    def explore_config(self) -> ExploreConfig:
-        return ExploreConfig(max_states=self.max_states)
-
-
-def _apply_env_budget(config: RunConfig) -> None:
-    """MPST_BUDGET=size=28,outcomes=64,states=1000000 overrides defaults."""
-    raw = os.environ.get("MPST_BUDGET")
-    if not raw:
-        return
-    for piece in raw.split(","):
+def _env_budget() -> dict[str, int]:
+    """The values of MPST_BUDGET=size=28,outcomes=64,states=1000000 by key."""
+    values = {}
+    for piece in os.environ.get("MPST_BUDGET", "").split(","):
         piece = piece.strip()
         if not piece:
             continue
@@ -89,52 +60,57 @@ def _apply_env_budget(config: RunConfig) -> None:
             number = int(value)
         except ValueError:
             raise CliError(f"malformed MPST_BUDGET value {value!r}") from None
-        if key == "size":
-            config.max_size = number
-        elif key == "outcomes":
-            config.max_outcomes = number
-        elif key == "states":
-            config.max_states = number
-        else:
+        if key not in BUDGET_DEFAULTS:
             raise CliError(f"unknown MPST_BUDGET key {key!r}")
-    config.check_budget()
+        values[key] = number
+    return values
 
 
-def _load(config: RunConfig) -> SpecFile:
+def _resolve_budgets(ns: argparse.Namespace) -> None:
+    """Set each budget option ns has: the flag, else MPST_BUDGET, else the default."""
+    env = _env_budget()
+    for key, default in BUDGET_DEFAULTS.items():
+        if hasattr(ns, f"max_{key}") and getattr(ns, f"max_{key}") is None:
+            setattr(ns, f"max_{key}", env.get(key, default))
+    values = [*env.values(), *(getattr(ns, f"max_{key}", None) for key in BUDGET_DEFAULTS)]
+    if any(v is not None and v <= 0 for v in values):
+        raise CliError("budget values must be positive")
+
+
+def _load(ns: argparse.Namespace) -> SpecFile:
     try:
-        with open(config.path, encoding="utf-8") as handle:
+        with open(ns.file, encoding="utf-8") as handle:
             return parse(handle.read())
     except FileNotFoundError:
-        raise CliError(f"no such file: {config.path}")
+        raise CliError(f"no such file: {ns.file}")
     except ParseError as exc:
-        raise CliError(f"{config.path}:{exc}")
+        raise CliError(f"{ns.file}:{exc}")
 
 
-def _pick_session(spec: SpecFile, config: RunConfig) -> Session:
-    name = config.session_name
+def _pick_session(spec: SpecFile, ns: argparse.Namespace) -> Session:
+    name = ns.session_name
     if name is None:
         raise CliError("--session is required")
     if name not in spec.sessions:
-        raise CliError(f"session {name!r} is not defined in {config.path}")
+        raise CliError(f"session {name!r} is not defined in {ns.file}")
     return spec.sessions[name]
 
 
-def _pick_global(spec: SpecFile, config: RunConfig) -> GlobalGraph:
-    name = config.global_name
+def _pick_global(spec: SpecFile, ns: argparse.Namespace) -> GlobalGraph:
+    name = ns.global_name
     if name is None:
         raise CliError("--global is required")
     if name not in spec.globals:
-        raise CliError(f"global type {name!r} is not defined in {config.path}")
+        raise CliError(f"global type {name!r} is not defined in {ns.file}")
     return spec.globals[name]
 
 
-def _pick_ignored(spec: SpecFile, config: RunConfig) -> frozenset[str]:
-    spec_text = config.ignored_spec
-    if spec_text is None or spec_text == "":
+def _pick_ignored(spec: SpecFile, ns: argparse.Namespace) -> frozenset[str]:
+    if not ns.ignored:
         return frozenset()
-    if spec_text in spec.ignored_sets:
-        return spec.ignored_sets[spec_text]
-    return frozenset(_participant(p.strip()) for p in spec_text.split(",") if p.strip())
+    if ns.ignored in spec.ignored_sets:
+        return spec.ignored_sets[ns.ignored]
+    return frozenset(_participant(p.strip()) for p in ns.ignored.split(",") if p.strip())
 
 
 def _participant(name: str) -> str:
@@ -144,29 +120,28 @@ def _participant(name: str) -> str:
         raise CliError(str(exc)) from None
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
+def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def cmd_check(config: RunConfig) -> int:
-    spec = _load(config)
-    g = _pick_global(spec, config)
-    m = _pick_session(spec, config)
-    ignored = _pick_ignored(spec, config)
+def cmd_check(ns: argparse.Namespace) -> int:
+    spec = _load(ns)
+    g = _pick_global(spec, ns)
+    m = _pick_session(spec, ns)
+    ignored = _pick_ignored(spec, ns)
     result = typecheck(g, m, ignored)
     accepted = isinstance(result, Derivation)
-    if config.fmt == "json":
+    if ns.format == "json":
         _emit(
             {
                 "command": "check",
-                "global": config.global_name,
-                "session": config.session_name,
+                "global": ns.global_name,
+                "session": ns.session_name,
                 "ignored": sorted(ignored),
                 "accepted": accepted,
                 "derivation": result.to_json_dict() if accepted else None,
                 "rejection": None if accepted else result.to_json_dict(),
-            },
-            config,
+            }
         )
     else:
         if accepted:
@@ -179,37 +154,33 @@ def cmd_check(config: RunConfig) -> int:
     return 0 if accepted else 1
 
 
-def cmd_infer(config: RunConfig) -> int:
-    spec = _load(config)
-    m = _pick_session(spec, config)
-    budget = config.budget()
-    found = []
-    try:
-        for outcome, theta, g, p in enumerate_solutions(m, budget):
-            found.append((outcome, theta, g, p))
-    except inference.BudgetExhausted:
-        pass
-    if config.minimal:
-        found.sort(key=lambda item: minimal_key(item[0], item[3]))
-        found = found[:1]
+def cmd_infer(ns: argparse.Namespace) -> int:
+    spec = _load(ns)
+    m = _pick_session(spec, ns)
+    budget = SearchBudget(
+        max_size=ns.max_size, max_outcomes=ns.max_outcomes, explore=ExploreConfig(max_states=ns.max_states)
+    )
+    found = inference.solved(m, budget)
+    if ns.minimal:
+        best = inference.pick_minimal(m, found)
+        found = [best] if best else []
     payload_outcomes = []
     for outcome, theta, g, p in found:
         entry = {
             "global": format_global(g),
             "ignored": sorted(p),
         }
-        if config.show_equations:
+        if ns.show_equations:
             entry["equations"] = render_outcome(outcome)
         payload_outcomes.append(entry)
-    if config.fmt == "json":
+    if ns.format == "json":
         _emit(
             {
                 "command": "infer",
-                "session": config.session_name,
-                "minimal": config.minimal,
+                "session": ns.session_name,
+                "minimal": ns.minimal,
                 "solutions": payload_outcomes,
-            },
-            config,
+            }
         )
     else:
         if not payload_outcomes:
@@ -217,7 +188,7 @@ def cmd_infer(config: RunConfig) -> int:
         for k, entry in enumerate(payload_outcomes):
             print(f"solution {k}: ignored = {{{', '.join(entry['ignored'])}}}")
             print(entry["global"])
-            if config.show_equations:
+            if ns.show_equations:
                 eqs = entry["equations"]
                 for line in eqs["type_equations"]:
                     print(f"  {line}")
@@ -228,18 +199,20 @@ def cmd_infer(config: RunConfig) -> int:
     return 0 if payload_outcomes else 1
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    spec = _load(config)
-    results = []
-    failed = False
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    if ns.stategraph and (ns.bounded or ns.depth_of is not None or ns.lockfree or ns.deadlockfree):
+        raise CliError("--stategraph cannot be combined with --bounded, --depth, --lockfree or --deadlockfree")
+    if ns.format == "dot" and not ns.stategraph:
+        raise CliError("--format dot needs --stategraph")
+    spec = _load(ns)
+    explore_config = ExploreConfig(max_states=ns.max_states)
 
-    if "stategraph" in config.checks:
-        m = _pick_session(spec, config)
-        graph = explore(m, config.explore_config())
-        if config.fmt == "dot":
+    if ns.stategraph:
+        graph = explore(_pick_session(spec, ns), explore_config)
+        if ns.format == "dot":
             print(graph.to_dot())
-        elif config.fmt == "json":
-            print(json.dumps(graph.to_json_dict(), sort_keys=True, indent=2))
+        elif ns.format == "json":
+            _emit(graph.to_json_dict())
         else:
             for i, st in enumerate(graph.states):
                 mark = "*" if i == graph.initial else " "
@@ -248,13 +221,13 @@ def cmd_analyze(config: RunConfig) -> int:
                 print(f"  {i} --{lab}--> {j}")
         return 0
 
-    if "bounded" in config.checks:
-        g = _pick_global(spec, config)
-        verdict = bounded(g)
+    results = []
+    if ns.bounded:
+        verdict = bounded(_pick_global(spec, ns))
         results.append(
             {
                 "property": "boundedness",
-                "global": config.global_name,
+                "global": ns.global_name,
                 "holds": verdict.holds,
                 "witness": None
                 if verdict.holds
@@ -264,36 +237,31 @@ def cmd_analyze(config: RunConfig) -> int:
                 },
             }
         )
-        failed = failed or not verdict.holds
-    if config.depth_of is not None:
-        g = _pick_global(spec, config)
-        value = depth(g, _participant(config.depth_of))
+    if ns.depth_of is not None:
+        g = _pick_global(spec, ns)
+        value = depth(g, _participant(ns.depth_of))
         results.append(
             {
                 "property": "depth",
-                "global": config.global_name,
-                "participant": config.depth_of,
+                "global": ns.global_name,
+                "participant": ns.depth_of,
                 "value": "inf" if value == float("inf") else value,
             }
         )
-    if "lockfree" in config.checks or "deadlockfree" in config.checks:
-        m = _pick_session(spec, config)
-        ignored = _pick_ignored(spec, config)
-        graph = explore(m, config.explore_config())  # one exploration serves both checks
-        verdicts = []
-        if "lockfree" in config.checks:
-            verdicts.append(excluded_lock_free(m, ignored, graph=graph))
-        if "deadlockfree" in config.checks:
-            verdicts.append(excluded_deadlock_free(m, ignored, graph=graph))
-        for verdict in verdicts:
-            results.append(verdict.to_json_dict())
-            failed = failed or not verdict.holds
+    if ns.lockfree or ns.deadlockfree:
+        m = _pick_session(spec, ns)
+        ignored = _pick_ignored(spec, ns)
+        graph = explore(m, explore_config)  # one exploration serves both checks
+        if ns.lockfree:
+            results.append(excluded_lock_free(m, ignored, graph=graph).to_json_dict())
+        if ns.deadlockfree:
+            results.append(excluded_deadlock_free(m, ignored, graph=graph).to_json_dict())
 
     if not results:
         raise CliError("nothing to analyze: pass --bounded, --depth, --lockfree, --deadlockfree or --stategraph")
 
-    if config.fmt == "json":
-        _emit({"command": "analyze", "results": results}, config)
+    if ns.format == "json":
+        _emit({"command": "analyze", "results": results})
     else:
         for entry in results:
             if entry["property"] == "depth":
@@ -305,14 +273,14 @@ def cmd_analyze(config: RunConfig) -> int:
             if entry.get("note"):
                 line += f"\n  note: {entry['note']}"
             print(line)
-    return 1 if failed else 0
+    return 1 if any(entry.get("holds") is False for entry in results) else 0
 
 
-def cmd_meta(config: RunConfig) -> int:
-    spec = _load(config)
-    report = run_file_suite(spec, config.seed, config.explore_config())
-    if config.fmt == "json":
-        _emit({"command": "meta", "seed": config.seed, **report.to_json_dict()}, config)
+def cmd_meta(ns: argparse.Namespace) -> int:
+    spec = _load(ns)
+    report = run_file_suite(spec, ns.seed, ExploreConfig(max_states=ns.max_states))
+    if ns.format == "json":
+        _emit({"command": "meta", "seed": ns.seed, **report.to_json_dict()})
     else:
         for combo in report.combos:
             head = (
@@ -338,28 +306,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt_choices=("text", "json")) -> None:
+    def command(name, handler, help, budgets=(), formats=("text", "json")):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="input .mpst file")
-        p.add_argument("--format", choices=fmt_choices, default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-size", type=int, default=None, help="derivation size cap")
-        p.add_argument("--max-outcomes", type=int, default=64)
-        p.add_argument("--max-states", type=int, default=1_000_000)
+        p.add_argument("--format", choices=formats, default="text")
+        for key in budgets:  # None until _resolve_budgets fills it in
+            p.add_argument(f"--max-{key}", type=int, help="derivation size cap" if key == "size" else None)
+        return p
 
-    p_check = sub.add_parser("check", help="decide a typing judgment")
-    common(p_check)
+    p_check = command("check", cmd_check, "decide a typing judgment")
     p_check.add_argument("--global", dest="global_name", required=True)
     p_check.add_argument("--session", dest="session_name", required=True)
     p_check.add_argument("--ignored", default="")
 
-    p_infer = sub.add_parser("infer", help="infer global types and ignored sets")
-    common(p_infer)
+    p_infer = command("infer", cmd_infer, "infer global types and ignored sets", BUDGET_DEFAULTS)
     p_infer.add_argument("--session", dest="session_name", required=True)
     p_infer.add_argument("--minimal", action="store_true")
     p_infer.add_argument("--show-equations", action="store_true")
 
-    p_analyze = sub.add_parser("analyze", help="boundedness, liveness, state graphs")
-    common(p_analyze, ("text", "json", "dot"))
+    p_analyze = command(
+        "analyze", cmd_analyze, "boundedness, liveness, state graphs", ["states"], ("text", "json", "dot")
+    )
     p_analyze.add_argument("--global", dest="global_name")
     p_analyze.add_argument("--session", dest="session_name")
     p_analyze.add_argument("--ignored", default="")
@@ -369,47 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--deadlockfree", action="store_true")
     p_analyze.add_argument("--stategraph", action="store_true")
 
-    p_meta = sub.add_parser("meta", help="run the metatheory suite over a file")
-    common(p_meta)
+    p_meta = command("meta", cmd_meta, "run the metatheory suite over a file", ["states"])
+    p_meta.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    checks = [
-        name
-        for name in ("bounded", "lockfree", "deadlockfree", "stategraph")
-        if getattr(ns, name, False)
-    ]
     try:
-        config = RunConfig(
-            path=ns.file,
-            command=ns.command,
-            global_name=getattr(ns, "global_name", None),
-            session_name=getattr(ns, "session_name", None),
-            ignored_spec=getattr(ns, "ignored", None),
-            fmt=ns.format,
-            seed=ns.seed,
-            max_size=ns.max_size,
-            max_outcomes=ns.max_outcomes,
-            max_states=ns.max_states,
-            minimal=getattr(ns, "minimal", False),
-            show_equations=getattr(ns, "show_equations", False),
-            checks=checks,
-            depth_of=getattr(ns, "depth_of", None),
-        )
-        _apply_env_budget(config)
-        handler = {
-            "check": cmd_check,
-            "infer": cmd_infer,
-            "analyze": cmd_analyze,
-            "meta": cmd_meta,
-        }[config.command]
-        return handler(config)
+        _resolve_budgets(ns)
+        return ns.handler(ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

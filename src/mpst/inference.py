@@ -143,7 +143,6 @@ class InferenceOutcome:
 class SearchBudget:
     max_size: int | None = None  # None: 4 x reachable session count
     max_outcomes: int = 64
-    width: int = 256  # alternatives considered per goal
     explore: ExploreConfig = field(default_factory=ExploreConfig)
 
 
@@ -166,10 +165,12 @@ class _Piece:
     weaks: int
 
 
+_WIDTH = 256  # alternatives considered per goal
+
+
 class _Search:
-    def __init__(self, supply: Iterator[int], width: int):
+    def __init__(self, supply: Iterator[int]):
         self.supply = supply
-        self.width = width
         self.pruned = False
 
     def fresh_tv(self) -> TypeVar:
@@ -191,7 +192,7 @@ class _Search:
             self.pruned = True
             return
         here = ((m, pv, tv),)
-        width_left = self.width
+        width_left = _WIDTH
 
         if m.is_null:
             yield _Piece(
@@ -343,7 +344,7 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
     emitted = 0
     pruned_any = max_size < 1
     for cap in range(1, max_size + 1):
-        search = _Search(supply, budget.width)
+        search = _Search(supply)
         tv0, pv0 = search.fresh_tv(), search.fresh_pv()
         for piece in search.derive(m0, tv0, pv0, (), cap, True):
             if piece.size != cap:
@@ -462,10 +463,10 @@ def solutions(outcome: InferenceOutcome) -> list[Substitution]:
 # Front door: enumerate solved outcomes, pick the minimal one.
 # ---------------------------------------------------------------------------
 
+Solved = tuple[InferenceOutcome, Substitution, GlobalGraph, frozenset[str]]
 
-def enumerate_solutions(
-    s: Session, budget: SearchBudget = SearchBudget()
-) -> Iterator[tuple[InferenceOutcome, Substitution, GlobalGraph, frozenset[str]]]:
+
+def enumerate_solutions(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Solved]:
     """Solved outcomes with duplicates (same type up to bisimilarity and same
     ignored set) removed."""
     seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
@@ -479,37 +480,39 @@ def enumerate_solutions(
             yield outcome, theta, g, p
 
 
+def solved(s: Session, budget: SearchBudget = SearchBudget()) -> list[Solved]:
+    """All of enumerate_solutions; none when the size cap cut every derivation."""
+    try:
+        return list(enumerate_solutions(s, budget))
+    except BudgetExhausted:
+        return []
+
+
 def minimal_key(outcome: InferenceOutcome, ignored: frozenset[str]) -> tuple:
     """What "minimal" orders solutions by: fewest ignored participants, then
     fewest Weak steps, then the ignored names."""
     return (len(ignored), outcome.weak_count, tuple(sorted(ignored)))
 
 
+def pick_minimal(s: Session, found: list[Solved]) -> Solved | None:
+    """The entry of found with the least minimal_key, the first among equals,
+    re-checked through typecheck; None when found is empty."""
+    if not found:
+        return None
+    best = min(found, key=lambda entry: minimal_key(entry[0], entry[3]))
+    if not isinstance(typecheck(best[2], s, best[3]), Derivation):
+        raise RuntimeError("inference produced a solution the checker rejects; this is a bug")
+    return best
+
+
 def infer_minimal(
     s: Session, budget: SearchBudget = SearchBudget()
 ) -> tuple[GlobalGraph, frozenset[str]]:
-    """The solution with the fewest ignored participants within the budget.
-
-    Among equal keys the first solution found wins.
-    """
-    best = None
-    best_key = None
-    try:
-        for outcome, _, g, p in enumerate_solutions(s, budget):
-            key = minimal_key(outcome, p)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (g, p)
-    except BudgetExhausted:
-        pass
+    """The solution with the fewest ignored participants within the budget."""
+    best = pick_minimal(s, solved(s, budget))
     if best is None:
         raise NoSolutionWithinBudget("inference found no solution within the budget")
-    result = typecheck(best[0], s, best[1])
-    if not isinstance(result, Derivation):
-        raise RuntimeError(
-            "inference produced a solution the checker rejects; this is a bug"
-        )
-    return best
+    return best[2], best[3]
 
 
 # ---------------------------------------------------------------------------

@@ -604,9 +604,6 @@ def session_of(bindings: Mapping[str, ProcessGraph] | Iterable[tuple[str, Proces
     return Session(tuple(sorted(pairs, key=lambda kv: kv[0])))
 
 
-EMPTY_SESSION = Session(())
-
-
 def normalize_session(s: Session) -> Session:
     """The canonical representative modulo structural congruence.
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from importlib import resources
@@ -7,8 +8,10 @@ import pytest
 
 from mpst import analysis, cli
 from mpst.cli import run
+from mpst.frontend import format_global
+from mpst.inference import NoSolutionWithinBudget, infer_minimal
 
-from .conftest import golden_path
+from .conftest import GOLDEN, golden_path, load_golden
 
 
 def schema(name: str) -> dict:
@@ -308,3 +311,92 @@ class TestTwoLoops:
         assert elapsed < 5
         assert captured.err.startswith("error: state limit of 200")
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestFrontDoor:
+    """Each subcommand accepts exactly the options its handler reads."""
+
+    OPTIONS = {
+        "check": {"--format", "--global", "--session", "--ignored"},
+        "infer": {
+            "--format",
+            "--max-size",
+            "--max-outcomes",
+            "--max-states",
+            "--session",
+            "--minimal",
+            "--show-equations",
+        },
+        "analyze": {
+            "--format",
+            "--max-states",
+            "--global",
+            "--session",
+            "--ignored",
+            "--bounded",
+            "--depth",
+            "--lockfree",
+            "--deadlockfree",
+            "--stategraph",
+        },
+        "meta": {"--format", "--max-states", "--seed"},
+    }
+
+    def test_option_table(self):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--global", "G", "--session", "M", "--max-states", "5"],
+            ["analyze", "--global", "G", "--bounded", "--seed", "1"],
+        ],
+    )
+    def test_options_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        assert run(argv + [SOCIAL]) == cli.USAGE_ERROR
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("check", [["--bounded"], ["--depth", "p"], ["--lockfree"], ["--deadlockfree"]])
+    def test_stategraph_with_another_check_is_a_usage_error(self, capsys, check):
+        code = run(["analyze", "--global", "G", "--session", "M", "--stategraph"] + check + [MUTUAL])
+        captured = capsys.readouterr()
+        assert code == cli.USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: --stategraph cannot be combined with")
+
+    def test_dot_needs_stategraph(self, capsys):
+        code = run(["analyze", "--global", "G", "--bounded", "--format", "dot", SOCIAL])
+        captured = capsys.readouterr()
+        assert code == cli.USAGE_ERROR
+        assert (captured.out, captured.err) == ("", "error: --format dot needs --stategraph\n")
+
+    def test_flag_beats_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPST_BUDGET", "size=1")
+        code, data = run_json(capsys, ["infer", "--session", "M", "--minimal", "--max-size", "28", SOCIAL])
+        assert code == 0 and data["solutions"][0]["ignored"] == ["u"]
+        monkeypatch.setenv("MPST_BUDGET", "states=1")
+        assert run(["analyze", "--session", "M", "--lockfree", "--max-states", "100", BUYER]) == 0
+
+    def test_env_budget_is_checked_for_commands_without_budgets(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPST_BUDGET", "states=0")
+        assert run(["check", "--global", "G", "--session", "M", "--ignored", "u", SOCIAL]) == 2
+        assert capsys.readouterr().err == "error: budget values must be positive\n"
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.mpst")), ids=lambda p: p.stem)
+    def test_infer_minimal_matches_the_library(self, capsys, path):
+        for name, m in load_golden(path.name).sessions.items():
+            code, data = run_json(capsys, ["infer", "--session", name, "--minimal", str(path)])
+            try:
+                g, p = infer_minimal(m)
+            except NoSolutionWithinBudget:
+                assert code == 1 and data["solutions"] == []
+                continue
+            assert code == 0
+            assert data["solutions"] == [{"global": format_global(g), "ignored": sorted(p)}]

@@ -22,10 +22,13 @@ from mpst.inference import (
     enumerate_solutions,
     infer,
     infer_minimal,
+    minimal_key,
+    pick_minimal,
     render_outcome,
     solutions,
     solve_pset_equations,
     solve_type_equations,
+    solved,
 )
 from mpst.random_sessions import random_session
 from mpst.terms import minimize_global, participants, session_of
@@ -327,6 +330,15 @@ class TestInferMinimal:
         spec = parse("session M = p: q!a")
         with pytest.raises(NoSolutionWithinBudget):
             infer_minimal(spec.sessions["M"], SearchBudget(max_size=1))
+
+    def test_pick_minimal_takes_the_first_least_key(self, social_media):
+        m = social_media.sessions["M"]
+        found = solved(m)
+        least = min(minimal_key(entry[0], entry[3]) for entry in found)
+        first = next(e for e in found if minimal_key(e[0], e[3]) == least)
+        assert pick_minimal(m, found) is first
+        assert pick_minimal(m, []) is None
+        assert solved(m, SearchBudget(max_size=1)) == []
 
 
 class TestSoundness:
