@@ -299,12 +299,26 @@ def cmd_meta(ns: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which rejects what it does not take under its
+    own usage line.  An option it does not know may be followed by its value,
+    which argparse then takes for the file, so only the unknown options are
+    named when there are any."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            options = [arg for arg in extras if arg.startswith("-")]
+            self.error(f"unrecognized arguments: {' '.join(options or extras)}")
+        return ns, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpst",
         description="Check, analyze and infer global types for multiparty sessions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def command(name, handler, help, budgets=(), formats=("text", "json")):
         p = sub.add_parser(name, help=help)

@@ -19,6 +19,17 @@ smaller derivations stream out first and every derivation is found
 eventually.  Solving a resulting system yields the unique regular tree for
 each type variable; p-set systems are solved to their least fixpoint above
 condition-derived lower bounds and then verified exactly.
+
+An ``infer`` call keeps one successor table, shared by every size cap: for
+each session the search meets, its ready pairs with their residual plays
+and Comm successors, and its Weak splits with their normal remainders, the
+splits filled in on demand up to what the per-goal width lets the search
+take.  At budget 1 every Comm or Weak premise would get budget 0 and derive
+nothing, so the search only marks the cap as pruned when such a premise
+exists, which is all entering it would do.  ``enumerate_solutions`` interns
+the graphs it solves, so the analyses memoized on a graph (boundedness,
+plays) run once per distinct graph of one enumeration.  Every table dies
+with the call that made it.
 """
 
 from __future__ import annotations
@@ -168,9 +179,43 @@ class _Piece:
 _WIDTH = 256  # alternatives considered per goal
 
 
+class _Successors:
+    """What the search needs of one normal session, computed once per call.
+
+    ``pairs`` holds every ready pair with its residual plays and its Comm
+    successors, one per label.  The Weak splits are filled in on demand,
+    smallest first, since the search consumes at most ``_WIDTH`` of the
+    2^n - 1 nonempty ones.
+    """
+
+    __slots__ = ("session", "plays", "pairs", "splits", "_more")
+
+    def __init__(self, m: Session):
+        self.session = m
+        self.plays = participants(m)
+        self.pairs = tuple(
+            (p, q, self.plays - {p, q}, tuple((lab, communicate(m, p, q, lab)) for lab in labels))
+            for p, q, labels in ready_pairs(m)
+        )
+        self.splits: list[tuple[frozenset[str], Session]] = []
+        self._more = itertools.islice(subsets(self.plays), 1, None)
+
+    def split(self, i: int) -> tuple[frozenset[str], Session]:
+        """The i-th nonempty split and the normal session it leaves."""
+        while len(self.splits) <= i:
+            split = next(self._more)
+            self.splits.append((split, normalize_session(self.session.without(split))))
+        return self.splits[i]
+
+
 class _Search:
-    def __init__(self, supply: Iterator[int]):
-        self.supply = supply
+    """One infer call's search: the fresh-variable supply, the successor
+    table shared by every size cap, and whether the current cap cut a
+    premise short."""
+
+    def __init__(self):
+        self.supply = itertools.count()
+        self.table: dict[Session, _Successors] = {}
         self.pruned = False
 
     def fresh_tv(self) -> TypeVar:
@@ -188,9 +233,6 @@ class _Search:
         budget: int,
         allow_weak: bool,
     ) -> Iterator[_Piece]:
-        if budget < 1:
-            self.pruned = True
-            return
         here = ((m, pv, tv),)
         width_left = _WIDTH
 
@@ -215,17 +257,23 @@ class _Search:
                     0,
                 )
 
+        node = self.table.get(m)
+        if node is None:
+            node = self.table[m] = _Successors(m)
+        if budget == 1:
+            # Every Comm or Weak premise would get budget 0 and derive
+            # nothing; all that entering one does is mark the cap pruned.
+            if node.pairs or (allow_weak and node.plays):
+                self.pruned = True
+            return
+
         goals2 = goals + ((m, pv, tv),)
-        for p, q, labels in ready_pairs(m):
+        for p, q, residual_plays, succ in node.pairs:
             if width_left <= 0:
                 self.pruned = True
                 return
             width_left -= 1
-            residual_plays = participants(m.without((p, q)))
-            branch_goals = []
-            for lab in labels:
-                mi = communicate(m, p, q, lab)
-                branch_goals.append((lab, mi, self.fresh_tv(), self.fresh_pv()))
+            branch_goals = [(lab, mi, self.fresh_tv(), self.fresh_pv()) for lab, mi in succ]
             eq = (
                 tv,
                 PatComm(p, q, tuple((lab, PatVar(yv)) for lab, _, yv, _ in branch_goals)),
@@ -246,14 +294,12 @@ class _Search:
                 )
 
         if allow_weak:
-            for split in subsets(participants(m)):
-                if not split:
-                    continue
+            for i in range((1 << len(node.plays)) - 1):
                 if width_left <= 0:
                     self.pruned = True
                     return
                 width_left -= 1
-                m1 = normalize_session(m.without(split))
+                split, m1 = node.split(i)
                 yv, pw = self.fresh_tv(), self.fresh_pv()
                 eq = (tv, PatVar(yv))
                 peq = (pv, PSetPattern(split, (pw,)))
@@ -270,6 +316,11 @@ class _Search:
     def derive_seq(self, items: list, goals: tuple, budget: int) -> Iterator[_Piece]:
         if not items:
             yield _Piece((), (), (), (), 0, 0)
+            return
+        if budget < len(items):
+            # Every premise needs a budget of 1 at least, so derive never
+            # gets less: the cap cuts this sequence short.
+            self.pruned = True
             return
         (_, mi, yv, pw), rest = items[0], items[1:]
         for sub in self.derive(mi, yv, pw, goals, budget - len(rest), True):
@@ -339,12 +390,12 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
     max_size = budget.max_size
     if max_size is None:
         max_size = default_max_size(m0, budget.explore)
-    supply = itertools.count()
+    search = _Search()
     emit_counter = itertools.count()
     emitted = 0
     pruned_any = max_size < 1
     for cap in range(1, max_size + 1):
-        search = _Search(supply)
+        search.pruned = False
         tv0, pv0 = search.fresh_tv(), search.fresh_pv()
         for piece in search.derive(m0, tv0, pv0, (), cap, True):
             if piece.size != cap:
@@ -427,15 +478,23 @@ def check_agreement(
     return True, None
 
 
-def solutions(outcome: InferenceOutcome) -> list[Substitution]:
+def solutions(
+    outcome: InferenceOutcome, *, interned: dict[GlobalGraph, GlobalGraph] | None = None
+) -> list[Substitution]:
     """Solve one outcome: zero or one substitution under this strategy.
 
     Types are solved first and every bound graph must be bounded.  Conditions
     then force lower bounds on the p-set variables (target participants the
     solved type cannot supply); the least p-set solution above those bounds is
     verified against the equations and conditions exactly.
+
+    ``interned`` maps each graph solved so far to its first equal instance;
+    solved graphs are replaced by it, so the analyses memoized on a graph
+    run once per distinct graph across the outcomes that share the table.
     """
     tsol = solve_type_equations(outcome.type_eqs)
+    if interned is not None:
+        tsol = {v: interned.setdefault(g, g) for v, g in tsol.items()}
     for v, g in tsol.items():
         if not bounded(g):
             return []
@@ -470,8 +529,9 @@ def enumerate_solutions(s: Session, budget: SearchBudget = SearchBudget()) -> It
     """Solved outcomes with duplicates (same type up to bisimilarity and same
     ignored set) removed."""
     seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
+    interned: dict[GlobalGraph, GlobalGraph] = {}
     for outcome in infer(s, budget):
-        for theta in solutions(outcome):
+        for theta in solutions(outcome, interned=interned):
             g = theta.types[outcome.root_typevar]
             p = theta.psets[outcome.root_psetvar]
             if (g, p) in seen:

@@ -363,6 +363,16 @@ class TestFrontDoor:
         assert run(argv + [SOCIAL]) == cli.USAGE_ERROR
         assert capsys.readouterr().out == ""
 
+    def test_a_dropped_option_is_reported_by_its_subcommand(self, capsys):
+        code = run(["check", "--max-states", "5", "--global", "G", "--session", "M", SOCIAL])
+        captured = capsys.readouterr()
+        assert code == cli.USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mpst check ")
+        error = captured.err.splitlines()[-1]
+        assert error == "mpst check: error: unrecognized arguments: --max-states"
+        assert SOCIAL not in captured.err
+
     @pytest.mark.parametrize("check", [["--bounded"], ["--depth", "p"], ["--lockfree"], ["--deadlockfree"]])
     def test_stategraph_with_another_check_is_a_usage_error(self, capsys, check):
         code = run(["analyze", "--global", "G", "--session", "M", "--stategraph"] + check + [MUTUAL])

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from mpst import analysis
 from mpst.analysis import plays_global
-from mpst.frontend import parse
+from mpst.frontend import format_global, parse
 from mpst.inference import (
     BudgetExhausted,
     InferenceOutcome,
@@ -31,8 +34,10 @@ from mpst.inference import (
     solved,
 )
 from mpst.random_sessions import random_session
-from mpst.terms import minimize_global, participants, session_of
+from mpst.terms import Session, minimize_global, participants, session_of
 from mpst.typecheck import accepts
+
+from .conftest import GOLDEN
 
 
 # Variables for hand-built systems.
@@ -358,3 +363,227 @@ class TestRendering:
         assert text["root"] == {"type": "X", "pset": "x"}
         assert text["type_equations"][0].startswith("X = ")
         assert text["pset_equations"][0].startswith("x = ")
+
+
+def _server_text(n):
+    """n clients each send u one request and get one reply; u serves them in
+    order, forever."""
+    clients = [f"c{i}" for i in range(n)]
+    lines = ["process U = " + " . ".join(f"{c}?req . {c}!ok" for c in clients) + " . U"]
+    lines += [f"process C{i} = u!req . u?ok" for i in range(n)]
+    lines.append("session M = " + " | ".join([f"c{i}: C{i}" for i in range(n)] + ["u: U"]))
+    return "\n".join(lines) + "\n"
+
+
+def _pairs_text(k, cyclic=True):
+    """k independent pairs p_i <-> q_i exchanging a then b, forever when cyclic."""
+    lines, binds = [], []
+    for i in range(k):
+        loop_p, loop_q = (f" . P{i}", f" . Q{i}") if cyclic else ("", "")
+        lines.append(f"process P{i} = q{i}!a . q{i}?b{loop_p}")
+        lines.append(f"process Q{i} = p{i}?a . p{i}!b{loop_q}")
+        binds.append(f"p{i}: P{i} | q{i}: Q{i}")
+    lines.append("session M = " + " | ".join(binds))
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_sessions():
+    out = {f"server{n}": parse(_server_text(n)).sessions["M"] for n in range(1, 6)}
+    out.update({f"pairs{k}": parse(_pairs_text(k)).sessions["M"] for k in range(1, 4)})
+    for path in sorted(GOLDEN.glob("*.mpst")):
+        if path.stem == "two_loops":
+            continue
+        for name, m in parse(path.read_text(encoding="utf-8")).sessions.items():
+            out[f"{path.stem}:{name}"] = m
+    return out
+
+
+_PINNED_BUDGETS = {
+    "default": SearchBudget(),
+    "size1": SearchBudget(max_size=1),
+    "size2": SearchBudget(max_size=2),
+    "size3": SearchBudget(max_size=3),
+    "size9": SearchBudget(max_size=9),
+    "outcomes1": SearchBudget(max_outcomes=1),
+    "outcomes7": SearchBudget(max_outcomes=7),
+}
+
+
+def _enumeration_digest(m, budget):
+    """SHA-256 of the infer stream and the enumerate_solutions stream, as
+    rendered text, and of whether the size cap cut everything."""
+    record = {"outcomes": [], "solved": [], "exhausted": False}
+    try:
+        record["outcomes"] = [render_outcome(o) for o in infer(m, budget)]
+        record["solved"] = [
+            [render_outcome(o), format_global(g), sorted(p)]
+            for o, _, g, p in enumerate_solutions(m, budget)
+        ]
+    except BudgetExhausted:
+        record["exhausted"] = True
+    text = json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedEnumeration:
+    """The enumeration, byte for byte, on servers, cyclic pairs and the
+    goldens under several budgets; a faster search must not move it."""
+
+    DIGESTS = {
+        "default": {
+            "server1": "d2ae9cf785ac13459b8ff437a1aa9174f20a8992bec74b99c080c6e5542ce682",
+            "server2": "870777c9e6e9ed1ff0d521b583d0d4d8c4eaa622c928e114bfa648a669aa5252",
+            "server3": "0f36b90fd1e02efb28e662549ee7ec934559f46a01e07e9f36e60715a25610ae",
+            "server4": "1151adf1a30d438874e4913b78e3058b5e055fd123bab36396615cb87b1386c1",
+            "server5": "61e53885c04b05c78a6b1e45cac2516b458d32b25b50967b232b16856708cc33",
+            "pairs1": "8482b40605ae098c8aa1a7b304b2c9cd824a26cc15617640fdf6ccac2ab5e35b",
+            "pairs2": "a2b9188da7d79fa1624f58701b3b9da05c68b8a54d5071c69932c5ed8c807f4c",
+            "pairs3": "025855bfb67088fd765a9fe35641ba415e391086aeecde061c33c63cbb2b988c",
+            "buyer_seller:M": "e36a2b099de14713241fbda924e177b15cc0a1bc917b6ed3fb97f4c5d7fc0e90",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "c170304c24b27fa22cb9dd8701515c083c13b551b93f5af79bbf9e4c86f6b13a",
+            "social_media:M": "2406805d21a2077d6e69562b2052c8cc1cb2b62908666511d005fa917c1e4a8f",
+            "unbounded:M": "92d4421631cb098157f7d52cbeccedccb663f90a38ea76080e44f6c3496bf218",
+        },
+        "outcomes1": {
+            "server1": "2e6613e6e64ef5d9ae0bb3087ceaf3bfcd17bbb0c0360a82aa17c691eb964b05",
+            "server2": "aefb68e017a99c4b30932b5fd59376a683b6a93422e59fda07d70a7f3d0c815d",
+            "server3": "087bef27c29a07a7089154cd404f0edd889ac4014e384ca8dd897a25541c9480",
+            "server4": "ebc64080c0f803e7e9e9c56977922da1e1958adca8b98de950c8cba15aa82d1a",
+            "server5": "93ca82af196ebed65058daba3ddff41db4ea74cde8f1fcfbf0f02e8525fbc86d",
+            "pairs1": "3f6c5cba90cac1e61bb25a2f35a68ce03a2f5b784f1d2c7ec82314df8bbe78f7",
+            "pairs2": "17b7137253c616ce05352fcd508da4fd75c7effdb6e5dac70676a6eb6d6b8d57",
+            "pairs3": "9e7aa6d760eebdb2584857d0c83d440a9c5cde9c530437c06ace316512b31e2d",
+            "buyer_seller:M": "8e5b80fe0f3f2b9642291ff4ed8c5067a75fff322079c86dcf79fa04e438d2a3",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "708e9921d55847d73533e3e0c3dbb7f0bc62b557ab69267bb42f5172acd06515",
+            "social_media:M": "ed9f77d0edf1cd9b1b7d8e6d9a87d9325a89e09e5fd5b92e4eed87acad4c7272",
+            "unbounded:M": "a1fece4b2cb77956f61ffc74fbe3b5b0601257162204f1e7615f7da09e6e8768",
+        },
+        "outcomes7": {
+            "server1": "d2ae9cf785ac13459b8ff437a1aa9174f20a8992bec74b99c080c6e5542ce682",
+            "server2": "7810d774c5bb2a0c4af10f0ad00592f5d115202a05e1b52f9c446e7e869b9e90",
+            "server3": "ba6af219ab23ee0f7b4a911306e37420ef54319b2e799cc7a4356df021a24aca",
+            "server4": "50d32f5c8835249c1b4b4bac9d49109b87fd627ce87ce49d82f05d2e298d79fb",
+            "server5": "5931688af34b5582fdd7033058e6f44e84bbee0a2d1bbdaf0bf9eb69f85d10c6",
+            "pairs1": "300bc83af4e6bd7c714ba39aaebf70144f6e7dda041c6a92479663ed78245145",
+            "pairs2": "bb8c55e9f3f5172ef5a8961a5f311d84a73f76bd7949b4a3a3e212c3f1080cb4",
+            "pairs3": "0e21337b5b395ff606d95dbeb2a1248b79645aadf405ed6a8a5056230cec5404",
+            "buyer_seller:M": "db853bdffd492dd485062db3e1b935ce8bc74e5de6559ea2f732c11172001d58",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "7060c738f96b95545915a536d36b26f9f9be91e63c1f56a3c68063f07112f3e7",
+            "social_media:M": "3c6a400525a86698d4fb172b50ee91f4d15286ea9491dbf1414887e7eab2204b",
+            "unbounded:M": "289a838c30f9b1dca4d399179a43d750b55f8792ea3a31277a65074f883a0da8",
+        },
+        "size1": {
+            "server1": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "server2": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "server3": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "server4": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "server5": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "pairs1": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "pairs2": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "pairs3": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "buyer_seller:M": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "social_media:M": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+            "unbounded:M": "1afcf6ccf4927ab2734bdb32b423eb081d0d579de38d086b905f2e2e6ca807c3",
+        },
+        "size2": {
+            "server1": "2e6613e6e64ef5d9ae0bb3087ceaf3bfcd17bbb0c0360a82aa17c691eb964b05",
+            "server2": "aefb68e017a99c4b30932b5fd59376a683b6a93422e59fda07d70a7f3d0c815d",
+            "server3": "087bef27c29a07a7089154cd404f0edd889ac4014e384ca8dd897a25541c9480",
+            "server4": "ebc64080c0f803e7e9e9c56977922da1e1958adca8b98de950c8cba15aa82d1a",
+            "server5": "93ca82af196ebed65058daba3ddff41db4ea74cde8f1fcfbf0f02e8525fbc86d",
+            "pairs1": "3f6c5cba90cac1e61bb25a2f35a68ce03a2f5b784f1d2c7ec82314df8bbe78f7",
+            "pairs2": "17b7137253c616ce05352fcd508da4fd75c7effdb6e5dac70676a6eb6d6b8d57",
+            "pairs3": "9e7aa6d760eebdb2584857d0c83d440a9c5cde9c530437c06ace316512b31e2d",
+            "buyer_seller:M": "8e5b80fe0f3f2b9642291ff4ed8c5067a75fff322079c86dcf79fa04e438d2a3",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "71575d650dae540f0426021e6a93c8946e8d8e36f750f53b5a30d1c3e1b9ecc2",
+            "social_media:M": "ed9f77d0edf1cd9b1b7d8e6d9a87d9325a89e09e5fd5b92e4eed87acad4c7272",
+            "unbounded:M": "a1fece4b2cb77956f61ffc74fbe3b5b0601257162204f1e7615f7da09e6e8768",
+        },
+        "size3": {
+            "server1": "8997e1c4b1cd6f04eab277e75938ae14049b3e3b48f8c178e3f35660c3f63da4",
+            "server2": "83e9ecaa085c0cf3e17c47d3d1054d0e2e0082398c20c418ea42ba00b1126753",
+            "server3": "90547c0e22f3daa1a2293e1ae53b657dcbb991d3e83f106aa990c432fdd856bd",
+            "server4": "dd74bff81c3a127557665c1ed8cacad2347e69961f4d445270556d7503a4d4e1",
+            "server5": "aea8e62a3c25f3f804d1ee7dcc8f687663fa25a72a33fa9f097b6236730e156a",
+            "pairs1": "629b06bf98818745b5cd96b6df61b827dd22b40021dd7f7bdbd91e4a80cf9801",
+            "pairs2": "59d1ed8f92b8da72a598782fe5a28541df11fc2455f1262fbcbd3c4495d23d5d",
+            "pairs3": "0e21337b5b395ff606d95dbeb2a1248b79645aadf405ed6a8a5056230cec5404",
+            "buyer_seller:M": "8e5b80fe0f3f2b9642291ff4ed8c5067a75fff322079c86dcf79fa04e438d2a3",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "62293247483c49779ffa4bb6ab673c5dc4ae048dac652cc5d3d62f3958581293",
+            "social_media:M": "fa8c64634f35d17cb52b1a5e0fafa8e1cc49b70f99ba0362b4a64dcdbad18bda",
+            "unbounded:M": "bf77b7c13152f4c7a601749997fb458ab21dc0b80115ef735bae5014b1303575",
+        },
+        "size9": {
+            "server1": "d2ae9cf785ac13459b8ff437a1aa9174f20a8992bec74b99c080c6e5542ce682",
+            "server2": "870777c9e6e9ed1ff0d521b583d0d4d8c4eaa622c928e114bfa648a669aa5252",
+            "server3": "0f36b90fd1e02efb28e662549ee7ec934559f46a01e07e9f36e60715a25610ae",
+            "server4": "1151adf1a30d438874e4913b78e3058b5e055fd123bab36396615cb87b1386c1",
+            "server5": "61e53885c04b05c78a6b1e45cac2516b458d32b25b50967b232b16856708cc33",
+            "pairs1": "3acff75a3be56e5a42b3c2f5edaeaacafd7a147a375e2f84d8ea7503a99d04b1",
+            "pairs2": "a2b9188da7d79fa1624f58701b3b9da05c68b8a54d5071c69932c5ed8c807f4c",
+            "pairs3": "025855bfb67088fd765a9fe35641ba415e391086aeecde061c33c63cbb2b988c",
+            "buyer_seller:M": "76257c439e5f7c04eaec55d65857299931948934006e4052126b3dc19428f2b7",
+            "empty:Empty": "319a9009c7daa414efe6ab40d9e227631275fd79d379abd6ae2cb44a0a6c8392",
+            "mutual_loop:M": "bd13b25dee9b1e31e048dea6a67a779f0369446ff820b004f0dd95a87b30857e",
+            "social_media:M": "60818d8835e6ab65145e8f1ded11554577cc7ff7e1ac471be785f8d4d56e6d90",
+            "unbounded:M": "92d4421631cb098157f7d52cbeccedccb663f90a38ea76080e44f6c3496bf218",
+        },
+    }
+
+    @pytest.mark.parametrize("budget_name", sorted(_PINNED_BUDGETS))
+    def test_stream_is_unchanged(self, budget_name):
+        budget = _PINNED_BUDGETS[budget_name]
+        got = {name: _enumeration_digest(m, budget) for name, m in _pinned_sessions().items()}
+        assert got == self.DIGESTS[budget_name]
+
+
+class TestReuse:
+    """Inference computes each successor, split and solved-graph analysis
+    once per call, and keeps the solver's contract while doing so."""
+
+    def test_weak_splits_are_built_on_demand(self, monkeypatch):
+        # 20 participants: 2^20 - 1 nonempty splits, of which the search can
+        # consume at most _WIDTH per goal.
+        m = parse(_pairs_text(10, cyclic=False)).sessions["M"]
+        calls = 0
+        original = Session.without
+
+        def counting(self, drop):
+            nonlocal calls
+            calls += 1
+            return original(self, drop)
+
+        monkeypatch.setattr(Session, "without", counting)
+        with pytest.raises(BudgetExhausted):
+            list(infer(m, SearchBudget(max_size=2)))
+        assert calls <= 5038
+
+    def test_unreachable_unbounded_variable_still_rejects(self):
+        # X = end, Y = p->q:{l1 . r->s:l, l2 . Y}: only X is the root, but
+        # every variable's solution must be bounded.
+        sys = {
+            X: PatEnd(),
+            Y1: PatComm(
+                "p",
+                "q",
+                (("l1", PatComm("r", "s", (("l", PatEnd()),))), ("l2", PatVar(Y1))),
+            ),
+        }
+        outcome = InferenceOutcome(sys, {x: PSetPattern()}, (), X, x, (), 1, 0)
+        assert solutions(outcome) == []
+        assert solutions(outcome, interned={}) == []
+
+    def test_boundedness_runs_once_per_distinct_solved_graph(self, monkeypatch):
+        m = parse(_server_text(5)).sessions["M"]
+        seen = []
+        original = analysis._bounded
+        monkeypatch.setattr(analysis, "_bounded", lambda g: seen.append(g) or original(g))
+        assert solved(m)
+        assert len(seen) == len(set(seen)) <= 11
