@@ -8,9 +8,11 @@ left unset takes its value from MPST_BUDGET, else its built-in default, and
 the variable is checked as a whole for every subcommand.
 
 Exit codes: 0 when the property holds / a derivation or solution was found,
-1 when it fails / nothing was found, 2 on usage or parse errors, 3 when an
-exploration hit its state or edge budget or the input is nested deeper than
-the interpreter's recursion limit allows (no answer is given then).  The
+1 when it fails / nothing was found, 2 on usage or parse errors or an
+unreadable input file, 3 when an exploration hit its state or edge budget or
+the input is nested deeper than the interpreter's recursion limit allows (no
+answer is given then), and 141 from ``main`` when the reader of stdout went
+away (128 + SIGPIPE, as ``cat`` gives; nothing more is printed).  The
 state budget also bounds ``meta``'s walks over typed triples, which never
 close on tests/golden/two_loops.mpst.  JSON output is byte-stable for fixed
 inputs, seeds and budgets.
@@ -19,6 +21,7 @@ inputs, seeds and budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +37,7 @@ from .typecheck import Derivation, typecheck
 
 USAGE_ERROR = 2
 BUDGET_EXCEEDED = 3
+BROKEN_PIPE = 141
 
 # Budget options by their MPST_BUDGET key: the flag is --max-<key>.  A size of
 # None means four times the number of reachable session states.
@@ -83,6 +87,10 @@ def _load(ns: argparse.Namespace) -> SpecFile:
             return parse(handle.read())
     except FileNotFoundError:
         raise CliError(f"no such file: {ns.file}")
+    except OSError as exc:  # a directory, a symlink loop, no permission
+        raise CliError(f"{ns.file}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{ns.file}: {exc}")
     except ParseError as exc:
         raise CliError(f"{ns.file}:{exc}")
 
@@ -313,7 +321,12 @@ class _SubcommandParser(argparse.ArgumentParser):
         return ns, extras
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mpst`` parser, built once per process on first use (never at
+    import) and reused by every ``run``.  It holds no per-run state: budget
+    options default to None and ``_resolve_budgets`` reads MPST_BUDGET on each
+    run, and the handlers look up what they call when they are called."""
     parser = argparse.ArgumentParser(
         prog="mpst",
         description="Check, analyze and infer global types for multiparty sessions.",
@@ -377,7 +390,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``mpst ... | head``).  Point stdout at
+        # devnull so the flush at exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

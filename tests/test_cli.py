@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -278,6 +282,51 @@ def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: path.write_bytes(b"\xff\xfe bad"),
+        lambda path: path.mkdir(),
+        lambda path: path.symlink_to(path.name),
+    ],
+    ids=["not_utf8", "directory", "symlink_loop"],
+)
+def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, make):
+    path = tmp_path / "input.mpst"
+    make(path)
+    code = run(["check", "--global", "G", "--session", "M", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
+    path = tmp_path / "pairs.mpst"
+    pairs = range(7)  # 128 states: the JSON state graph is far larger than a pipe's buffer
+    path.write_text(
+        "".join(f"process P{i} = q{i}!a . q{i}?b . P{i}\nprocess Q{i} = p{i}?a . p{i}!b . Q{i}\n" for i in pairs)
+        + "session M = "
+        + " | ".join(f"p{i}: P{i} | q{i}: Q{i}" for i in pairs)
+        + "\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["analyze", "--session", "M", "--stategraph", "--format", "json", str(path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from mpst.cli import main; main()", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["check", "--global", "G", "--session", "M", "--ignored", "{u}"], "{u}"),
@@ -398,6 +447,43 @@ class TestFrontDoor:
         monkeypatch.setenv("MPST_BUDGET", "states=0")
         assert run(["check", "--global", "G", "--session", "M", "--ignored", "u", SOCIAL]) == 2
         assert capsys.readouterr().err == "error: budget values must be positive\n"
+
+    def test_one_parser_serves_every_run(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        check = ["check", "--global", "G", "--session", "M", "--ignored", "u", SOCIAL]
+        run(check)
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda *args, **kw: built.append(1) or real_init(*args, **kw)
+        )
+        for _ in range(10):
+            assert run(check) == 0
+        assert built == []
+        capsys.readouterr()
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        infer = ["infer", "--session", "M", "--format", "json", SOCIAL]
+        analyze = ["analyze", "--session", "M", "--lockfree", BUYER]
+        pairs = [
+            (["check", "--global", "G", "--session", "M", "--bogus", SOCIAL], check, (2, 0)),
+            (["check", "--help"], check, (0, 0)),
+            (infer + ["--minimal"], infer, (0, 0)),
+            (analyze + ["--max-states", "2"], analyze, (cli.BUDGET_EXCEEDED, 0)),
+        ]
+        for first, then, codes in pairs:
+            in_order = [outcome(first), outcome(then)]
+            reversed_order = [outcome(then), outcome(first)]
+            assert in_order == reversed_order[::-1]
+            assert tuple(code for code, _, _ in in_order) == codes
+        assert json.loads(outcome(infer)[1])["minimal"] is False
+
+        monkeypatch.setenv("MPST_BUDGET", "states=2")
+        assert outcome(analyze)[0] == cli.BUDGET_EXCEEDED
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.mpst")), ids=lambda p: p.stem)
     def test_infer_minimal_matches_the_library(self, capsys, path):
