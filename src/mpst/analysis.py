@@ -104,23 +104,64 @@ class BoundednessVerdict:
 
 
 def bounded(g: GlobalGraph) -> BoundednessVerdict:
-    """True iff every participant of every subterm has finite depth there."""
+    """True iff every participant of every subterm has finite depth there.
+
+    Depth of p at a node is infinite exactly when p plays below the node (some
+    path from it meets p) and some path from it avoids p forever, to End or
+    around a cycle.  So one pass per participant p over the nodes reachable
+    from the root decides every node at once: a backward closure from the
+    nodes where p is sender or receiver gives where p plays, and a count-down
+    over the same predecessor lists (a node is settled once each of its
+    branches leads to a settled node or to p) gives the nodes whose every
+    p-avoiding path meets p.  A node in the first set and not in the second is
+    a witness; the verdict names the least such node, then the least
+    participant.  O(P * (N + E)) for P participants, N nodes and E branches.
+    Kept on g.
+    """
     return g.cached("bounded", lambda: _bounded(g))
 
 
 def _bounded(g: GlobalGraph) -> BoundednessVerdict:
-    reachable = {g.root}
-    todo = [g.root]
-    while todo:
-        for _, t in g.nodes[todo.pop()].branches:
-            if t not in reachable:
-                reachable.add(t)
-                todo.append(t)
-    for node_id in sorted(reachable):
-        for p in sorted(_plays_at(g, node_id)):
-            if _depth_at(g, node_id, p) == math.inf:
-                return BoundednessVerdict(False, node_id, p)
-    return BoundednessVerdict(True)
+    reachable = [g.root]  # grows while it is read
+    preds: dict[int, list[int]] = {}  # one entry per branch into the node
+    for i in reachable:
+        for _, t in g.nodes[i].branches:
+            if t not in preds:
+                preds[t] = []
+                if t != g.root:
+                    reachable.append(t)
+            preds[t].append(i)
+    meets: dict[str, list[int]] = {}
+    for i in reachable:
+        node = g.nodes[i]
+        if node.kind == COMM:
+            meets.setdefault(node.sender, []).append(i)
+            meets.setdefault(node.receiver, []).append(i)
+    witnesses = []  # (least witness node, p) per participant p that has one
+    for p in meets:
+        plays = set(meets[p])
+        todo = list(plays)
+        while todo:
+            for i in preds.get(todo.pop(), ()):
+                if i not in plays:
+                    plays.add(i)
+                    todo.append(i)
+        settled = set(meets[p])
+        waiting = {i: len(g.nodes[i].branches) for i in plays}
+        todo = list(settled)
+        while todo:
+            for i in preds.get(todo.pop(), ()):
+                if i not in settled:
+                    waiting[i] -= 1
+                    if waiting[i] == 0:
+                        settled.add(i)
+                        todo.append(i)
+        unsettled = plays - settled
+        if unsettled:
+            witnesses.append((min(unsettled), p))
+    if not witnesses:
+        return BoundednessVerdict(True)
+    return BoundednessVerdict(False, *min(witnesses))
 
 
 def top_partner(s: Session, p: str) -> str | None:
@@ -177,17 +218,11 @@ class LivenessVerdict:
 
 def _states_reaching_label_of(graph: StateGraph, p: str) -> set[int]:
     """States from which some path contains a communication involving p."""
-    preds: dict[int, list[int]] = {}
-    seeds = set()
-    for i, lab, j in graph.edges:
-        preds.setdefault(j, []).append(i)
-        if p in lab.plays:
-            seeds.add(i)
+    seeds = {i for i, lab, _ in graph.edges if lab.sender == p or lab.receiver == p}
     reach = set(seeds)
     todo = list(seeds)
     while todo:
-        j = todo.pop()
-        for i in preds.get(j, ()):
+        for i in graph.predecessors(todo.pop()):
             if i not in reach:
                 reach.add(i)
                 todo.append(i)

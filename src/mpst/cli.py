@@ -11,11 +11,12 @@ Exit codes: 0 when the property holds / a derivation or solution was found,
 1 when it fails / nothing was found, 2 on usage or parse errors or an
 unreadable input file, 3 when an exploration hit its state or edge budget or
 the input is nested deeper than the interpreter's recursion limit allows (no
-answer is given then), and 141 from ``main`` when the reader of stdout went
-away (128 + SIGPIPE, as ``cat`` gives; nothing more is printed).  The
-state budget also bounds ``meta``'s walks over typed triples, which never
-close on tests/golden/two_loops.mpst.  JSON output is byte-stable for fixed
-inputs, seeds and budgets.
+answer is given then) or, from ``main``, when stdout cannot take the report
+(``error: cannot write output: ...``, as on a full disk), and 141 from
+``main`` when the reader of stdout went away (128 + SIGPIPE, as ``cat``
+gives; nothing more is printed).  The state budget also bounds ``meta``'s
+walks over typed triples, which never close on tests/golden/two_loops.mpst.
+JSON output is byte-stable for fixed inputs, seeds and budgets.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .terms import GlobalGraph, Session, TermError, check_ident
 from .typecheck import Derivation, typecheck
 
 USAGE_ERROR = 2
-BUDGET_EXCEEDED = 3
+BUDGET_EXCEEDED = 3  # every exit that gives no answer, not only a budget
 BROKEN_PIPE = 141
 
 # Budget options by their MPST_BUDGET key: the flag is --max-<key>.  A size of
@@ -83,7 +84,7 @@ def _resolve_budgets(ns: argparse.Namespace) -> None:
 
 def _load(ns: argparse.Namespace) -> SpecFile:
     try:
-        with open(ns.file, encoding="utf-8") as handle:
+        with open(ns.file, encoding="utf-8-sig") as handle:
             return parse(handle.read())
     except FileNotFoundError:
         raise CliError(f"no such file: {ns.file}")
@@ -398,6 +399,12 @@ def main() -> None:
         # devnull so the flush at exit cannot fail again, and exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = BROKEN_PIPE
+    except OSError as exc:
+        # stdout could not take the report (a full disk, ``> /dev/full``):
+        # no answer was given, so exit 1 ("fails") would be a false verdict.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        code = BUDGET_EXCEEDED
     sys.exit(code)
 
 

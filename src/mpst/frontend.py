@@ -395,9 +395,13 @@ def _render(
 
 
 def format_process(g: ProcessGraph, name: str = "P") -> str:
-    """Equation text for a process graph, e.g. ``P = q!{ add . P, pay }``."""
+    """Equation text for a process graph, e.g. ``P = q!{ add . P, pay }``.
+
+    Rendered once per (graph, name) and kept on the canonical graph, so the
+    states of a state graph that share a process share its text.
+    """
     g = terms.minimize(g)
-    return _render(
+    return g.cached(("text", name), lambda: _render(
         lambda i: g.nodes[i].branches,
         lambda i, body: f"{g.nodes[i].partner}{g.nodes[i].kind}{body}",
         lambda i: g.nodes[i].kind == END,
@@ -405,7 +409,7 @@ def format_process(g: ProcessGraph, name: str = "P") -> str:
         g.root,
         len(g.nodes),
         name,
-    )
+    ))
 
 
 def format_global(g: GlobalGraph, name: str = "G") -> str:

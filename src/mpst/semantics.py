@@ -20,7 +20,10 @@ from .terms import (
     GlobalGraph,
     IN,
     OUT,
+    PNode,
+    ProcessGraph,
     Session,
+    _derived_session,
     minimize_global,
     normalize_session,
 )
@@ -71,6 +74,21 @@ class ExploreConfig:
     max_edges: int = 4_000_000
 
 
+def _comm_enabled(p: str, node: PNode, qnode: PNode) -> bool:
+    """The Comm side condition on p's root node and its partner's.
+
+    p sends, its partner receives from p, and every label p may send is one
+    the partner accepts.  The partner is found by name, so the caller passes
+    the root node of the process bound to ``node.partner``.
+    """
+    return (
+        node.kind == OUT
+        and qnode.kind == IN
+        and qnode.partner == p
+        and set(node.labels()) <= set(qnode.labels())
+    )
+
+
 def ready_pairs(m: Session) -> Iterator[tuple[str, str, tuple[str, ...]]]:
     """(p, q, labels) for every p sending labels to q that q can all receive.
 
@@ -80,13 +98,9 @@ def ready_pairs(m: Session) -> Iterator[tuple[str, str, tuple[str, ...]]]:
         node = gp.root_node
         if node.kind != OUT:
             continue
-        q = node.partner
-        gq = m.get(q)
-        if gq is None:
-            continue
-        qnode = gq.root_node
-        if qnode.kind == IN and qnode.partner == p and set(node.labels()) <= set(qnode.labels()):
-            yield p, q, node.labels()
+        gq = m.get(node.partner)
+        if gq is not None and _comm_enabled(p, node, gq.root_node):
+            yield p, node.partner, node.labels()
 
 
 def communicate(m: Session, p: str, q: str, label: str) -> Session:
@@ -127,8 +141,19 @@ class StateGraph:
             index[i].append((lab, j))
         return index
 
+    @cached_property
+    def _predecessor_index(self) -> list[tuple[int, ...]]:
+        index: list[list[int]] = [[] for _ in self.states]
+        for i, _, j in self.edges:
+            index[j].append(i)
+        return [tuple(sources) for sources in index]
+
     def successors(self, state: int) -> list[tuple[CommLabel, int]]:
         return list(self._successor_index[state])
+
+    def predecessors(self, state: int) -> tuple[int, ...]:
+        """The sources of the edges into state, one per edge, in edge order."""
+        return self._predecessor_index[state]
 
     def terminal_states(self) -> list[int]:
         sources = {i for i, _, _ in self.edges}
@@ -201,9 +226,82 @@ def closure(start, successors, config: ExploreConfig = ExploreConfig()) -> tuple
 
 
 def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
-    """The closure of session_transitions from a canonical start."""
-    states, edges = closure(normalize_session(s), session_transitions, config)
-    return StateGraph(tuple(states), tuple(edges), 0)
+    """The closure of session_transitions from a canonical start.
+
+    The walk runs on state vectors, not sessions.  Each distinct process
+    graph met gets a small id, and a state is the tuple of the ids of the
+    start session's participants, in its order, with -1 for a terminated
+    one.  Three tables, all local to the call, make the work per distinct
+    term instead of per transition:
+
+    * ``step`` maps (graph id, label) to the id of the graph after that
+      label, so ``ProcessGraph.step`` runs once per distinct pair;
+    * ``ready`` maps (sender index, sender graph id, receiver graph id) to
+      the labels the Comm rule can fire on, () when it cannot; the sender
+      is part of the key because the receiver accepts one sender by name;
+    * ``labels`` holds one CommLabel per (sender index, label, receiver
+      index).
+
+    closure gives the same state numbering, edge order and budget point as
+    on sessions, and one normal Session is built per state at the end.
+    """
+    start = normalize_session(s)
+    names = [p for p, _ in start.bindings]
+    index = {p: k for k, p in enumerate(names)}
+    graphs: list[ProcessGraph] = []
+    ids: dict[ProcessGraph, int] = {}
+
+    def intern(g: ProcessGraph) -> int:
+        if g.is_end:
+            return -1
+        gid = ids.get(g)
+        if gid is None:
+            gid = ids[g] = len(graphs)
+            graphs.append(g)
+        return gid
+
+    step: dict[tuple[int, str], int] = {}
+    ready: dict[tuple[int, int, int], tuple[str, ...]] = {}
+    labels: dict[tuple[int, str, int], CommLabel] = {}
+
+    def stepped(gid: int, h: str) -> int:
+        nxt = step.get((gid, h))
+        if nxt is None:
+            nxt = step[gid, h] = intern(graphs[gid].step(h))
+        return nxt
+
+    def successors(state: tuple[int, ...]) -> list[tuple[CommLabel, tuple[int, ...]]]:
+        out = []
+        for i, gp in enumerate(state):
+            if gp < 0:
+                continue
+            node = graphs[gp].root_node
+            if node.kind != OUT:
+                continue
+            j = index.get(node.partner)
+            if j is None or state[j] < 0:
+                continue
+            gq = state[j]
+            hs = ready.get((i, gp, gq))
+            if hs is None:
+                enabled = _comm_enabled(names[i], node, graphs[gq].root_node)
+                hs = ready[i, gp, gq] = node.labels() if enabled else ()
+            for h in hs:
+                lab = labels.get((i, h, j))
+                if lab is None:
+                    lab = labels[i, h, j] = CommLabel(names[i], h, names[j])
+                succ = list(state)
+                succ[i] = stepped(gp, h)
+                succ[j] = stepped(gq, h)
+                out.append((lab, tuple(succ)))
+        return out
+
+    vectors, edges = closure(tuple(intern(g) for _, g in start.bindings), successors, config)
+    states = tuple(
+        _derived_session(tuple((names[k], graphs[gid]) for k, gid in enumerate(v) if gid >= 0), True)
+        for v in vectors
+    )
+    return StateGraph(states, tuple(edges), 0)
 
 
 # ---------------------------------------------------------------------------

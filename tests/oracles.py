@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's own algorithms: trees instead of
 minimized graphs, per-state forward search instead of one backward closure.
+Two keep the library's earlier, direct algorithms instead: exploration over
+sessions (explore_oracle) and boundedness as one depth search per node and
+participant (bounded_oracle).
 """
 
 from __future__ import annotations
 
-from mpst.semantics import StateGraph
-from mpst.terms import END, GlobalGraph, ProcessGraph, participants
+import math
+
+from mpst.semantics import ExploreConfig, StateGraph, closure, session_transitions
+from mpst.terms import END, GlobalGraph, ProcessGraph, normalize_session, participants
 
 
 def unfold_process(g: ProcessGraph, depth: int, node: int | None = None):
@@ -68,6 +73,33 @@ def global_step_oracle(
     return ("...",) if depth == 0 else (n.sender, n.receiver, tuple(branches))
 
 
+def explore_oracle(s, config: ExploreConfig = ExploreConfig()) -> StateGraph:
+    """The closure of session_transitions over sessions: every transition
+    builds its successor session and normalizes it."""
+    states, edges = closure(normalize_session(s), session_transitions, config)
+    return StateGraph(tuple(states), tuple(edges), 0)
+
+
+def bounded_oracle(g: GlobalGraph):
+    """Boundedness by one depth search per reachable node and participant,
+    in node order, then participant order; the first infinite depth is the
+    witness."""
+    from mpst.analysis import BoundednessVerdict, _depth_at, _plays_at
+
+    reachable = {g.root}
+    todo = [g.root]
+    while todo:
+        for _, t in g.nodes[todo.pop()].branches:
+            if t not in reachable:
+                reachable.add(t)
+                todo.append(t)
+    for node_id in sorted(reachable):
+        for p in sorted(_plays_at(g, node_id)):
+            if _depth_at(g, node_id, p) == math.inf:
+                return BoundednessVerdict(False, node_id, p)
+    return BoundednessVerdict(True)
+
+
 def lock_free_oracle(graph: StateGraph, ignored: frozenset[str]) -> bool:
     """Forward search per state and participant for a reachable involvement."""
     outgoing: dict[int, list] = {}
@@ -108,8 +140,6 @@ def depth_oracle(g: GlobalGraph, p: str) -> int | float:
     infinity; otherwise every path meets p within the bound and the supremum
     of first-hit indices is taken directly.
     """
-    import math
-
     from mpst.analysis import plays_global
 
     if p not in plays_global(g):

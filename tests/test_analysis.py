@@ -13,11 +13,12 @@ from mpst.analysis import (
     top_partner,
 )
 from mpst.frontend import parse
-from mpst.random_sessions import random_session
+from mpst.random_sessions import random_global, random_session
 from mpst.semantics import explore
-from mpst.terms import normalize_session, participants, session_of
+from mpst.terms import COMM, END, GNode, GlobalGraph, normalize_session, participants, session_of
 
-from .oracles import deadlock_free_oracle, lock_free_oracle
+from .conftest import GOLDEN, load_golden
+from .oracles import bounded_oracle, deadlock_free_oracle, lock_free_oracle
 
 
 def glob(text: str):
@@ -89,8 +90,6 @@ class TestBounded:
         assert verdict.witness_participant in {"r", "s"}
 
     def test_unreachable_nodes_do_not_count(self):
-        from mpst.terms import COMM, END, GNode, GlobalGraph
-
         # nodes 2 and 3 form an unbounded region (the b-loop at node 2 avoids
         # r forever) but hang off nothing reachable
         nodes = (
@@ -117,6 +116,42 @@ class TestBounded:
                 for p in plays_global(g.at(i))
             )
             assert verdict.holds == finite_everywhere
+
+
+class TestBoundedAgainstTheOracle:
+    """The one-pass verdict, witness included, against one depth search per
+    node and participant."""
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_random_globals_and_every_subterm(self, chunk):
+        holds = []
+        for seed in range(250 * chunk, 250 * (chunk + 1)):
+            g = random_global(random.Random(seed), max_nodes=12 if seed % 5 == 0 else 5)
+            for h in [g] + [g.at(i) for i in range(len(g.nodes))]:
+                assert bounded(h) == bounded_oracle(h), (seed, h)
+                holds.append(bounded(h).holds)
+        assert True in holds and False in holds
+
+    def test_goldens_and_every_subterm(self):
+        graphs = [
+            g for path in sorted(GOLDEN.glob("*.mpst")) for g in load_golden(path.name).globals.values()
+        ]
+        # two of three branches share a target: a node is settled per branch
+        graphs.append(glob("global G = p->q:{ a . r->s:x, b . r->s:x, c . end }"))
+        # a graph that is not canonical: nodes 2 and 3 are unreachable
+        graphs.append(GlobalGraph(
+            (
+                GNode(COMM, "p", "q", (("l", 1),)),
+                GNode(END, None, None, ()),
+                GNode(COMM, "p", "q", (("a", 3), ("b", 2))),
+                GNode(COMM, "r", "s", (("l", 1),)),
+            ),
+            0,
+        ))
+        for g in graphs:
+            for h in [g] + [g.at(i) for i in range(len(g.nodes))]:
+                assert bounded(h) == bounded_oracle(h)
+        assert not bounded(load_golden("unbounded.mpst").globals["GB"]).holds
 
 
 class TestTopPartner:

@@ -300,6 +300,38 @@ def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, make):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    path = tmp_path / "bom.mpst"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(SOCIAL).read_bytes())
+    argv = ["check", "--global", "G", "--session", "M", "--ignored", "u"]
+    assert run(argv + [SOCIAL]) == 0
+    plain = capsys.readouterr()
+    assert run(argv + [str(path)]) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--global", "G", "--session", "M", "--ignored", "u", SOCIAL],
+        ["analyze", "--session", "M", "--stategraph", "--format", "json", SOCIAL],
+    ],
+    ids=["check", "stategraph"],
+)
+def test_a_full_stdout_gives_no_answer(argv):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from mpst.cli import main; main()", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    err = proc.stderr
+    assert proc.returncode == cli.BUDGET_EXCEEDED == 3
+    assert err.startswith(b"error: cannot write output: ") and err.count(b"\n") == 1
+
+
 def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
     path = tmp_path / "pairs.mpst"
     pairs = range(7)  # 128 states: the JSON state graph is far larger than a pipe's buffer

@@ -22,7 +22,8 @@ from mpst.terms import (
     session_of,
 )
 
-from .oracles import global_step_oracle, unfold_global
+from .conftest import GOLDEN, load_golden
+from .oracles import explore_oracle, global_step_oracle, unfold_global
 
 
 def sess(text: str):
@@ -178,6 +179,75 @@ class TestExplore:
         assert [str(lab) for lab in trace.labels] == ["b pay s", "s ship c"]
         with pytest.raises(ValueError):
             graph.path_to(99)
+
+
+def _explore_outcome(explorer, m, config):
+    try:
+        return explorer(m, config)
+    except StateLimitExceeded as exc:
+        return str(exc)
+
+
+def _assert_explore_matches_the_oracle(m):
+    """Same states, edges and initial state as the closure over sessions,
+    under the default budget and under every state budget and edge budget
+    up to the one the full graph needs; the same limit error below it."""
+    want = explore_oracle(m)
+    assert explore(m) == want
+    configs = [ExploreConfig(max_states=n) for n in range(1, len(want.states) + 1)]
+    configs += [ExploreConfig(max_edges=n) for n in range(1, len(want.edges) + 1)]
+    for config in configs:
+        assert _explore_outcome(explore, m, config) == _explore_outcome(explore_oracle, m, config)
+
+
+class TestExploreAgainstTheOracle:
+    @pytest.mark.parametrize("accepted, refused", [("p", "q"), ("q", "p")])
+    def test_one_graph_bound_to_two_senders_of_one_receiver(self, accepted, refused):
+        # p and q are bound to one graph, r!a . 0; r receives from one of them
+        # only, so whether a pair is ready depends on the sender, not only on
+        # the two graphs.
+        m = sess(f"session M = p: r!a | q: r!a | r: {accepted}?a . {refused}?b")
+        graph = explore(m)
+        assert m.get("p") == m.get("q")
+        assert [str(lab) for lab, _ in graph.successors(0)] == [f"{accepted} a r"]
+        _assert_explore_matches_the_oracle(m)
+
+    def test_one_graph_bound_to_two_senders_on_a_loop(self):
+        m = sess(
+            "process S = r!a . S\n"
+            "process R = p?a . R\n"
+            "session M = p: S | q: S | r: R"
+        )
+        graph = explore(m)
+        assert [str(lab) for _, lab, _ in graph.edges] == ["p a r"]
+        _assert_explore_matches_the_oracle(m)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.mpst")), ids=lambda path: path.stem)
+    def test_goldens(self, path):
+        sessions = load_golden(path.name).sessions.values()
+        for m in sessions:
+            _assert_explore_matches_the_oracle(m)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("loop", [" . P{i}", ""], ids=["cyclic", "finite"])
+    def test_ping_pong_pairs(self, k, loop):
+        text = "".join(
+            f"process P{i} = q{i}!a . q{i}?b{loop.format(i=i)}\n"
+            f"process Q{i} = p{i}?a . p{i}!b{loop.format(i=i).replace('P', 'Q')}\n"
+            for i in range(k)
+        )
+        m = sess(text + "session M = " + " | ".join(f"p{i}: P{i} | q{i}: Q{i}" for i in range(k)))
+        assert len(explore(m).states) == (2 if loop else 3) ** k
+        _assert_explore_matches_the_oracle(m)
+
+    @pytest.mark.parametrize("seed", range(0, 200, 20))
+    def test_random_sessions(self, seed):
+        sizes = []
+        for s in range(seed, seed + 20):
+            m = random_session(random.Random(s), 4, 5)
+            _assert_explore_matches_the_oracle(m)
+            sizes.append(len(explore(m).states))
+        assert max(sizes) > 2
 
 
 class TestGlobalTransitions:

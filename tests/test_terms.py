@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mpst import terms
+from mpst import frontend, terms
 from mpst.frontend import parse
 from mpst.inference import PatComm, PatEnd, PatVar, TypeVar, solve_type_equations
 from mpst.random_sessions import random_global, random_process, random_session
@@ -369,6 +369,37 @@ class TestCanonicalByConstruction:
         graph = explore(m)
         assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
         assert len(calls) <= 100  # 16,142 when every step re-minimized
+
+    def test_explore_works_once_per_distinct_process_graph(self, monkeypatch):
+        m = normalize_session(parse(_pairs_text(7)).sessions["M"])
+        steps, sessions, renders = [], [], []
+        step, make, render = ProcessGraph.step, terms._make, frontend._render
+
+        def counting_step(g, label):
+            steps.append((g, label))
+            return step(g, label)
+
+        def counting_make(cls, *args, **memo):
+            if cls is Session:
+                sessions.append(args)
+            return make(cls, *args, **memo)
+
+        def counting_render(*args):
+            renders.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(ProcessGraph, "step", counting_step)
+        monkeypatch.setattr(terms, "_make", counting_make)
+        monkeypatch.setattr(frontend, "_render", counting_render)
+        graph = explore(m)
+        assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
+        # 14 participants with 2 process graphs each and one label per graph;
+        # 1,792 steps and 1,792 sessions when every transition built its successor
+        assert len(steps) == len(set(steps)) == 28
+        assert len(sessions) == len(graph.states)
+        # 128 states share 28 (process, local name) pairs, each rendered once
+        graph.to_json_dict()
+        assert len(renders) == 28
 
     @pytest.mark.parametrize("seed", range(10))
     def test_subgraphs_of_canonical_graphs_are_only_renumbered(self, monkeypatch, seed):
