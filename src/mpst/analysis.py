@@ -16,6 +16,7 @@ eventually takes it.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .semantics import ExploreConfig, StateGraph, Trace, explore
@@ -216,9 +217,8 @@ class LivenessVerdict:
         return out
 
 
-def _states_reaching_label_of(graph: StateGraph, p: str) -> set[int]:
-    """States from which some path contains a communication involving p."""
-    seeds = {i for i, lab, _ in graph.edges if lab.sender == p or lab.receiver == p}
+def _states_reaching(graph: StateGraph, seeds: set[int]) -> set[int]:
+    """The seeds and the states with a path into them."""
     reach = set(seeds)
     todo = list(seeds)
     while todo:
@@ -243,12 +243,16 @@ def excluded_lock_free(
     ignored = frozenset(ignored)
     if graph is None:
         graph = explore(s, config)
-    live_cache: dict[str, set[int]] = {}
+    involving: defaultdict[str, set[int]] = defaultdict(set)  # p -> sources of edges involving p
+    for i, lab, _ in graph.edges:
+        involving[lab.sender].add(i)
+        involving[lab.receiver].add(i)
+    live: dict[str, set[int]] = {}  # p -> states some path from which involves p
     for i, state in enumerate(graph.states):
         for p in sorted(participants(state) - ignored):
-            if p not in live_cache:
-                live_cache[p] = _states_reaching_label_of(graph, p)
-            if i not in live_cache[p]:
+            if p not in live:
+                live[p] = _states_reaching(graph, involving[p])
+            if i not in live[p]:
                 return LivenessVerdict(
                     "lock-freedom",
                     ignored,

@@ -20,43 +20,28 @@ eventually.  Solving a resulting system yields the unique regular tree for
 each type variable; p-set systems are solved to their least fixpoint above
 condition-derived lower bounds and then verified exactly.
 
-An ``infer`` call keeps one successor table, shared by every size cap: for
-each session the search meets, its ready pairs with their residual plays
-and Comm successors, and its Weak splits with their normal remainders, the
-splits filled in on demand up to what the per-goal width lets the search
-take.  At budget 1 every Comm or Weak premise would get budget 0 and derive
-nothing, so the search only marks the cap as pruned when such a premise
-exists, which is all entering it would do.  ``enumerate_solutions`` interns
-the graphs it solves, so the analyses memoized on a graph (boundedness,
-plays) run once per distinct graph of one enumeration.  Every table dies
-with the call that made it.
+An ``infer`` call walks one SessionSpace, shared by every size cap: goals
+hold its state ids, so the Cycle test compares ints, and sessions are built
+only for the goals of emitted outcomes.  At budget 1 every Comm or Weak
+premise would get budget 0 and derive nothing, so the search only marks the
+cap as pruned when such a premise exists, which is all entering it would do.
+Each outcome is solved on its own equation graph: one refinement gives the
+root's canonical graph, every variable the root reaches is a subgraph kept
+on it, and boundedness runs once on it.  ``enumerate_solutions`` interns the
+root graphs it solves, so what is memoized on one is computed once per
+distinct graph of an enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .analysis import bounded, plays_global
-from .semantics import ExploreConfig, communicate, explore, ready_pairs
-from .terms import (
-    GlobalComm,
-    GlobalEnd,
-    GlobalExpr,
-    GlobalGraph,
-    GlobalRef,
-    Session,
-    UndefinedName,
-    UnguardedRecursion,
-    build_global_graphs,
-    normalize_session,
-    participants,
-)
-from .typecheck import Derivation, subsets, typecheck
-
-log = logging.getLogger(__name__)
+from .semantics import ExploreConfig, SessionSpace, closure
+from .terms import COMM, END, GlobalGraph, GNode, Session, minimize_global
+from .typecheck import Derivation, typecheck
 
 
 class UnguardedEquations(Exception):
@@ -79,6 +64,9 @@ class NoSolutionWithinBudget(Exception):
 class TypeVar:
     id: int
 
+    def __hash__(self) -> int:
+        return hash(self.id)
+
     def __str__(self) -> str:
         return f"T{self.id}"
 
@@ -86,6 +74,9 @@ class TypeVar:
 @dataclass(frozen=True, order=True)
 class PSetVar:
     id: int
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     def __str__(self) -> str:
         return f"t{self.id}"
@@ -157,8 +148,9 @@ class SearchBudget:
     explore: ExploreConfig = field(default_factory=ExploreConfig)
 
 
-def default_max_size(s: Session, config: ExploreConfig = ExploreConfig()) -> int:
-    return 4 * len(explore(s, config).states)
+def default_max_size(space: SessionSpace, config: ExploreConfig = ExploreConfig()) -> int:
+    """Four times the number of states Comm reaches from the space's start."""
+    return 4 * len(closure(space.start, space.transitions, config)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,43 +171,14 @@ class _Piece:
 _WIDTH = 256  # alternatives considered per goal
 
 
-class _Successors:
-    """What the search needs of one normal session, computed once per call.
-
-    ``pairs`` holds every ready pair with its residual plays and its Comm
-    successors, one per label.  The Weak splits are filled in on demand,
-    smallest first, since the search consumes at most ``_WIDTH`` of the
-    2^n - 1 nonempty ones.
-    """
-
-    __slots__ = ("session", "plays", "pairs", "splits", "_more")
-
-    def __init__(self, m: Session):
-        self.session = m
-        self.plays = participants(m)
-        self.pairs = tuple(
-            (p, q, self.plays - {p, q}, tuple((lab, communicate(m, p, q, lab)) for lab in labels))
-            for p, q, labels in ready_pairs(m)
-        )
-        self.splits: list[tuple[frozenset[str], Session]] = []
-        self._more = itertools.islice(subsets(self.plays), 1, None)
-
-    def split(self, i: int) -> tuple[frozenset[str], Session]:
-        """The i-th nonempty split and the normal session it leaves."""
-        while len(self.splits) <= i:
-            split = next(self._more)
-            self.splits.append((split, normalize_session(self.session.without(split))))
-        return self.splits[i]
-
-
 class _Search:
-    """One infer call's search: the fresh-variable supply, the successor
-    table shared by every size cap, and whether the current cap cut a
-    premise short."""
+    """One infer call's search: the fresh-variable supply, the session space
+    shared by every size cap, and whether the current cap cut a premise
+    short.  Goals hold state ids of the space."""
 
-    def __init__(self):
+    def __init__(self, space: SessionSpace):
         self.supply = itertools.count()
-        self.table: dict[Session, _Successors] = {}
+        self.space = space
         self.pruned = False
 
     def fresh_tv(self) -> TypeVar:
@@ -226,7 +189,7 @@ class _Search:
 
     def derive(
         self,
-        m: Session,
+        m: int,
         tv: TypeVar,
         pv: PSetVar,
         goals: tuple,
@@ -235,8 +198,9 @@ class _Search:
     ) -> Iterator[_Piece]:
         here = ((m, pv, tv),)
         width_left = _WIDTH
+        plays = self.space.plays(m)
 
-        if m.is_null:
+        if not plays:
             yield _Piece(
                 ((tv, PatEnd()),), ((pv, PSetPattern()),), (), here, 1, 0
             )
@@ -257,23 +221,23 @@ class _Search:
                     0,
                 )
 
-        node = self.table.get(m)
-        if node is None:
-            node = self.table[m] = _Successors(m)
+        pairs = self.space.comms(m)
         if budget == 1:
             # Every Comm or Weak premise would get budget 0 and derive
             # nothing; all that entering one does is mark the cap pruned.
-            if node.pairs or (allow_weak and node.plays):
+            if pairs or (allow_weak and plays):
                 self.pruned = True
             return
 
         goals2 = goals + ((m, pv, tv),)
-        for p, q, residual_plays, succ in node.pairs:
+        for succ in pairs:
             if width_left <= 0:
                 self.pruned = True
                 return
             width_left -= 1
-            branch_goals = [(lab, mi, self.fresh_tv(), self.fresh_pv()) for lab, mi in succ]
+            p, q = succ[0][0].sender, succ[0][0].receiver
+            residual_plays = plays - {p, q}
+            branch_goals = [(lab.message, mi, self.fresh_tv(), self.fresh_pv()) for lab, mi in succ]
             eq = (
                 tv,
                 PatComm(p, q, tuple((lab, PatVar(yv)) for lab, _, yv, _ in branch_goals)),
@@ -294,12 +258,12 @@ class _Search:
                 )
 
         if allow_weak:
-            for i in range((1 << len(node.plays)) - 1):
+            for i in range((1 << len(plays)) - 1):
                 if width_left <= 0:
                     self.pruned = True
                     return
                 width_left -= 1
-                split, m1 = node.split(i)
+                split, m1 = self.space.split(m, i)
                 yv, pw = self.fresh_tv(), self.fresh_pv()
                 eq = (tv, PatVar(yv))
                 peq = (pv, PSetPattern(split, (pw,)))
@@ -335,27 +299,24 @@ class _Search:
                 )
 
 
-def _relabel(piece: _Piece, tv0: TypeVar, pv0: PSetVar, counter: Iterator[int]) -> InferenceOutcome:
-    """Renumber variables so every emitted outcome binds fresh, canonical ids."""
-    tmap: dict[TypeVar, TypeVar] = {}
-    pmap: dict[PSetVar, PSetVar] = {}
+def _relabel(
+    piece: _Piece, tv0: TypeVar, pv0: PSetVar, counter: Iterator[int], space: SessionSpace
+) -> InferenceOutcome:
+    """Renumber variables so every emitted outcome binds fresh, canonical ids,
+    and give each goal its session."""
+    renamed: dict = {}  # old variable -> new one of the same kind
 
-    def see_tv(v: TypeVar) -> TypeVar:
-        if v not in tmap:
-            tmap[v] = TypeVar(next(counter))
-        return tmap[v]
+    def see(v):
+        if v not in renamed:
+            renamed[v] = type(v)(next(counter))
+        return renamed[v]
 
-    def see_pv(v: PSetVar) -> PSetVar:
-        if v not in pmap:
-            pmap[v] = PSetVar(next(counter))
-        return pmap[v]
-
-    see_tv(tv0)
-    see_pv(pv0)
+    see(tv0)
+    see(pv0)
 
     def map_pat(pat: TypePattern) -> TypePattern:
         if isinstance(pat, PatVar):
-            return PatVar(see_tv(pat.var))
+            return PatVar(see(pat.var))
         if isinstance(pat, PatComm):
             return PatComm(
                 pat.sender,
@@ -364,20 +325,11 @@ def _relabel(piece: _Piece, tv0: TypeVar, pv0: PSetVar, counter: Iterator[int]) 
             )
         return pat
 
-    eqs = {}
-    for v, pat in piece.eqs:
-        eqs[see_tv(v)] = map_pat(pat)
-    peqs = {}
-    for v, pat in piece.peqs:
-        peqs[see_pv(v)] = PSetPattern(pat.literals, tuple(see_pv(w) for w in pat.vars))
-    conds = tuple(
-        PCondition(see_tv(c.typevar), see_pv(c.psetvar), c.p, c.q, c.target)
-        for c in piece.conds
-    )
-    goals = tuple((m, see_pv(pw), see_tv(yv)) for m, pw, yv in piece.goals)
-    return InferenceOutcome(
-        eqs, peqs, conds, tmap[tv0], pmap[pv0], goals, piece.size, piece.weaks
-    )
+    eqs = {see(v): map_pat(pat) for v, pat in piece.eqs}
+    peqs = {see(v): PSetPattern(pat.literals, tuple(map(see, pat.vars))) for v, pat in piece.peqs}
+    conds = tuple(PCondition(see(c.typevar), see(c.psetvar), c.p, c.q, c.target) for c in piece.conds)
+    goals = tuple((space.session(m), see(pw), see(yv)) for m, pw, yv in piece.goals)
+    return InferenceOutcome(eqs, peqs, conds, renamed[tv0], renamed[pv0], goals, piece.size, piece.weaks)
 
 
 def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[InferenceOutcome]:
@@ -386,21 +338,21 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
     Deterministic for a fixed budget; raises BudgetExhausted only when the
     size cap pruned the tree before anything at all could be emitted.
     """
-    m0 = normalize_session(s)
+    space = SessionSpace(s)
     max_size = budget.max_size
     if max_size is None:
-        max_size = default_max_size(m0, budget.explore)
-    search = _Search()
+        max_size = default_max_size(space, budget.explore)
+    search = _Search(space)
     emit_counter = itertools.count()
     emitted = 0
     pruned_any = max_size < 1
     for cap in range(1, max_size + 1):
         search.pruned = False
         tv0, pv0 = search.fresh_tv(), search.fresh_pv()
-        for piece in search.derive(m0, tv0, pv0, (), cap, True):
+        for piece in search.derive(space.start, tv0, pv0, (), cap, True):
             if piece.size != cap:
                 continue
-            yield _relabel(piece, tv0, pv0, emit_counter)
+            yield _relabel(piece, tv0, pv0, emit_counter, space)
             emitted += 1
             if emitted >= budget.max_outcomes:
                 return
@@ -417,26 +369,72 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
 # ---------------------------------------------------------------------------
 
 
-def _as_global(pat: TypePattern) -> GlobalExpr:
-    """The pattern as a global-type expression, its variables named by str."""
-    if isinstance(pat, PatEnd):
-        return GlobalEnd()
-    if isinstance(pat, PatVar):
-        return GlobalRef(str(pat.var))
-    branches = tuple((lab, _as_global(sub)) for lab, sub in pat.branches)
-    return GlobalComm(pat.sender, pat.receiver, branches)
+def _solve(
+    eqs: Mapping[TypeVar, TypePattern],
+    root: TypeVar,
+    interned: dict[GlobalGraph, GlobalGraph] | None = None,
+) -> tuple[list[GlobalGraph], dict[TypeVar, GlobalGraph]]:
+    """The graphs whose subterms are all the solutions, and every variable's.
+
+    One refinement of the system's graph (End at node 0, one node per
+    PatComm, an alias at the end of its chain) gives root's canonical graph,
+    replaced by its instance in ``interned``; a variable it reaches is solved
+    as ``at`` of it, kept on it, and any other on a graph of its own."""
+    heads: list = [None]  # the PatComm behind each node, placed in order
+
+    def place(pat: TypePattern) -> int | TypeVar:
+        if isinstance(pat, PatComm):
+            heads.append(pat)
+            return len(heads) - 1
+        return 0 if isinstance(pat, PatEnd) else pat.var
+
+    first = {v: place(pat) for v, pat in eqs.items()}
+
+    def resolve(ref: int | TypeVar) -> int:
+        trail = set()
+        while not isinstance(ref, int):
+            if ref not in first:
+                raise FreeVariable(f"type variable {ref} has no equation")
+            if ref in trail:
+                raise UnguardedEquations(f"type variable {ref} is bound to itself without any communication")
+            trail.add(ref)
+            ref = first[ref]
+        return ref
+
+    at = {v: resolve(ref) for v, ref in first.items()}
+    nodes = [GNode(END, None, None, ())]
+    while len(nodes) < len(heads):  # heads grows while nested patterns are placed
+        pat = heads[len(nodes)]
+        branches = tuple(sorted((lab, resolve(place(sub))) for lab, sub in pat.branches))
+        nodes.append(GNode(COMM, pat.sender, pat.receiver, branches))
+    g = GlobalGraph(tuple(nodes), resolve(root))
+    canon = minimize_global(g)
+    if interned is not None:
+        canon = interned.setdefault(canon, canon)
+    # A walk of g beside its canonical form finds the block of each node.
+    block = {g.root: canon.root}
+    todo = [g.root]
+    while todo:
+        i = todo.pop()
+        targets = dict(canon.nodes[block[i]].branches)
+        for lab, t in g.nodes[i].branches:
+            if t not in block:
+                block[t] = targets[lab]
+                todo.append(t)
+    roots = [canon]
+    types = {}
+    for v, k in at.items():
+        if k in block:
+            types[v] = canon.at(block[k])
+        else:
+            types[v] = minimize_global(GlobalGraph(g.nodes, k))
+            roots.append(types[v])
+    return roots, types
 
 
 def solve_type_equations(eqs: Mapping[TypeVar, TypePattern]) -> dict[TypeVar, GlobalGraph]:
     """The unique regular-tree solution of a closed, guarded system."""
-    names = [str(v) for v in eqs]
-    try:
-        graphs = build_global_graphs(dict(zip(names, map(_as_global, eqs.values()))), names)
-    except UndefinedName as exc:
-        raise FreeVariable(str(exc)) from exc
-    except UnguardedRecursion as exc:
-        raise UnguardedEquations(str(exc)) from exc
-    return dict(zip(eqs, graphs))
+    return _solve(eqs, next(iter(eqs)))[1] if eqs else {}
 
 
 def _eval_pset(pat: PSetPattern, values: Mapping[PSetVar, frozenset[str]]) -> frozenset[str]:
@@ -488,34 +486,27 @@ def solutions(
     solved type cannot supply); the least p-set solution above those bounds is
     verified against the equations and conditions exactly.
 
-    ``interned`` maps each graph solved so far to its first equal instance;
-    solved graphs are replaced by it, so the analyses memoized on a graph
-    run once per distinct graph across the outcomes that share the table.
+    The system is solved on its own equation graph, and boundedness runs on
+    the root's graph, which covers every subterm, and on the graph of any
+    variable the root does not reach.
+
+    ``interned`` maps each root graph solved so far to its first equal
+    instance; the root is replaced by it, so the analyses and subgraphs
+    memoized on a graph are computed once per distinct graph across the
+    outcomes that share the table.
     """
-    tsol = solve_type_equations(outcome.type_eqs)
-    if interned is not None:
-        tsol = {v: interned.setdefault(g, g) for v, g in tsol.items()}
-    for v, g in tsol.items():
-        if not bounded(g):
-            return []
+    roots, tsol = _solve(outcome.type_eqs, outcome.root_typevar, interned)
+    if not all(bounded(g) for g in roots):
+        return []
     lb: dict[PSetVar, frozenset[str]] = {v: frozenset() for v in outcome.pset_eqs}
     for c in outcome.conditions:
         missing = c.target - plays_global(tsol[c.typevar])
         lb[c.psetvar] = lb[c.psetvar] | missing
     psol = solve_pset_equations(outcome.pset_eqs, lb)
-    for v, pat in outcome.pset_eqs.items():
-        if psol[v] != _eval_pset(pat, psol):
-            log.debug(
-                "outcome rejected at p-set equality verification: %s != its right-hand side",
-                v,
-            )
-            return []
-    theta = Substitution(tsol, psol)
-    ok, failing = check_agreement(theta, outcome.conditions)
-    if not ok:
-        log.debug("outcome rejected at agreement verification: condition on %s", failing.typevar)
+    if any(psol[v] != _eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
         return []
-    return [theta]
+    theta = Substitution(tsol, psol)
+    return [theta] if check_agreement(theta, outcome.conditions)[0] else []
 
 
 # ---------------------------------------------------------------------------

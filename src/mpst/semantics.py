@@ -5,6 +5,10 @@ receiver hands over one message and both move to the chosen continuations;
 nobody else changes.  Global steps: a root communication fires directly, or a
 communication between two roles untouched by the root choice fires inside
 every branch at once.
+
+A SessionSpace numbers the sessions reachable from one start by Comm and
+Weak steps, so that explore and inference walk small ints and build a
+Session only for what they report.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from itertools import combinations, groupby, islice
+from typing import Iterable, Iterator
 
 from .terms import (
     COMM,
@@ -225,83 +230,130 @@ def closure(start, successors, config: ExploreConfig = ExploreConfig()) -> tuple
     return states, edges
 
 
-def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
-    """The closure of session_transitions from a canonical start.
+def subsets(pool: Iterable[str]) -> Iterator[frozenset[str]]:
+    """All subsets of pool, smallest first, then lexicographic."""
+    pool = sorted(pool)
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            yield frozenset(combo)
 
-    The walk runs on state vectors, not sessions.  Each distinct process
-    graph met gets a small id, and a state is the tuple of the ids of the
-    start session's participants, in its order, with -1 for a terminated
-    one.  Three tables, all local to the call, make the work per distinct
-    term instead of per transition:
 
-    * ``step`` maps (graph id, label) to the id of the graph after that
-      label, so ``ProcessGraph.step`` runs once per distinct pair;
-    * ``ready`` maps (sender index, sender graph id, receiver graph id) to
-      the labels the Comm rule can fire on, () when it cannot; the sender
-      is part of the key because the receiver accepts one sender by name;
-    * ``labels`` holds one CommLabel per (sender index, label, receiver
-      index).
+class SessionSpace:
+    """The sessions reachable from one start by Comm and Weak, as small ints.
 
-    closure gives the same state numbering, edge order and budget point as
-    on sessions, and one normal Session is built per state at the end.
+    A state is the vector of the graph ids of the start's participants, in
+    its order, with -1 for one that has terminated or been split off: the
+    normal form, as normalize_session drops exactly those.  Vectors get state
+    ids in the order met, the start first.  What the Comm rule needs (side
+    condition, labels, graph ids after each label) is found once per (sender
+    index, sender graph id, receiver graph id); the sender is in the key
+    because the receiver accepts one sender by name.
     """
-    start = normalize_session(s)
-    names = [p for p, _ in start.bindings]
-    index = {p: k for k, p in enumerate(names)}
-    graphs: list[ProcessGraph] = []
-    ids: dict[ProcessGraph, int] = {}
 
-    def intern(g: ProcessGraph) -> int:
+    def __init__(self, start: Session):
+        start = normalize_session(start)
+        self.names = tuple(p for p, _ in start.bindings)
+        self._index = {p: k for k, p in enumerate(self.names)}
+        self._graphs: list[ProcessGraph] = []
+        self._graph_ids: dict[ProcessGraph, int] = {}
+        self._ready: dict[tuple[int, int, int], tuple[tuple[CommLabel, int, int], ...]] = {}
+        self.vectors: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._plays: dict[int, frozenset[str]] = {}
+        self._comms: dict[int, tuple] = {}
+        self._splits: dict[int, tuple[list, Iterator[frozenset[str]]]] = {}
+        self._sessions: dict[int, Session] = {}
+        self.start = self._state(tuple(self._graph(g) for _, g in start.bindings))
+
+    def _graph(self, g: ProcessGraph) -> int:
         if g.is_end:
             return -1
-        gid = ids.get(g)
+        gid = self._graph_ids.get(g)
         if gid is None:
-            gid = ids[g] = len(graphs)
-            graphs.append(g)
+            gid = self._graph_ids[g] = len(self._graphs)
+            self._graphs.append(g)
         return gid
 
-    step: dict[tuple[int, str], int] = {}
-    ready: dict[tuple[int, int, int], tuple[str, ...]] = {}
-    labels: dict[tuple[int, str, int], CommLabel] = {}
+    def _state(self, vector: tuple[int, ...]) -> int:
+        s = self._ids.setdefault(vector, len(self.vectors))
+        if s == len(self.vectors):
+            self.vectors.append(vector)
+        return s
 
-    def stepped(gid: int, h: str) -> int:
-        nxt = step.get((gid, h))
-        if nxt is None:
-            nxt = step[gid, h] = intern(graphs[gid].step(h))
-        return nxt
-
-    def successors(state: tuple[int, ...]) -> list[tuple[CommLabel, tuple[int, ...]]]:
-        out = []
-        for i, gp in enumerate(state):
-            if gp < 0:
-                continue
-            node = graphs[gp].root_node
-            if node.kind != OUT:
-                continue
-            j = index.get(node.partner)
-            if j is None or state[j] < 0:
-                continue
-            gq = state[j]
-            hs = ready.get((i, gp, gq))
-            if hs is None:
-                enabled = _comm_enabled(names[i], node, graphs[gq].root_node)
-                hs = ready[i, gp, gq] = node.labels() if enabled else ()
-            for h in hs:
-                lab = labels.get((i, h, j))
-                if lab is None:
-                    lab = labels[i, h, j] = CommLabel(names[i], h, names[j])
-                succ = list(state)
-                succ[i] = stepped(gp, h)
-                succ[j] = stepped(gq, h)
-                out.append((lab, tuple(succ)))
+    def plays(self, s: int) -> frozenset[str]:
+        """The active participants of state s, none when s is null."""
+        out = self._plays.get(s)
+        if out is None:
+            out = self._plays[s] = frozenset(p for p, gid in zip(self.names, self.vectors[s]) if gid >= 0)
         return out
 
-    vectors, edges = closure(tuple(intern(g) for _, g in start.bindings), successors, config)
-    states = tuple(
-        _derived_session(tuple((names[k], graphs[gid]) for k, gid in enumerate(v) if gid >= 0), True)
-        for v in vectors
-    )
-    return StateGraph(states, tuple(edges), 0)
+    def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
+        """The Comm edges of state s as (label, successor id), in the order of
+        session_transitions, so the edges of one sender are adjacent."""
+        vector, ids, vectors = self.vectors[s], self._ids, self.vectors
+        out = []
+        for i, gp in enumerate(vector):
+            if gp < 0 or (node := self._graphs[gp].root_node).kind != OUT:
+                continue
+            j = self._index.get(node.partner)
+            if j is None or vector[j] < 0:
+                continue
+            gq = vector[j]
+            moves = self._ready.get((i, gp, gq))
+            if moves is None:
+                p, q, sender, receiver = self.names[i], self.names[j], self._graphs[gp], self._graphs[gq]
+                moves = self._ready[i, gp, gq] = tuple(
+                    (CommLabel(p, h, q), self._graph(sender.step(h)), self._graph(receiver.step(h)))
+                    for h in node.labels()
+                ) if _comm_enabled(p, node, receiver.root_node) else ()
+            for lab, gp2, gq2 in moves:
+                after = list(vector)
+                after[i], after[j] = gp2, gq2
+                after = tuple(after)
+                t = ids.setdefault(after, len(vectors))  # _state, inlined in the hot loop
+                if t == len(vectors):
+                    vectors.append(after)
+                out.append((lab, t))
+        return out
+
+    def comms(self, s: int) -> tuple[tuple[tuple[CommLabel, int], ...], ...]:
+        """The transitions of s grouped by ready pair, in the order of the
+        sender, one (label, successor id) per message; computed once."""
+        out = self._comms.get(s)
+        if out is None:
+            by_sender = groupby(self.transitions(s), lambda edge: edge[0].sender)
+            out = self._comms[s] = tuple(tuple(edges) for _, edges in by_sender)
+        return out
+
+    def split(self, s: int, i: int) -> tuple[frozenset[str], int]:
+        """The i-th nonempty subset of plays(s), in subsets order, and the id
+        of the state left when it is split off."""
+        entry = self._splits.get(s)
+        if entry is None:
+            entry = self._splits[s] = ([], islice(subsets(self.plays(s)), 1, None))
+        done, more = entry
+        while len(done) <= i:
+            split = next(more)
+            vector = tuple(-1 if p in split else gid for p, gid in zip(self.names, self.vectors[s]))
+            done.append((split, self._state(vector)))
+        return done[i]
+
+    def session(self, s: int) -> Session:
+        """The normal session of state s, built once."""
+        m = self._sessions.get(s)
+        if m is None:
+            bindings = tuple((p, self._graphs[g]) for p, g in zip(self.names, self.vectors[s]) if g >= 0)
+            m = self._sessions[s] = _derived_session(bindings, True)
+        return m
+
+
+def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
+    """The closure of session_transitions from a canonical start, walked on
+    the state ids of one SessionSpace: the state numbering, edge order and
+    budget point are those of a walk on sessions."""
+    space = SessionSpace(s)
+    ids, edges = closure(space.start, space.transitions, config)
+    return StateGraph(tuple(map(space.session, ids)), tuple(edges), 0)
 
 
 # ---------------------------------------------------------------------------

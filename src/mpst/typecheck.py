@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable
 
 from .analysis import bounded, plays_global
-from .semantics import communicate
+from .semantics import communicate, subsets
 from .terms import (
     COMM,
     GlobalGraph,
@@ -134,14 +134,6 @@ def check_participant_equation(
 ) -> bool:
     """Evaluate (plays(gi) | pi) \\ {p, q} = plays(residual)."""
     return (plays_global(gi) | frozenset(pi)) - {p, q} == participants(residual)
-
-
-def subsets(pool: Iterable[str]) -> Iterator[frozenset[str]]:
-    """All subsets of pool, smallest first, then lexicographic."""
-    pool = sorted(pool)
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
 
 
 _Triple = tuple[GlobalGraph, Session, frozenset]

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own algorithms: trees instead of
 minimized graphs, per-state forward search instead of one backward closure.
-Two keep the library's earlier, direct algorithms instead: exploration over
-sessions (explore_oracle) and boundedness as one depth search per node and
-participant (bounded_oracle).
+Three keep the library's earlier, direct algorithms instead: exploration over
+sessions (explore_oracle), boundedness as one depth search per node and
+participant (bounded_oracle), and type equations solved through the file
+parser's builder, one graph per variable (solve_oracle).
 """
 
 from __future__ import annotations
@@ -247,3 +248,53 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
             if naive_typecheck(g, m1, p1, hyps2, work):
                 return True
     return False
+
+
+def solve_oracle(eqs):
+    """Type equations solved through the file parser's path: each pattern
+    becomes a global-type expression with its variables named by str, and
+    build_global_graphs gives one canonical graph per variable."""
+    from mpst.inference import FreeVariable, PatEnd, PatVar, UnguardedEquations
+    from mpst.terms import (
+        GlobalComm,
+        GlobalEnd,
+        GlobalRef,
+        UndefinedName,
+        UnguardedRecursion,
+        build_global_graphs,
+    )
+
+    def as_global(pat):
+        if isinstance(pat, PatEnd):
+            return GlobalEnd()
+        if isinstance(pat, PatVar):
+            return GlobalRef(str(pat.var))
+        return GlobalComm(pat.sender, pat.receiver, tuple((lab, as_global(sub)) for lab, sub in pat.branches))
+
+    names = [str(v) for v in eqs]
+    try:
+        graphs = build_global_graphs(dict(zip(names, map(as_global, eqs.values()))), names)
+    except UndefinedName as exc:
+        raise FreeVariable(str(exc)) from exc
+    except UnguardedRecursion as exc:
+        raise UnguardedEquations(str(exc)) from exc
+    return dict(zip(eqs, graphs))
+
+
+def solutions_oracle(outcome):
+    """inference.solutions with every variable solved by solve_oracle and
+    checked for boundedness on its own graph by bounded_oracle."""
+    from mpst.analysis import plays_global
+    from mpst.inference import Substitution, _eval_pset, check_agreement, solve_pset_equations
+
+    tsol = solve_oracle(outcome.type_eqs)
+    if not all(bounded_oracle(g) for g in tsol.values()):
+        return []
+    lb = {v: frozenset() for v in outcome.pset_eqs}
+    for c in outcome.conditions:
+        lb[c.psetvar] |= c.target - plays_global(tsol[c.typevar])
+    psol = solve_pset_equations(outcome.pset_eqs, lb)
+    if any(psol[v] != _eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
+        return []
+    theta = Substitution(tsol, psol)
+    return [theta] if check_agreement(theta, outcome.conditions)[0] else []

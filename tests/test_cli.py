@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -528,3 +529,76 @@ class TestFrontDoor:
                 continue
             assert code == 0
             assert data["solutions"] == [{"global": format_global(g), "ignored": sorted(p)}]
+
+
+def _digest_inputs(tmp_path):
+    """(case name, file, session) for every session of every golden and for
+    1 to 3 cyclic ping-pong pairs."""
+    from .test_inference import _pairs_text
+
+    out = []
+    for path in sorted(GOLDEN.glob("*.mpst")):
+        for name in load_golden(path.name).sessions:
+            out.append((f"{path.stem}:{name}", str(path), name))
+    for k in range(1, 4):
+        path = tmp_path / f"pairs{k}.mpst"
+        path.write_text(_pairs_text(k), encoding="utf-8")
+        out.append((f"pairs{k}", str(path), "M"))
+    return out
+
+
+_DIGEST_COMMANDS = {
+    "infer-equations": ["infer", "--show-equations"],
+    "infer-minimal": ["infer", "--minimal"],
+    "stategraph": ["analyze", "--stategraph"],
+}
+
+
+class TestOutputDigests:
+    """The JSON reports of inference and exploration, byte for byte: the
+    SHA-256 of the exit code and stdout of each command on each input."""
+
+    DIGESTS = {
+        "infer-equations": {
+            "buyer_seller:M": "f50955705ab8c13c5f9962c77e1c8fa8aac2f2927be6643f7bd7fcfc83b18e59",
+            "empty:Empty": "c946438dfd37260deb32749f03974d140a18585de6c1878c15f8a440503d53d6",
+            "mutual_loop:M": "0beffa421067542a085d7992487e453a1e931a4186342e709a1bc58068502b11",
+            "social_media:M": "cc581ab968504fbd96ee513d1b7bf114655ca4c1bac46cbbf155807cb4227961",
+            "two_loops:M": "bba4354cf9ba0dec18b2ec3a4e73b57318c91b4c159c8db0bd72c91597553ef3",
+            "unbounded:M": "c1940e6454d0f269b7f3e5e90ab24814975633055d4164ec5d11de8d6745b5d2",
+            "pairs1": "763a4b3efa9fa7abe2a984c0c449e4422cf2f2074e617a6bc4895d5fae6ad065",
+            "pairs2": "bba4354cf9ba0dec18b2ec3a4e73b57318c91b4c159c8db0bd72c91597553ef3",
+            "pairs3": "b753831084189ee059e3dd7ed1d808996b4d6f702340b06c59513447e313244a",
+        },
+        "infer-minimal": {
+            "buyer_seller:M": "4ffa7a7897a0f54de2f9d85941d68805b3001443e4a4b872b9763dda4d60d6ac",
+            "empty:Empty": "cc9f8f0f5ef809847d6120e387d298d6d1c61665a7c3d24e579fd00870b2e38e",
+            "mutual_loop:M": "e65bc46b577357257053bbd004bb6d04fc141dc4dc3d963002b3a07c201a4087",
+            "social_media:M": "4a82218222ce7ea88aa1c0dfa20590cf1b3478c6229db8f9cb1ca8775a31e41d",
+            "two_loops:M": "4e229d3600cb9c7733b46a5de4c97b68c5aece2db359b4fa2951374ad77dedb7",
+            "unbounded:M": "ba0b4adf7244afe0d4da613e09a9db7f25c22a5b655594e700cdf6d8df5ae772",
+            "pairs1": "333090969dfb57eb0346570590d08178055a7450d8196b9b27004fcdf982251c",
+            "pairs2": "4e229d3600cb9c7733b46a5de4c97b68c5aece2db359b4fa2951374ad77dedb7",
+            "pairs3": "c415f23f4c3f0cb488c619579ec27774b69e5bf19ef896a7c58987c9dae07b83",
+        },
+        "stategraph": {
+            "buyer_seller:M": "5df7a7ef21f7429130bae35c31f0ae0b6f5a7a1c7242c848b71eb693e03cd8ff",
+            "empty:Empty": "ef5e52a5a0e23af1e29c3f060afa9e9f2dd563cde079e2adec693426702c5176",
+            "mutual_loop:M": "18a4ed6e336acda4515670b464d65c91aebd6f0af9b0eafadecbfcb27f3d415d",
+            "social_media:M": "47e9f9217ae6aa422ea9fdeba381e1c208b55b3754ba320e39fd68bde650c8b9",
+            "two_loops:M": "123aecc33479122cb612f96067f25e7afaac9a6e5d2b12ca87c1e3dc8c7be0e2",
+            "unbounded:M": "68af3b4b98b2b3345e21a0a5337833349b0eec6a3253f95b22bbb2f11dabd8de",
+            "pairs1": "cee3d2486a3134358b77f66715d9dbfa1537331716685ba5407938a08e3da845",
+            "pairs2": "123aecc33479122cb612f96067f25e7afaac9a6e5d2b12ca87c1e3dc8c7be0e2",
+            "pairs3": "d6b965e5d76096b659368803c3f6a21fbfd4f0d230a35f5007120c5b5935c3b3",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(_DIGEST_COMMANDS))
+    def test_report_is_unchanged(self, capsys, tmp_path, command):
+        got = {}
+        for case, path, session in _digest_inputs(tmp_path):
+            code = run(_DIGEST_COMMANDS[command] + ["--session", session, "--format", "json", path])
+            text = f"{code}\n{capsys.readouterr().out}"
+            got[case] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert got == self.DIGESTS[command]

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from mpst import analysis
+from mpst import analysis, semantics, terms
 from mpst.analysis import plays_global
 from mpst.frontend import format_global, parse
 from mpst.inference import (
     BudgetExhausted,
+    FreeVariable,
     InferenceOutcome,
     NoSolutionWithinBudget,
     PatComm,
@@ -38,6 +40,7 @@ from mpst.terms import Session, minimize_global, participants, session_of
 from mpst.typecheck import accepts
 
 from .conftest import GOLDEN
+from .oracles import solutions_oracle, solve_oracle
 
 
 # Variables for hand-built systems.
@@ -587,3 +590,81 @@ class TestReuse:
         monkeypatch.setattr(analysis, "_bounded", lambda g: seen.append(g) or original(g))
         assert solved(m)
         assert len(seen) == len(set(seen)) <= 11
+
+    def test_an_infer_call_steps_state_ids_not_sessions(self, monkeypatch):
+        # Once the start is normalized, every successor and split is a state
+        # id of the call's SessionSpace: no session is stepped or rebuilt.
+        m = parse(_server_text(3)).sessions["M"]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(semantics, "communicate", counted("communicate", semantics.communicate))
+        monkeypatch.setattr(Session, "without", counted("without", Session.without))
+        normalize = counted("normalize", terms.normalize_session)
+        for module in (terms, semantics):
+            monkeypatch.setattr(module, "normalize_session", normalize)
+        assert list(infer(m))
+        assert calls == {"normalize": 1}
+
+
+def _random_pattern(rng, variables, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return PatVar(rng.choice(variables)) if roll < 0.2 else PatEnd()
+    p, q = rng.sample(["p", "q", "r", "s"], 2)
+    labels = rng.sample(["a", "b", "c"], rng.randint(1, 2))
+    return PatComm(p, q, tuple((lab, _random_pattern(rng, variables, depth - 1)) for lab in labels))
+
+
+def _random_system(rng):
+    """A closed system over up to five variables, some of them aliases."""
+    variables = [TypeVar(i) for i in range(rng.randint(1, 5))]
+    return {
+        v: PatVar(rng.choice(variables)) if rng.random() < 0.2 else _random_pattern(rng, variables, 2)
+        for v in variables
+    }
+
+
+def _solved_or_error(solve, eqs):
+    try:
+        return solve(eqs)
+    except (FreeVariable, UnguardedEquations) as exc:
+        return type(exc)
+
+
+class TestSolverAgainstTheOracle:
+    """The solver on its own equation graph against the round trip through
+    build_global_graphs that it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(_pinned_sessions()))
+    def test_pinned_outcomes(self, name):
+        for outcome in infer(_pinned_sessions()[name]):
+            assert solve_type_equations(outcome.type_eqs) == solve_oracle(outcome.type_eqs)
+            got, want = solutions(outcome), solutions_oracle(outcome)
+            assert got == want
+            for _, _, tv in outcome.goals:
+                assert all(theta.types[tv] == oracle.types[tv] for theta, oracle in zip(got, want))
+
+    @pytest.mark.parametrize("seed", range(0, 400, 50))
+    def test_random_systems(self, seed):
+        kinds = Counter()
+        for s in range(seed, seed + 50):
+            rng = random.Random(s)
+            eqs = _random_system(rng)
+            got = _solved_or_error(solve_type_equations, eqs)
+            assert got == _solved_or_error(solve_oracle, eqs)
+            if isinstance(got, dict):
+                root = rng.choice(list(eqs))
+                outcome = InferenceOutcome(eqs, {x: PSetPattern()}, (), root, x, (), 1, 0)
+                accepted = solutions(outcome)
+                assert accepted == solutions_oracle(outcome)
+                kinds["accepted" if accepted else "rejected"] += 1
+            else:
+                kinds[got.__name__] += 1
+        assert len(kinds) >= 2

@@ -7,6 +7,7 @@ from mpst.random_sessions import random_global, random_process, random_session
 from mpst.semantics import (
     CommLabel,
     ExploreConfig,
+    SessionSpace,
     StateLimitExceeded,
     _candidate_labels,
     explore,
@@ -14,8 +15,10 @@ from mpst.semantics import (
     global_transitions,
     reduce,
     session_transitions,
+    subsets,
 )
 from mpst.terms import (
+    Session,
     globals_equivalent,
     normalize_session,
     participants,
@@ -248,6 +251,57 @@ class TestExploreAgainstTheOracle:
             _assert_explore_matches_the_oracle(m)
             sizes.append(len(explore(m).states))
         assert max(sizes) > 2
+
+
+def _assert_space_matches_sessions(m) -> int:
+    """Walk every state a SessionSpace reaches from m by Comm and Weak and
+    check it against the same step on its Session; return the state count.
+
+    Comm edges, mapped through space.session, are session_transitions of
+    the state's session.  The Weak splits come in subsets order, and each
+    remainder is the vector with the split's positions cleared, whose
+    session is the normal form of the session without the split.
+    """
+    space = SessionSpace(m)
+    assert space.session(space.start) == normalize_session(m)
+    seen, todo = {space.start}, [space.start]
+    while todo:
+        s = todo.pop()
+        session = space.session(s)
+        assert normalize_session(Session(session.bindings)) == session
+        assert space.plays(s) == participants(session)
+        edges = [edge for pair in space.comms(s) for edge in pair]
+        assert edges == space.transitions(s)
+        assert [(lab, space.session(t)) for lab, t in edges] == session_transitions(session)
+        splits = [space.split(s, i) for i in range(2 ** len(space.plays(s)) - 1)]
+        assert [split for split, _ in splits] == list(subsets(space.plays(s)))[1:]
+        for split, t in splits:
+            cleared = tuple(-1 if p in split else g for p, g in zip(space.names, space.vectors[s]))
+            assert space.vectors[t] == cleared
+            assert space.session(t) == normalize_session(session.without(split))
+        for _, t in edges + splits:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return len(seen)
+
+
+class TestSessionSpace:
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.mpst")), ids=lambda path: path.stem)
+    def test_goldens(self, path):
+        for m in load_golden(path.name).sessions.values():
+            _assert_space_matches_sessions(m)
+
+    @pytest.mark.parametrize("seed", range(0, 200, 20))
+    def test_random_sessions(self, seed):
+        sessions = [random_session(random.Random(s), 4, 5) for s in range(seed, seed + 20)]
+        assert max(map(_assert_space_matches_sessions, sessions)) > 2
+
+    def test_one_graph_bound_to_two_senders_of_one_receiver(self):
+        m = sess("session M = p: r!a | q: r!a | r: p?a . q?b")
+        space = SessionSpace(m)
+        assert [str(lab) for lab, _ in space.transitions(space.start)] == ["p a r"]
+        assert _assert_space_matches_sessions(m) > 1
 
 
 class TestGlobalTransitions:
