@@ -51,13 +51,13 @@ from .terms import (
     ProcessGraph,
     Session,
     build_global_graph,
-    build_global_graphs,
     build_process_graph,
-    build_process_graphs,
+    global_system,
     minimize,
     minimize_global,
     normalize_session,
     participants,
+    process_system,
     session_of,
     sessions_equivalent,
 )

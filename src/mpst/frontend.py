@@ -21,8 +21,9 @@ Recursion is written through named definitions, never a binder.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import terms
 from .terms import (
@@ -69,7 +70,8 @@ class DuplicateDefinition(ParseError):
 
 @dataclass(frozen=True)
 class SpecFile:
-    """All definitions of one source file, with terms already built."""
+    """All definitions of one source file, checked; each mapping keeps
+    definition order and builds a term when it is first read."""
 
     processes: Mapping[str, ProcessGraph]
     sessions: Mapping[str, Session]
@@ -77,59 +79,60 @@ class SpecFile:
     ignored_sets: Mapping[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _OnRead(Mapping):
+    """Names, in their order, each mapped to make(name) on its first read."""
+
+    def __init__(self, make: Callable[[str], object], names: Iterable[str]):
+        self._make, self._values = make, dict.fromkeys(names)
+
+    def __getitem__(self, name: str):
+        if self._values[name] is None:
+            self._values[name] = self._make(name)
+        return self._values[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+class _Token(NamedTuple):
     kind: str  # 'ident', 'punct', 'zero', 'eof'
     text: str
-    span: Span
+    line: int
+    column: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.column)
 
 
-_PUNCT = ("->", "!", "?", "{", "}", ",", ".", ":", "|", "=")
+# One alternative per token kind, tried in order at every position; a word
+# that starts with no letter or underscore, and any other character, is
+# "bad".  \w is str.isalnum() or "_", character by character.
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<zero>0)|(?P<punct>->|[!?{},.:|=])|(?P<ident>\w+)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the line and the index of its first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks and comments
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        pos = m.start()
+        if kind == "nl":
+            line, start = line + 1, pos + 1
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(line, col)
-        if c == "0":
-            tokens.append(_Token("zero", "0", span))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("punct", p, span))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", span)
-    tokens.append(_Token("eof", "", Span(line, col)))
+        if kind == "bad" or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError(f"unexpected character {text[pos]!r}", Span(line, pos - start + 1))
+        tokens.append(_Token(kind, m.group(), line, pos - start + 1))
+    # a comment on the last line ends where it starts, as no column is counted in it
+    end = text.find("#", start)
+    tokens.append(_Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return tokens
 
 
@@ -248,17 +251,8 @@ class _Parser:
         return frozenset(names)
 
 
-def _built(build, definitions: Mapping, roots: list[str], spans: Mapping[str, Span]) -> dict:
-    """The graphs of roots from one build; a fault is reported at the span of
-    the root it was reached from."""
-    try:
-        return dict(zip(roots, build(definitions, roots)))
-    except TermError as exc:
-        raise ParseError(str(exc), spans[exc.root]) from exc
-
-
 def parse(text: str) -> SpecFile:
-    """Parse one source file into built graphs; diagnostics carry positions."""
+    """Parse and check one source file; diagnostics carry positions."""
     p = _Parser(text)
     proc_defs: dict[str, ProcExpr] = {}
     sess_defs: dict[str, list[tuple[str, ProcExpr, Span]]] = {}
@@ -300,35 +294,39 @@ def parse(text: str) -> SpecFile:
         else:
             pset_defs[name.text] = p.pset()
 
-    processes = _built(terms.build_process_graphs, proc_defs, list(proc_defs), spans)
-    globals_ = _built(terms.build_global_graphs, glob_defs, list(glob_defs), spans)
-
-    # The bindings are more roots of the process system, under keys that are
-    # no identifiers, so that no process name can clash with them.
-    binding_defs, binding_spans = dict(proc_defs), {}
+    # One build of the process system: the definitions are its first roots,
+    # so that their faults are met first, then the bindings, under keys that
+    # are no identifiers, so that no process name can clash with them.
+    system = dict(proc_defs)
     for name, bindings in sess_defs.items():
         for part, expr, span in bindings:
-            binding_defs[f"{name}: {part}"], binding_spans[f"{name}: {part}"] = expr, span
+            system[f"{name}: {part}"], spans[f"{name}: {part}"] = expr, span
+    fault = None
     try:
-        graphs = _built(terms.build_process_graphs, binding_defs, list(binding_spans), binding_spans)
-        fault = None
-    except ParseError as exc:
-        graphs, fault = {}, exc
-    sessions: dict[str, Session] = {}
+        process = terms.process_system(system, system)
+    except TermError as exc:
+        if exc.root in proc_defs:
+            raise ParseError(str(exc), spans[exc.root]) from exc
+        fault = exc
+    try:
+        global_type = terms.global_system(glob_defs, glob_defs)
+    except TermError as exc:
+        raise ParseError(str(exc), spans[exc.root]) from exc
+    # A session is checked after its own bindings and before later ones.
     for name, bindings in sess_defs.items():
-        keys = [f"{name}: {part}" for part, _, _ in bindings]
-        if fault is not None and fault.__cause__.root in keys:
-            raise fault
-        # A session is checked after its own bindings and before later ones,
-        # so also when a later binding is faulty and no graph was built.
+        if fault is not None and fault.root.startswith(f"{name}: "):
+            raise ParseError(str(fault), spans[fault.root]) from fault
         try:
-            sessions[name] = session_of(
-                (part, graphs.get(key, terms.END_PROCESS)) for (part, _, _), key in zip(bindings, keys)
-            )
+            session_of((part, terms.END_PROCESS) for part, _, _ in bindings)
         except TermError as exc:
             raise ParseError(str(exc), spans[name]) from exc
 
-    return SpecFile(processes, sessions, globals_, pset_defs)
+    def session(name: str) -> Session:
+        return session_of((part, process(f"{name}: {part}")) for part, _, _ in sess_defs[name])
+
+    return SpecFile(
+        _OnRead(process, proc_defs), _OnRead(session, sess_defs), _OnRead(global_type, glob_defs), pset_defs
+    )
 
 
 # ---------------------------------------------------------------------------

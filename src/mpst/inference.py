@@ -35,6 +35,7 @@ distinct graph of an enumeration.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -450,19 +451,20 @@ def solve_pset_equations(
     eqs: Mapping[PSetVar, PSetPattern],
     lower_bounds: Mapping[PSetVar, frozenset[str]] | None = None,
 ) -> dict[PSetVar, frozenset[str]]:
-    """Least solution above the given lower bounds, by Kleene iteration."""
-    lb = {v: frozenset(lower_bounds.get(v, ())) for v in eqs} if lower_bounds else {
-        v: frozenset() for v in eqs
-    }
-    values = dict(lb)
-    changed = True
-    while changed:
-        changed = False
-        for v, pat in eqs.items():
-            new = lb[v] | _eval_pset(pat, values)
-            if new != values[v]:
-                values[v] = new
-                changed = True
+    """Least solution above the given lower bounds: each equation is
+    evaluated once, in order, and again only when a variable it reads grows."""
+    values = {v: frozenset(lower_bounds.get(v, ())) if lower_bounds else frozenset() for v in eqs}
+    readers: dict[PSetVar, list[PSetVar]] = {}
+    for v, pat in eqs.items():
+        for w in pat.vars:
+            readers.setdefault(w, []).append(v)
+    todo = deque(eqs)
+    while todo:
+        v = todo.popleft()
+        new = values[v] | _eval_pset(eqs[v], values)
+        if new != values[v]:
+            values[v] = new
+            todo.extend(readers.get(v, ()))
     return values
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -265,7 +265,7 @@ class _Graph(_Value):
         try:
             canon = self._canon
         except AttributeError:
-            canon = _canonical_forms(self, (self.root,), refine=True)[0]
+            canon = _canonical_forms(self, refine=True)(self.root)
             if canon == self:
                 canon = None
             object.__setattr__(self, "_canon", canon)
@@ -299,7 +299,7 @@ class _Graph(_Value):
         # The nodes of a canonical graph are pairwise non-bisimilar, so
         # re-rooting one only renumbers: partition refinement is skipped.
         refine = not self._known_canonical()
-        return self.cached(node_id, lambda: _canonical_forms(self, (node_id,), refine)[0])
+        return self.cached(node_id, lambda: _canonical_forms(self, refine)(node_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,50 +350,81 @@ END_GLOBAL = GlobalGraph((GNode(END, None, None, ()),), 0)
 
 
 def _refine(sigs: list, branches: list[tuple[tuple[str, int], ...]]) -> list[int]:
-    block = {}
-    cls = []
-    for s in sigs:
-        if s not in block:
-            block[s] = len(block)
-        cls.append(block[s])
-    while True:
-        keys = [
-            (cls[i], tuple((lab, cls[t]) for lab, t in branches[i]))
-            for i in range(len(sigs))
-        ]
-        remap: dict = {}
-        new_cls = []
-        for k in keys:
-            if k not in remap:
-                remap[k] = len(remap)
-            new_cls.append(remap[k])
-        if new_cls == cls:
-            return cls
-        cls = new_cls
+    """The coarsest partition, as a block id per node, that refines sigs and
+    puts in one block only nodes with the same labels, in the same order, and
+    successors in the same blocks.  Driven by the blocks that split (Paige and
+    Tarjan 1987): only the predecessors of nodes that moved are keyed again,
+    and the largest part of a split keeps its id, so a node moves O(log n)
+    times.  Most small graphs are stable after one round, and cost only that.
+    """
+    ids: dict = {}
+    cls = [ids.setdefault(s, len(ids)) for s in sigs]
+    keys = [tuple((lab, cls[t]) for lab, t in bs) for bs in branches]
+    if len(set(zip(cls, keys))) == len(ids):
+        return cls
+    members = [set() for _ in ids]
+    for i, c in enumerate(cls):
+        members[c].add(i)
+    preds: list[list[int]] = [[] for _ in sigs]
+    for i, bs in enumerate(branches):
+        for _, t in bs:
+            preds[t].append(i)
+    dirty: Iterable[int] = range(len(sigs))
+    while dirty:
+        # A node is keyed again only when a successor moved to a new block,
+        # so its key differs from those of the members not keyed again.
+        parts: dict = {}
+        for i in dirty:
+            parts.setdefault(cls[i], {}).setdefault(keys[i], []).append(i)
+        moved: list[int] = []
+        for b, by_key in parts.items():
+            rest, leaving = members[b], list(by_key.values())
+            if len(leaving) == 1 and len(leaving[0]) == len(rest):  # the block keeps together
+                continue
+            for p in leaving:
+                rest.difference_update(p)
+            leaving.sort(key=len)
+            if len(leaving[-1]) > len(rest):
+                members[b] = set(leaving.pop())
+                if rest:
+                    leaving.append(list(rest))
+            for p in leaving:
+                for i in p:
+                    cls[i] = len(members)
+                members.append(set(p))
+                moved += p
+        dirty = {j for i in moved for j in preds[i]}
+        for i in dirty:
+            keys[i] = tuple((lab, cls[t]) for lab, t in branches[i])
+    return cls
 
 
-def _canonical_forms(g: _Graph, roots: Iterable[int], refine: bool) -> list:
-    """Canonical graphs of the subterms of g at roots, from one refinement.
+def _canonical_forms(g: _Graph, refine: bool) -> Callable[[int], _Graph]:
+    """The canonical graph of the subterm of g at a node, as a function of
+    the node: one partition refinement now, and each block renumbered on its
+    first read, so that the nodes of one block share one graph.
 
     Without refine, the nodes of g must be pairwise non-bisimilar (g is
     canonical) and only the numbering is redone.
     """
     nodes = g.nodes
-    branches = [n.branches for n in nodes]
     if refine:
-        cls = _refine([n.signature() for n in nodes], branches)
+        cls = _refine([n.signature() for n in nodes], [n.branches for n in nodes])
+        rep: Sequence[int] | dict[int, int] = {}  # one node of every block
+        for i, c in enumerate(cls):
+            rep.setdefault(c, i)
     else:
-        cls = range(len(nodes))
-    rep: dict[int, int] = {}  # one node of every block
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
-    out = []
-    for root in roots:
+        cls = rep = range(len(nodes))
+    forms: dict[int, _Graph] = {}
+
+    def form(root: int) -> _Graph:
+        if cls[root] in forms:
+            return forms[cls[root]]
         # BFS over the blocks reachable from the root's: order grows as it is read
         order = [rep[cls[root]]]
         number = {cls[root]: 0}
         for i in order:
-            for _, t in branches[i]:
+            for _, t in nodes[i].branches:
                 if cls[t] not in number:
                     number[cls[t]] = len(number)
                     order.append(rep[cls[t]])
@@ -402,8 +433,10 @@ def _canonical_forms(g: _Graph, roots: Iterable[int], refine: bool) -> list:
             n = nodes[i]
             new_branches = tuple(sorted((lab, number[cls[t]]) for lab, t in n.branches))
             new_nodes.append(n if new_branches == n.branches else n.rebranch(new_branches))
-        out.append(_make(type(g), tuple(new_nodes), 0, _canon=None))
-    return out
+        out = forms[cls[root]] = _make(type(g), tuple(new_nodes), 0, _canon=None)
+        return out
+
+    return form
 
 
 def minimize(g: ProcessGraph) -> ProcessGraph:
@@ -445,25 +478,25 @@ def _resolve(definitions: Mapping, name: str, what: str) -> tuple:
         name = expr.name
 
 
-def _build(end: _Graph, definitions: Mapping, roots: Iterable[str], what: str, head) -> list:
-    """The canonical graphs of the equations named in roots, in their order.
+def _build(end: _Graph, definitions: Mapping, roots: Iterable[str], what: str, head) -> Callable:
+    """The reader of the canonical graphs of the equations named in roots.
 
     end is the kind's terminated graph and what its name in messages; head
     turns a communication into its node, whose branches still hold the
     continuations.  All roots share one node list and one partition
-    refinement.  Nodes are placed depth first from each root in turn, with a
-    communication's head checked before its branches are placed, which fixes
-    the fault reported on input with several.
+    refinement, and every fault is raised here, not by the reader.  Nodes are
+    placed depth first from each root in turn, with a communication's head
+    checked before its branches are placed, which fixes the fault reported on
+    input with several.
     """
     nodes: list = [end.root_node]  # node 0 is End; minimization drops it when unused
     targets: list[list[int]] = [[]]  # each node's successors, in branch order
     named: dict[str, int] = {}
-    root_ids: list[int] = []
+    root_ids: dict[str, int] = {}
     for root in roots:
-        root_ids.append(0)
         try:
-            # (expression, its equation's name or None, list and index to store its node in)
-            stack = [(*_resolve(definitions, root, what), root_ids, len(root_ids) - 1)]
+            # (expression, its equation's name or None, table and key to store its node under)
+            stack = [(*_resolve(definitions, root, what), root_ids, root)]
             while stack:
                 expr, name, slot, k = stack.pop()
                 if isinstance(expr, (ProcRef, GlobalRef)):
@@ -491,27 +524,30 @@ def _build(end: _Graph, definitions: Mapping, roots: Iterable[str], what: str, h
             raise
     nodes = [n.rebranch(tuple(sorted(zip(n.labels(), t)))) for n, t in zip(nodes, targets)]
     # every node has been checked, so the graph is made without re-checking
-    return _canonical_forms(_make(type(end), tuple(nodes), 0), root_ids, refine=True)
+    form = _canonical_forms(_make(type(end), tuple(nodes), 0), refine=True)
+    return lambda root: form(root_ids[root])
 
 
-def build_process_graphs(
+def process_system(
     definitions: Mapping[str, ProcExpr], roots: Iterable[str]
-) -> list[ProcessGraph]:
-    """Turn named recursive process equations into canonical ProcessGraphs,
-    one per name in roots, building the whole system once.
+) -> Callable[[str], ProcessGraph]:
+    """Build named recursive process equations once, from the names in
+    roots, and return the reader of each root's canonical ProcessGraph.
 
     Every name must be defined and every recursion must pass through at least
     one send or receive; pure aliasing cycles (``P = P``) are rejected.  A
     TermError names the root it was reached from in its ``root`` attribute.
+    A root's graph is numbered when it is first read, and bisimilar roots
+    read one graph.
     """
     return _build(
         END_PROCESS, definitions, roots, "process", lambda e: PNode(e.kind, e.partner, e.branches)
     )
 
 
-def build_global_graphs(
+def global_system(
     definitions: Mapping[str, GlobalExpr], roots: Iterable[str]
-) -> list[GlobalGraph]:
+) -> Callable[[str], GlobalGraph]:
     """Same construction for global-type equations."""
     return _build(
         END_GLOBAL, definitions, roots, "global type",
@@ -523,13 +559,15 @@ def build_process_graph(
     definitions: Mapping[str, ProcExpr], root: str | None = None
 ) -> ProcessGraph:
     """The canonical graph of the equation named root (default: the first)."""
-    return build_process_graphs(definitions, [next(iter(definitions)) if root is None else root])[0]
+    root = next(iter(definitions)) if root is None else root
+    return process_system(definitions, [root])(root)
 
 
 def build_global_graph(
     definitions: Mapping[str, GlobalExpr], root: str | None = None
 ) -> GlobalGraph:
-    return build_global_graphs(definitions, [next(iter(definitions)) if root is None else root])[0]
+    root = next(iter(definitions)) if root is None else root
+    return global_system(definitions, [root])(root)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own algorithms: trees instead of
 minimized graphs, per-state forward search instead of one backward closure.
-Three keep the library's earlier, direct algorithms instead: exploration over
+Others keep the library's earlier, direct algorithms instead: exploration over
 sessions (explore_oracle), boundedness as one depth search per node and
-participant (bounded_oracle), and type equations solved through the file
-parser's builder, one graph per variable (solve_oracle).
+participant (bounded_oracle), type equations solved through the file
+parser's builder, one graph per variable (solve_oracle), the character loop
+of the tokenizer (tokenize_oracle), partition refinement in rounds over every
+node (refine_oracle), and p-set equations solved in Kleene rounds
+(pset_oracle).
 """
 
 from __future__ import annotations
@@ -253,7 +256,7 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
 def solve_oracle(eqs):
     """Type equations solved through the file parser's path: each pattern
     becomes a global-type expression with its variables named by str, and
-    build_global_graphs gives one canonical graph per variable."""
+    global_system gives one canonical graph per variable."""
     from mpst.inference import FreeVariable, PatEnd, PatVar, UnguardedEquations
     from mpst.terms import (
         GlobalComm,
@@ -261,7 +264,7 @@ def solve_oracle(eqs):
         GlobalRef,
         UndefinedName,
         UnguardedRecursion,
-        build_global_graphs,
+        global_system,
     )
 
     def as_global(pat):
@@ -273,19 +276,37 @@ def solve_oracle(eqs):
 
     names = [str(v) for v in eqs]
     try:
-        graphs = build_global_graphs(dict(zip(names, map(as_global, eqs.values()))), names)
+        read = global_system(dict(zip(names, map(as_global, eqs.values()))), names)
     except UndefinedName as exc:
         raise FreeVariable(str(exc)) from exc
     except UnguardedRecursion as exc:
         raise UnguardedEquations(str(exc)) from exc
-    return dict(zip(eqs, graphs))
+    return dict(zip(eqs, map(read, names)))
+
+
+def pset_oracle(eqs, lower_bounds):
+    """Least solution of p-set equations above lower_bounds, by Kleene rounds
+    over every equation until none changes."""
+    from mpst.inference import _eval_pset
+
+    lb = {v: frozenset(lower_bounds.get(v, ())) for v in eqs}
+    values = dict(lb)
+    changed = True
+    while changed:
+        changed = False
+        for v, pat in eqs.items():
+            new = lb[v] | _eval_pset(pat, values)
+            if new != values[v]:
+                values[v] = new
+                changed = True
+    return values
 
 
 def solutions_oracle(outcome):
     """inference.solutions with every variable solved by solve_oracle and
     checked for boundedness on its own graph by bounded_oracle."""
     from mpst.analysis import plays_global
-    from mpst.inference import Substitution, _eval_pset, check_agreement, solve_pset_equations
+    from mpst.inference import Substitution, _eval_pset, check_agreement
 
     tsol = solve_oracle(outcome.type_eqs)
     if not all(bounded_oracle(g) for g in tsol.values()):
@@ -293,8 +314,85 @@ def solutions_oracle(outcome):
     lb = {v: frozenset() for v in outcome.pset_eqs}
     for c in outcome.conditions:
         lb[c.psetvar] |= c.target - plays_global(tsol[c.typevar])
-    psol = solve_pset_equations(outcome.pset_eqs, lb)
+    psol = pset_oracle(outcome.pset_eqs, lb)
     if any(psol[v] != _eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
         return []
     theta = Substitution(tsol, psol)
     return [theta] if check_agreement(theta, outcome.conditions)[0] else []
+
+
+def refine_oracle(sigs, branches):
+    """Partition refinement in rounds: every node is keyed by its block and
+    its label-indexed successor blocks until a round splits nothing."""
+    block = {}
+    cls = []
+    for s in sigs:
+        if s not in block:
+            block[s] = len(block)
+        cls.append(block[s])
+    while True:
+        keys = [
+            (cls[i], tuple((lab, cls[t]) for lab, t in branches[i]))
+            for i in range(len(sigs))
+        ]
+        remap: dict = {}
+        new_cls = []
+        for k in keys:
+            if k not in remap:
+                remap[k] = len(remap)
+            new_cls.append(remap[k])
+        if new_cls == cls:
+            return cls
+        cls = new_cls
+
+
+_PUNCT = ("->", "!", "?", "{", "}", ",", ".", ":", "|", "=")
+
+
+def tokenize_oracle(text):
+    """The tokens of text as (kind, text, line, column), one character at a
+    time; a ParseError at the first character no token starts with."""
+    from mpst.frontend import ParseError, Span
+
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "0":
+            tokens.append(("zero", "0", line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                tokens.append(("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", Span(line, col))
+    tokens.append(("eof", "", line, col))
+    return tokens

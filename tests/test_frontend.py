@@ -1,10 +1,15 @@
 import random
+import time
 
 import pytest
 
+from bench import workloads
+from mpst import terms
 from mpst.frontend import (
     DuplicateDefinition,
     ParseError,
+    Span,
+    _tokenize,
     format_global,
     format_process,
     format_session,
@@ -17,11 +22,19 @@ from mpst.terms import (
     END,
     IN,
     OUT,
+    ProcComm,
+    ProcEnd,
+    ProcessGraph,
+    ProcRef,
+    build_process_graph,
     globals_equivalent,
     minimize_global,
     normalize_session,
     processes_equivalent,
 )
+
+from .conftest import GOLDEN
+from .oracles import tokenize_oracle
 
 
 class TestParsing:
@@ -153,19 +166,88 @@ def _chain(n: int, last: str) -> str:
     return "\n".join(lines + [f"process P{n - 1} = q!a . {last}"])
 
 
+# The wall bound is generous: an open chain of 2,000 takes about 0.1 s, and
+# a refinement or numbering that is quadratic in n again takes over 20 s.
 @pytest.mark.parametrize(
     "n, last, states",
     [
         # closed into a loop, every definition is the same one-state process
         (2000, "P0", 1),
-        # an open chain gives every definition its own graph, quadratic in n
+        # an open chain gives every definition its own graph
         (400, "0", 401),
+        (2000, "0", 2001),
     ],
 )
 def test_long_definition_chains_parse(n, last, states):
+    start = time.perf_counter()
     spec = parse(_chain(n, last))
     assert len(spec.processes) == n
     assert len(spec.processes["P0"].nodes) == states
+    assert time.perf_counter() - start < 5.0
+
+
+def test_long_global_type_chain_parses():
+    n = 2000
+    lines = [f"global G{i} = p->q:a . G{i + 1}" for i in range(n - 1)]
+    start = time.perf_counter()
+    spec = parse("\n".join(lines + [f"global G{n - 1} = p->q:a . end"]))
+    assert len(spec.globals) == n
+    assert len(spec.globals["G0"].nodes) == n + 1
+    assert len(spec.globals["G1500"].nodes) == n - 1500 + 1
+    assert time.perf_counter() - start < 5.0
+
+
+class TestLazyMappings:
+    """A file's terms are built when first read, behind plain mappings."""
+
+    TEXT = "process B = q!a . A\nglobal H = p->q:a\nprocess A = q!b\nsession M = r: A | p: B\nglobal G = end"
+
+    def test_mappings_keep_definition_order_and_act_as_dicts(self):
+        spec = parse(self.TEXT)
+        assert list(spec.processes) == ["B", "A"] and list(spec.globals) == ["H", "G"]
+        assert len(spec.processes) == 2 and len(spec.sessions) == 1 and len(spec.globals) == 2
+        assert "A" in spec.processes and "M" not in spec.processes and "M: p" not in spec.processes
+        with pytest.raises(KeyError):
+            spec.processes["M: p"]  # a binding is a root of the build, not a definition
+        b = ProcComm(OUT, "q", (("a", ProcRef("A")),))
+        a = ProcComm(OUT, "q", (("b", ProcEnd()),))
+        want = {"B": build_process_graph({"B": b, "A": a}, "B"), "A": build_process_graph({"A": a})}
+        assert spec.processes == want and want == spec.processes
+        assert dict(spec.processes.items()) == want
+        assert spec.globals == {"H": parse_global("H = p->q:a", "H"), "G": parse_global("G = end")}
+        assert spec.sessions == {"M": parse("process A = q!b\nsession M = p: q!a . A | r: A").sessions["M"]}
+
+    @pytest.mark.parametrize("binding_first", [True, False])
+    def test_a_binding_and_its_definition_are_one_object(self, binding_first):
+        spec = parse(self.TEXT)
+        reads = [lambda: spec.sessions["M"].get("r"), lambda: spec.processes["A"]]
+        first, second = reads if binding_first else reads[::-1]
+        assert first() is second()
+        assert spec.sessions["M"].get("p") is spec.processes["B"]
+
+    def test_a_file_costs_two_refinements_and_reads_refine_nothing(self, monkeypatch):
+        calls = []
+        refine = terms._refine
+        monkeypatch.setattr(terms, "_refine", lambda *args: calls.append(args) or refine(*args))
+        spec = parse(self.TEXT)
+        assert len(calls) == 2  # the processes with the bindings, the global types
+        spec.sessions["M"], spec.processes["A"], spec.globals["H"]
+        assert len(calls) == 2
+
+    def test_only_the_roots_read_are_numbered(self, monkeypatch):
+        made = []
+        make = terms._make
+        monkeypatch.setattr(
+            terms, "_make", lambda cls, *args, **memo: made.append(cls) or make(cls, *args, **memo)
+        )
+        spec = parse(_chain(50, "0"))
+        assert made.count(ProcessGraph) == 1  # the system's one raw graph
+        assert len(spec.processes["P49"].nodes) == 2 and len(spec.processes["P0"].nodes) == 51
+        assert made.count(ProcessGraph) == 3
+
+    def test_bisimilar_roots_share_one_graph(self):
+        spec = parse("process A = q!a . A\nprocess B = q!a . q!a . B\nsession M = p: q!a . B")
+        assert spec.processes["A"] is spec.processes["B"] is spec.sessions["M"].get("p")
 
 
 # Files with several faults: the first met is reported, processes before
@@ -194,6 +276,12 @@ SEVERAL_FAULTS = {
     "bad participant with a bad binding": (
         "session M = \u00e9: Gone", "undefined process 'Gone'", 1
     ),
+    "bad process after a bad binding": (
+        "session M = p: Gone\nprocess P = q!{ a, a }", "duplicate branch label 'a'", 2
+    ),
+    "bad process that no session references": (
+        "process P = q!a\nprocess Q = r!b . Nowhere\nsession M = p: P", "undefined process 'Nowhere'", 2
+    ),
 }
 
 
@@ -220,3 +308,96 @@ def test_names_outside_terms_must_be_identifiers(case):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.message, err.value.span.line, err.value.span.column) == (message, 1, column)
+
+
+# The tokenizer against the character loop it replaced: the same tokens, or
+# the same fault at the same position.
+TOKEN_CASES = [
+    "",
+    "\n\n",
+    "process \u00e9 = q!a",  # a letter beyond ASCII starts a word
+    "process x\u00b2 = q!a",  # a digit beyond ASCII continues one
+    "process \u0663 = q!a",  # but starts none
+    "process \u00b2x = q!a",
+    "\tprocess\tP =\tq!a",
+    "process P = q!a\r\nprocess Q = q!b\r",
+    "global G = p->q:a",
+    "global G = p-q:a",
+    "global G = p->-q:a",
+    "global G = p-->q:a",
+    "0P0 00 01 _a1 a_",
+    "process P = q!a # tail",  # no final newline: the end is at the '#'
+    "process P = q!a\n# tail",
+    "# only",
+    "a\u00a0b",
+    "a\x0bb",
+    "p @ q",
+]
+
+FRAGMENTS = [
+    "->", "-", ">", "!", "?", "{", "}", ",", ".", ":", "|", "=", "#", "# c", "\n", "\r", "\t", " ",
+    "0", "00", "1", "\u00e9", "\u00b2", "\u0663", "x\u00b2", "_", "a", "@", "\u00a0", "\r\n", "end",
+]
+
+
+def _tokens_or_fault(tokenize, text: str):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return (exc.message, exc.span)
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(FRAGMENTS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif op == 2:
+            text = text[:i] + rng.choice(FRAGMENTS) + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _source_files() -> list[str]:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.mpst"))]
+    for workload in workloads.WORKLOADS:
+        texts.extend(workloads.make(workload, 1, 0).files.values())
+    return texts
+
+
+class TestTokenizerAgainstTheOracle:
+    @pytest.mark.parametrize("text", TOKEN_CASES)
+    def test_edge_cases(self, text):
+        assert _tokens_or_fault(_tokenize, text) == _tokens_or_fault(tokenize_oracle, text)
+
+    def test_a_trailing_comment_ends_the_file_at_its_hash(self):
+        assert _tokenize("process P = q!a # tail")[-1] == ("eof", "", 1, 17)
+        assert _tokenize("process P = q!a\n  # tail")[-1] == ("eof", "", 2, 3)
+
+    def test_a_bad_character_is_reported_at_its_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("process P = q!a\n\t \u00b2")
+        assert (err.value.message, err.value.span) == ("unexpected character '\u00b2'", Span(2, 3))
+
+    def test_source_files(self):
+        texts = _source_files()
+        assert len(texts) > 100
+        for text in texts:
+            got = _tokens_or_fault(_tokenize, text)
+            assert isinstance(got, list) and got == _tokens_or_fault(tokenize_oracle, text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_text(self, seed):
+        rng = random.Random(seed)
+        texts = _source_files()
+        faults = 0
+        for _ in range(500):
+            text = _mutated(rng, rng.choice(texts))
+            got = _tokens_or_fault(_tokenize, text)
+            assert got == _tokens_or_fault(tokenize_oracle, text), repr(text)
+            faults += isinstance(got, tuple)
+        assert 50 < faults < 450  # both outcomes are exercised

@@ -40,7 +40,7 @@ from mpst.terms import Session, minimize_global, participants, session_of
 from mpst.typecheck import accepts
 
 from .conftest import GOLDEN
-from .oracles import solutions_oracle, solve_oracle
+from .oracles import pset_oracle, solutions_oracle, solve_oracle
 
 
 # Variables for hand-built systems.
@@ -668,3 +668,43 @@ class TestSolverAgainstTheOracle:
             else:
                 kinds[got.__name__] += 1
         assert len(kinds) >= 2
+
+
+def _pset_solution_or_fault(solve, eqs, lower_bounds):
+    try:
+        return solve(eqs, lower_bounds)
+    except FreeVariable as exc:
+        return str(exc)
+
+
+class TestPsetWorklistAgainstTheOracle:
+    """solve_pset_equations, a worklist, against the Kleene rounds of
+    tests/oracles.py::pset_oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_pinned_sessions()))
+    def test_pinned_outcomes(self, name):
+        for outcome in infer(_pinned_sessions()[name]):
+            targets = {c.psetvar: c.target for c in outcome.conditions}
+            for lb in ({}, targets):
+                want = pset_oracle(outcome.pset_eqs, lb)
+                assert solve_pset_equations(outcome.pset_eqs, lb) == want
+
+    @pytest.mark.parametrize("seed", range(0, 2000, 500))
+    def test_random_systems(self, seed):
+        faults = 0
+        for s in range(seed, seed + 500):
+            rng = random.Random(s)
+            variables = [PSetVar(i) for i in range(rng.randint(1, 7))]
+            pool = variables + [PSetVar(90), PSetVar(91)] * (rng.random() < 0.1)  # sometimes free ones
+            eqs = {
+                v: PSetPattern(
+                    frozenset(rng.sample("abcde", rng.randint(0, 2))),
+                    tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))),
+                )
+                for v in variables
+            }
+            lb = {v: frozenset(rng.sample("abcdef", rng.randint(0, 2))) for v in variables if rng.random() < 0.5}
+            got = _pset_solution_or_fault(solve_pset_equations, eqs, lb)
+            assert got == _pset_solution_or_fault(pset_oracle, eqs, lb)
+            faults += isinstance(got, str)
+        assert 0 < faults < 200
