@@ -20,16 +20,24 @@ eventually.  Solving a resulting system yields the unique regular tree for
 each type variable; p-set systems are solved to their least fixpoint above
 condition-derived lower bounds and then verified exactly.
 
-An ``infer`` call walks one SessionSpace, shared by every size cap: goals
-hold its state ids, so the Cycle test compares ints, and sessions are built
-only for the goals of emitted outcomes.  At budget 1 every Comm or Weak
-premise would get budget 0 and derive nothing, so the search only marks the
-cap as pruned when such a premise exists, which is all entering it would do.
-Each outcome is solved on its own equation graph: one refinement gives the
-root's canonical graph, every variable the root reaches is a subgraph kept
-on it, and boundedness runs once on it.  ``enumerate_solutions`` interns the
-root graphs it solves, so what is memoized on one is computed once per
-distinct graph of an enumeration.
+The search and the solver keep plain data.  A call walks one SessionSpace,
+whose Comm closure runs under the state budget first, and goals hold its
+state ids.  A variable is an int of the call's supply; a derivation is a
+tuple of type equations (variable, pattern), a pattern being None for End, a
+variable, or (sender, receiver, ((label, variable), ...)); p-set equations
+(variable, (literals, variables)); conditions (type variable, p-set
+variable, p, q, target); goals (state, p-set variable, type variable); size
+and Weak count.  A premise at budget 1 can only end or close a cycle, so it
+is decided where it is entered, without a generator or fresh variables.
+Public objects are made in ``_relabel`` only, which numbers the variables
+from a counter shared by the call in order of first occurrence.
+``enumerate_solutions`` relabels only what it yields, and a skipped
+derivation advances the counter by its number of equations, one per
+variable, so each outcome keeps the ids ``infer`` gives it.  A call's
+``_Solver`` keys each equation graph by its nodes, (sender, receiver,
+branches) with aliases resolved, and its root; a new key alone is built and
+refined, and the table keeps its canonical graph, interned, with each node's
+block.  ``solutions`` and ``solve_type_equations`` flatten into that core.
 """
 
 from __future__ import annotations
@@ -37,9 +45,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .analysis import bounded, plays_global
+from .analysis import _plays_at, bounded, plays_global
 from .semantics import ExploreConfig, SessionSpace, closure
 from .terms import COMM, END, GlobalGraph, GNode, Session, minimize_global
 from .typecheck import Derivation, typecheck
@@ -149,27 +158,18 @@ class SearchBudget:
     explore: ExploreConfig = field(default_factory=ExploreConfig)
 
 
-def default_max_size(space: SessionSpace, config: ExploreConfig = ExploreConfig()) -> int:
-    """Four times the number of states Comm reaches from the space's start."""
-    return 4 * len(closure(space.start, space.transitions, config)[0])
-
-
 # ---------------------------------------------------------------------------
 # Derivation search.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Piece:
-    eqs: tuple
-    peqs: tuple
-    conds: tuple
-    goals: tuple
-    size: int
-    weaks: int
-
-
 _WIDTH = 256  # alternatives considered per goal
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _leaf(m: int, tv: int, pv: int, pat: int | None, pvars: tuple) -> tuple:
+    """The derivation of goal (m, pv, tv) by one End or Cycle step."""
+    return (((tv, pat),), ((pv, (_NO_NAMES, pvars)),), (), ((m, pv, tv),), 1, 0)
 
 
 class _Search:
@@ -177,86 +177,88 @@ class _Search:
     shared by every size cap, and whether the current cap cut a premise
     short.  Goals hold state ids of the space."""
 
-    def __init__(self, space: SessionSpace):
+    def __init__(self, s: Session):
         self.supply = itertools.count()
-        self.space = space
+        self.space = SessionSpace(s)
         self.pruned = False
 
-    def fresh_tv(self) -> TypeVar:
-        return TypeVar(next(self.supply))
+    def derivations(self, budget: SearchBudget) -> Iterator[tuple]:
+        """The complete derivations of the start, smallest first, at most
+        max_outcomes of them; raises BudgetExhausted only when the size cap
+        pruned the tree before any was found."""
+        space = self.space
+        reachable = len(closure(space.start, space.transitions, budget.explore)[0])
+        max_size = 4 * reachable if budget.max_size is None else budget.max_size
+        emitted = 0
+        pruned_any = max_size < 1
+        for cap in range(1, max_size + 1):
+            self.pruned = False
+            tv0, pv0 = next(self.supply), next(self.supply)
+            for piece in self.premise(space.start, tv0, pv0, (), cap, True):
+                if piece[4] != cap:
+                    continue
+                yield piece
+                emitted += 1
+                if emitted >= budget.max_outcomes:
+                    return
+            pruned_any = pruned_any or self.pruned
+            if not self.pruned and cap > 1:
+                # The whole tree fits under this cap; nothing deeper exists.
+                return
+        if emitted == 0 and pruned_any:
+            raise BudgetExhausted(f"no complete derivation within size {max_size}")
 
-    def fresh_pv(self) -> PSetVar:
-        return PSetVar(next(self.supply))
-
-    def derive(
-        self,
-        m: int,
-        tv: TypeVar,
-        pv: PSetVar,
-        goals: tuple,
-        budget: int,
-        allow_weak: bool,
-    ) -> Iterator[_Piece]:
-        here = ((m, pv, tv),)
-        width_left = _WIDTH
-        plays = self.space.plays(m)
-
-        if not plays:
-            yield _Piece(
-                ((tv, PatEnd()),), ((pv, PSetPattern()),), (), here, 1, 0
-            )
-            width_left -= 1
-
+    def ends(self, m: int, goals: tuple) -> list:
+        """The End and Cycle steps of a goal at state m, as the (type pattern,
+        p-set variables) each binds it to, within the width."""
+        out = [] if self.space.plays(m) else [(None, ())]
         for ms, pv2, tv2 in goals:
             if ms == m:
-                if width_left <= 0:
+                if len(out) >= _WIDTH:
                     self.pruned = True
-                    return
-                width_left -= 1
-                yield _Piece(
-                    ((tv, PatVar(tv2)),),
-                    ((pv, PSetPattern(frozenset(), (pv2,))),),
-                    (),
-                    here,
-                    1,
-                    0,
-                )
+                    break
+                out.append((tv2, (pv2,)))
+        return out
 
-        pairs = self.space.comms(m)
-        if budget == 1:
-            # Every Comm or Weak premise would get budget 0 and derive
-            # nothing; all that entering one does is mark the cap pruned.
-            if pairs or (allow_weak and plays):
-                self.pruned = True
-            return
+    def dead(self, m: int, goals: tuple, allow_weak: bool) -> list:
+        """The steps of a premise at budget 1: End and Cycle.  A Comm or Weak
+        step would give its own premise budget 0, which derives nothing, so
+        all it does is mark the cap pruned."""
+        if self.space.comms(m) or (allow_weak and self.space.plays(m)):
+            self.pruned = True
+        return self.ends(m, goals)
 
-        goals2 = goals + ((m, pv, tv),)
-        for succ in pairs:
+    def premise(self, m: int, tv: int, pv: int, goals: tuple, budget: int, allow_weak: bool) -> Iterable[tuple]:
+        """The derivations of goal (m, pv, tv) within budget; at budget 1,
+        decided at once, without a generator."""
+        if budget > 1:
+            return self.derive(m, tv, pv, goals, budget, allow_weak)
+        return [_leaf(m, tv, pv, *leaf) for leaf in self.dead(m, goals, allow_weak)]
+
+    def derive(
+        self, m: int, tv: int, pv: int, goals: tuple, budget: int, allow_weak: bool
+    ) -> Iterator[tuple]:
+        leaves = self.ends(m, goals)
+        for leaf in leaves:
+            yield _leaf(m, tv, pv, *leaf)
+        # When the ends used up the width, each loop below stops at once.
+        width_left = _WIDTH - len(leaves)
+        here = ((m, pv, tv),)
+        goals2 = goals + here
+        plays = self.space.plays(m)
+        for succ in self.space.comms(m):
             if width_left <= 0:
                 self.pruned = True
                 return
             width_left -= 1
             p, q = succ[0][0].sender, succ[0][0].receiver
             residual_plays = plays - {p, q}
-            branch_goals = [(lab.message, mi, self.fresh_tv(), self.fresh_pv()) for lab, mi in succ]
-            eq = (
-                tv,
-                PatComm(p, q, tuple((lab, PatVar(yv)) for lab, _, yv, _ in branch_goals)),
-            )
-            peq = (pv, PSetPattern(frozenset(), tuple(pw for _, _, _, pw in branch_goals)))
-            conds = tuple(
-                PCondition(yv, pw, p, q, residual_plays)
-                for _, _, yv, pw in branch_goals
-            )
-            for sub in self.derive_seq(branch_goals, goals2, budget - 1):
-                yield _Piece(
-                    (eq,) + sub.eqs,
-                    (peq,) + sub.peqs,
-                    conds + sub.conds,
-                    here + sub.goals,
-                    1 + sub.size,
-                    sub.weaks,
-                )
+            items = [(lab.message, mi, next(self.supply), next(self.supply)) for lab, mi in succ]
+            eq = (tv, (p, q, tuple((lab, yv) for lab, _, yv, _ in items)))
+            peq = (pv, (_NO_NAMES, tuple(pw for _, _, _, pw in items)))
+            conds = tuple((yv, pw, p, q, residual_plays) for _, _, yv, pw in items)
+            for sub in self.derive_seq(items, goals2, budget - 1):
+                yield ((eq,) + sub[0], (peq,) + sub[1], conds + sub[2], here + sub[3], 1 + sub[4], sub[5])
 
         if allow_weak:
             for i in range((1 << len(plays)) - 1):
@@ -265,72 +267,58 @@ class _Search:
                     return
                 width_left -= 1
                 split, m1 = self.space.split(m, i)
-                yv, pw = self.fresh_tv(), self.fresh_pv()
-                eq = (tv, PatVar(yv))
-                peq = (pv, PSetPattern(split, (pw,)))
-                for sub in self.derive(m1, yv, pw, goals, budget - 1, False):
-                    yield _Piece(
-                        (eq,) + sub.eqs,
-                        (peq,) + sub.peqs,
-                        sub.conds,
-                        here + sub.goals,
-                        1 + sub.size,
-                        1 + sub.weaks,
-                    )
+                if budget == 2 and not (leaves := self.dead(m1, goals, False)):
+                    continue
+                yv, pw = next(self.supply), next(self.supply)
+                if budget == 2:
+                    subs: Iterable[tuple] = [_leaf(m1, yv, pw, *leaf) for leaf in leaves]
+                else:
+                    subs = self.derive(m1, yv, pw, goals, budget - 1, False)
+                eq, peq = (tv, yv), (pv, (split, (pw,)))
+                for sub in subs:
+                    yield ((eq,) + sub[0], (peq,) + sub[1], sub[2], here + sub[3], 1 + sub[4], 1 + sub[5])
 
-    def derive_seq(self, items: list, goals: tuple, budget: int) -> Iterator[_Piece]:
-        if not items:
-            yield _Piece((), (), (), (), 0, 0)
-            return
+    def derive_seq(self, items: list, goals: tuple, budget: int) -> Iterable[tuple]:
+        """The derivations of the premises items, in order, within budget."""
         if budget < len(items):
             # Every premise needs a budget of 1 at least, so derive never
             # gets less: the cap cuts this sequence short.
             self.pruned = True
-            return
+            return ()
         (_, mi, yv, pw), rest = items[0], items[1:]
-        for sub in self.derive(mi, yv, pw, goals, budget - len(rest), True):
-            for tail in self.derive_seq(rest, goals, budget - sub.size):
-                yield _Piece(
-                    sub.eqs + tail.eqs,
-                    sub.peqs + tail.peqs,
-                    sub.conds + tail.conds,
-                    sub.goals + tail.goals,
-                    sub.size + tail.size,
-                    sub.weaks + tail.weaks,
-                )
+        subs = self.premise(mi, yv, pw, goals, budget - len(rest), True)
+        if not rest:
+            return subs
+        return (tuple(map(add, sub, tail)) for sub in subs for tail in self.derive_seq(rest, goals, budget - sub[4]))
 
 
-def _relabel(
-    piece: _Piece, tv0: TypeVar, pv0: PSetVar, counter: Iterator[int], space: SessionSpace
-) -> InferenceOutcome:
-    """Renumber variables so every emitted outcome binds fresh, canonical ids,
-    and give each goal its session."""
-    renamed: dict = {}  # old variable -> new one of the same kind
+def _relabel(piece: tuple, first: int, space: SessionSpace) -> InferenceOutcome:
+    """The public outcome of a raw derivation: its variables numbered from
+    first in order of first occurrence, the root's first, and each goal given
+    its session."""
+    eqs, peqs, conds, goals, size, weaks = piece
+    renamed: dict[int, TypeVar | PSetVar] = {}
 
-    def see(v):
-        if v not in renamed:
-            renamed[v] = type(v)(next(counter))
-        return renamed[v]
+    def see(v: int, kind: type) -> TypeVar | PSetVar:
+        out = renamed.get(v)
+        if out is None:
+            out = renamed[v] = kind(first + len(renamed))
+        return out
 
-    see(tv0)
-    see(pv0)
+    def pattern(pat) -> TypePattern:
+        if pat is None:
+            return PatEnd()
+        if pat.__class__ is tuple:
+            return PatComm(pat[0], pat[1], tuple((lab, PatVar(see(t, TypeVar))) for lab, t in pat[2]))
+        return PatVar(see(pat, TypeVar))
 
-    def map_pat(pat: TypePattern) -> TypePattern:
-        if isinstance(pat, PatVar):
-            return PatVar(see(pat.var))
-        if isinstance(pat, PatComm):
-            return PatComm(
-                pat.sender,
-                pat.receiver,
-                tuple((lab, map_pat(sub)) for lab, sub in pat.branches),
-            )
-        return pat
-
-    eqs = {see(v): map_pat(pat) for v, pat in piece.eqs}
-    peqs = {see(v): PSetPattern(pat.literals, tuple(map(see, pat.vars))) for v, pat in piece.peqs}
-    conds = tuple(PCondition(see(c.typevar), see(c.psetvar), c.p, c.q, c.target) for c in piece.conds)
-    goals = tuple((space.session(m), see(pw), see(yv)) for m, pw, yv in piece.goals)
-    return InferenceOutcome(eqs, peqs, conds, renamed[tv0], renamed[pv0], goals, piece.size, piece.weaks)
+    _, pv0, tv0 = goals[0]
+    root = see(tv0, TypeVar), see(pv0, PSetVar)
+    type_eqs = {see(v, TypeVar): pattern(pat) for v, pat in eqs}
+    pset_eqs = {see(v, PSetVar): PSetPattern(lits, tuple(see(w, PSetVar) for w in vs)) for v, (lits, vs) in peqs}
+    conditions = tuple(PCondition(see(tv, TypeVar), see(pv, PSetVar), p, q, t) for tv, pv, p, q, t in conds)
+    sessions = tuple((space.session(m), see(pv, PSetVar), see(tv, TypeVar)) for m, pv, tv in goals)
+    return InferenceOutcome(type_eqs, pset_eqs, conditions, *root, sessions, size, weaks)
 
 
 def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[InferenceOutcome]:
@@ -339,30 +327,11 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
     Deterministic for a fixed budget; raises BudgetExhausted only when the
     size cap pruned the tree before anything at all could be emitted.
     """
-    space = SessionSpace(s)
-    max_size = budget.max_size
-    if max_size is None:
-        max_size = default_max_size(space, budget.explore)
-    search = _Search(space)
-    emit_counter = itertools.count()
-    emitted = 0
-    pruned_any = max_size < 1
-    for cap in range(1, max_size + 1):
-        search.pruned = False
-        tv0, pv0 = search.fresh_tv(), search.fresh_pv()
-        for piece in search.derive(space.start, tv0, pv0, (), cap, True):
-            if piece.size != cap:
-                continue
-            yield _relabel(piece, tv0, pv0, emit_counter, space)
-            emitted += 1
-            if emitted >= budget.max_outcomes:
-                return
-        pruned_any = pruned_any or search.pruned
-        if not search.pruned and cap > 1:
-            # The whole tree fits under this cap; nothing deeper exists.
-            return
-    if emitted == 0 and pruned_any:
-        raise BudgetExhausted(f"no complete derivation within size {max_size}")
+    search = _Search(s)
+    first = 0
+    for piece in search.derivations(budget):
+        yield _relabel(piece, first, search.space)
+        first += len(piece[0]) + len(piece[1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,102 +339,169 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
 # ---------------------------------------------------------------------------
 
 
-def _solve(
-    eqs: Mapping[TypeVar, TypePattern],
-    root: TypeVar,
-    interned: dict[GlobalGraph, GlobalGraph] | None = None,
-) -> tuple[list[GlobalGraph], dict[TypeVar, GlobalGraph]]:
-    """The graphs whose subterms are all the solutions, and every variable's.
+class _Solver:
+    """The solving tables of one call.
 
-    One refinement of the system's graph (End at node 0, one node per
-    PatComm, an alias at the end of its chain) gives root's canonical graph,
-    replaced by its instance in ``interned``; a variable it reaches is solved
-    as ``at`` of it, kept on it, and any other on a graph of its own."""
-    heads: list = [None]  # the PatComm behind each node, placed in order
+    ``graphs`` maps an equation graph, keyed by its nodes after End (each
+    (sender, receiver, branches) with every alias resolved) and its root, to
+    its canonical graph and the block of each node the root reaches.
+    ``interned`` maps each canonical graph to its first instance, so what is
+    memoized on one is computed once per distinct graph."""
 
-    def place(pat: TypePattern) -> int | TypeVar:
+    def __init__(self, interned: dict[GlobalGraph, GlobalGraph] | None = None):
+        self.graphs: dict[tuple, tuple[GlobalGraph, dict[int, int]]] = {}
+        self.interned = {} if interned is None else interned
+
+    def graph(self, nodes: tuple, root: int) -> tuple[GlobalGraph, dict[int, int]]:
+        entry = self.graphs.get((nodes, root))
+        if entry is None:
+            g = GlobalGraph((GNode(END, None, None, ()),) + tuple(GNode(COMM, *n) for n in nodes), root)
+            canon = minimize_global(g)
+            canon = self.interned.setdefault(canon, canon)
+            # A walk of g beside its canonical form finds the block of each node.
+            block = {root: canon.root}
+            todo = [root]
+            while todo:
+                i = todo.pop()
+                targets = dict(canon.nodes[block[i]].branches)
+                for lab, t in g.nodes[i].branches:
+                    if t not in block:
+                        block[t] = targets[lab]
+                        todo.append(t)
+            entry = self.graphs[nodes, root] = (canon, block)
+        return entry
+
+    def places(self, eqs: Sequence[tuple], root) -> tuple[list[GlobalGraph], dict]:
+        """Solve type equations (variable, raw pattern): the graphs whose
+        subterms are all the solutions, the root's first, and each variable's
+        solution as (graph, node).  A variable the root does not reach is
+        solved on a graph of its own."""
+        node_of: dict = {None: 0}  # End is node 0, and None stands for it
+        alias: dict = {}
+        heads: list[tuple] = []
+        for v, pat in eqs:
+            if pat.__class__ is tuple:
+                heads.append(pat)
+                node_of[v] = len(heads)
+            else:
+                alias[v] = pat
+
+        def resolve(ref) -> int:
+            trail = set()
+            while ref not in node_of:
+                if ref not in alias:
+                    raise FreeVariable(f"type variable {ref} has no equation")
+                if ref in trail:
+                    raise UnguardedEquations(f"type variable {ref} is bound to itself without any communication")
+                trail.add(ref)
+                ref = alias[ref]
+            return node_of[ref]
+
+        at = {v: node_of[v] if v in node_of else resolve(alias[v]) for v, _ in eqs}
+        nodes = tuple((p, q, tuple(sorted((lab, resolve(t)) for lab, t in bs))) for p, q, bs in heads)
+        canon, block = self.graph(nodes, resolve(root))
+        roots = [canon]
+        where = {}
+        for v, k in at.items():
+            if k in block:
+                where[v] = (canon, block[k])
+            else:
+                own = self.graph(nodes, k)[0]
+                roots.append(own)
+                where[v] = (own, own.root)
+        return roots, where
+
+    def solve(self, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[tuple]) -> tuple[dict, dict] | None:
+        """The places of the type variables and the p-set solution of one
+        system, or None when it has none under this strategy (see solutions).
+        peqs maps each p-set variable to (literals, variables); conds are
+        (type variable, p-set variable, p, q, target)."""
+        roots, where = self.places(eqs, root)
+        if not all(bounded(g) for g in roots):
+            return None
+        lb = dict.fromkeys(peqs, _NO_NAMES)
+        plays = [_plays_at(*where[c[0]]) for c in conds]
+        for (_, pv, _, _, target), have in zip(conds, plays):
+            lb[pv] = lb[pv] | (target - have)
+        psol = _least(peqs, lb)
+        if any(psol[v] != _union(lits, vs, psol) for v, (lits, vs) in peqs.items()):
+            return None
+        agreed = all((have | psol[pv]) - {p, q} == target for (_, pv, p, q, target), have in zip(conds, plays))
+        return (where, psol) if agreed else None
+
+
+def _subterm(place: tuple[GlobalGraph, int]) -> GlobalGraph:
+    g, node = place
+    return g.at(node)
+
+
+def _flatten(eqs: Mapping[TypeVar, TypePattern]) -> list[tuple]:
+    """A public type system as raw equations: PatEnd becomes None, PatVar its
+    variable, and each nested PatComm a fresh int variable whose equation
+    follows the given ones, in breadth-first order."""
+    out: list[tuple] = list(eqs.items())
+
+    def raw(pat: TypePattern) -> TypeVar | int | None:
         if isinstance(pat, PatComm):
-            heads.append(pat)
-            return len(heads) - 1
-        return 0 if isinstance(pat, PatEnd) else pat.var
+            out.append((len(out), pat))
+            return len(out) - 1
+        return None if isinstance(pat, PatEnd) else pat.var
 
-    first = {v: place(pat) for v, pat in eqs.items()}
-
-    def resolve(ref: int | TypeVar) -> int:
-        trail = set()
-        while not isinstance(ref, int):
-            if ref not in first:
-                raise FreeVariable(f"type variable {ref} has no equation")
-            if ref in trail:
-                raise UnguardedEquations(f"type variable {ref} is bound to itself without any communication")
-            trail.add(ref)
-            ref = first[ref]
-        return ref
-
-    at = {v: resolve(ref) for v, ref in first.items()}
-    nodes = [GNode(END, None, None, ())]
-    while len(nodes) < len(heads):  # heads grows while nested patterns are placed
-        pat = heads[len(nodes)]
-        branches = tuple(sorted((lab, resolve(place(sub))) for lab, sub in pat.branches))
-        nodes.append(GNode(COMM, pat.sender, pat.receiver, branches))
-    g = GlobalGraph(tuple(nodes), resolve(root))
-    canon = minimize_global(g)
-    if interned is not None:
-        canon = interned.setdefault(canon, canon)
-    # A walk of g beside its canonical form finds the block of each node.
-    block = {g.root: canon.root}
-    todo = [g.root]
-    while todo:
-        i = todo.pop()
-        targets = dict(canon.nodes[block[i]].branches)
-        for lab, t in g.nodes[i].branches:
-            if t not in block:
-                block[t] = targets[lab]
-                todo.append(t)
-    roots = [canon]
-    types = {}
-    for v, k in at.items():
-        if k in block:
-            types[v] = canon.at(block[k])
+    for k, (v, pat) in enumerate(out):  # out grows while it is read
+        if isinstance(pat, PatComm):
+            out[k] = (v, (pat.sender, pat.receiver, tuple((lab, raw(sub)) for lab, sub in pat.branches)))
         else:
-            types[v] = minimize_global(GlobalGraph(g.nodes, k))
-            roots.append(types[v])
-    return roots, types
+            out[k] = (v, raw(pat))
+    return out
 
 
 def solve_type_equations(eqs: Mapping[TypeVar, TypePattern]) -> dict[TypeVar, GlobalGraph]:
     """The unique regular-tree solution of a closed, guarded system."""
-    return _solve(eqs, next(iter(eqs)))[1] if eqs else {}
+    if not eqs:
+        return {}
+    where = _Solver().places(_flatten(eqs), next(iter(eqs)))[1]
+    return {v: _subterm(where[v]) for v in eqs}
 
 
-def _eval_pset(pat: PSetPattern, values: Mapping[PSetVar, frozenset[str]]) -> frozenset[str]:
-    out = pat.literals
-    for v in pat.vars:
+def _union(literals: frozenset[str], variables: Iterable, values: Mapping) -> frozenset[str]:
+    out = literals
+    for v in variables:
         if v not in values:
             raise FreeVariable(f"p-set variable {v} has no equation")
         out = out | values[v]
     return out
 
 
-def solve_pset_equations(
-    eqs: Mapping[PSetVar, PSetPattern],
-    lower_bounds: Mapping[PSetVar, frozenset[str]] | None = None,
-) -> dict[PSetVar, frozenset[str]]:
-    """Least solution above the given lower bounds: each equation is
-    evaluated once, in order, and again only when a variable it reads grows."""
-    values = {v: frozenset(lower_bounds.get(v, ())) if lower_bounds else frozenset() for v in eqs}
-    readers: dict[PSetVar, list[PSetVar]] = {}
-    for v, pat in eqs.items():
-        for w in pat.vars:
+def _eval_pset(pat: PSetPattern, values: Mapping[PSetVar, frozenset[str]]) -> frozenset[str]:
+    return _union(pat.literals, pat.vars, values)
+
+
+def _least(eqs: Mapping, values: dict) -> dict:
+    """The least solution of p-set equations, variable -> (literals,
+    variables), above values, which it updates: each equation is evaluated
+    once, in order, and again only when a variable it reads grows."""
+    readers: dict = {}
+    for v, (_, vs) in eqs.items():
+        for w in vs:
             readers.setdefault(w, []).append(v)
     todo = deque(eqs)
     while todo:
         v = todo.popleft()
-        new = values[v] | _eval_pset(eqs[v], values)
+        lits, vs = eqs[v]
+        new = values[v] | _union(lits, vs, values)
         if new != values[v]:
             values[v] = new
             todo.extend(readers.get(v, ()))
     return values
+
+
+def solve_pset_equations(
+    eqs: Mapping[PSetVar, PSetPattern],
+    lower_bounds: Mapping[PSetVar, frozenset[str]] | None = None,
+) -> dict[PSetVar, frozenset[str]]:
+    """Least solution above the given lower bounds."""
+    values = {v: frozenset(lower_bounds.get(v, ())) if lower_bounds else frozenset() for v in eqs}
+    return _least({v: (pat.literals, pat.vars) for v, pat in eqs.items()}, values)
 
 
 def check_agreement(
@@ -488,27 +524,20 @@ def solutions(
     solved type cannot supply); the least p-set solution above those bounds is
     verified against the equations and conditions exactly.
 
-    The system is solved on its own equation graph, and boundedness runs on
-    the root's graph, which covers every subterm, and on the graph of any
-    variable the root does not reach.
-
-    ``interned`` maps each root graph solved so far to its first equal
-    instance; the root is replaced by it, so the analyses and subgraphs
-    memoized on a graph are computed once per distinct graph across the
-    outcomes that share the table.
+    ``interned`` maps each canonical graph solved so far to its first equal
+    instance, on which solutions are read, so what is memoized on a graph is
+    computed once across the outcomes that share the table.
     """
-    roots, tsol = _solve(outcome.type_eqs, outcome.root_typevar, interned)
-    if not all(bounded(g) for g in roots):
+    found = _Solver(interned).solve(
+        _flatten(outcome.type_eqs),
+        outcome.root_typevar,
+        {v: (pat.literals, pat.vars) for v, pat in outcome.pset_eqs.items()},
+        [(c.typevar, c.psetvar, c.p, c.q, c.target) for c in outcome.conditions],
+    )
+    if found is None:
         return []
-    lb: dict[PSetVar, frozenset[str]] = {v: frozenset() for v in outcome.pset_eqs}
-    for c in outcome.conditions:
-        missing = c.target - plays_global(tsol[c.typevar])
-        lb[c.psetvar] = lb[c.psetvar] | missing
-    psol = solve_pset_equations(outcome.pset_eqs, lb)
-    if any(psol[v] != _eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
-        return []
-    theta = Substitution(tsol, psol)
-    return [theta] if check_agreement(theta, outcome.conditions)[0] else []
+    where, psol = found
+    return [Substitution({v: _subterm(where[v]) for v in outcome.type_eqs}, psol)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +549,27 @@ Solved = tuple[InferenceOutcome, Substitution, GlobalGraph, frozenset[str]]
 
 def enumerate_solutions(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Solved]:
     """Solved outcomes with duplicates (same type up to bisimilarity and same
-    ignored set) removed."""
+    ignored set) removed.  Each derivation is solved raw, on one table for
+    the call, and made public only when it is yielded."""
+    search = _Search(s)
+    solver = _Solver()
     seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
-    interned: dict[GlobalGraph, GlobalGraph] = {}
-    for outcome in infer(s, budget):
-        for theta in solutions(outcome, interned=interned):
-            g = theta.types[outcome.root_typevar]
-            p = theta.psets[outcome.root_psetvar]
-            if (g, p) in seen:
-                continue
-            seen.add((g, p))
-            yield outcome, theta, g, p
+    first = 0
+    for piece in search.derivations(budget):
+        eqs, peqs = piece[0], piece[1]
+        _, pv0, tv0 = piece[3][0]
+        found = solver.solve(eqs, tv0, dict(peqs), piece[2])
+        if found is not None:
+            where, psol = found
+            key = (where[tv0][0], psol[pv0])
+            if key not in seen:
+                seen.add(key)
+                outcome = _relabel(piece, first, search.space)
+                # _relabel keeps the order of the equations, so zip pairs names.
+                types ={v: _subterm(where[raw]) for v, (raw, _) in zip(outcome.type_eqs, eqs)}
+                psets = {v: psol[raw] for v, (raw, _) in zip(outcome.pset_eqs, peqs)}
+                yield (outcome, Substitution(types, psets)) + key
+        first += len(eqs) + len(peqs)
 
 
 def solved(s: Session, budget: SearchBudget = SearchBudget()) -> list[Solved]:

@@ -7,8 +7,9 @@ sessions (explore_oracle), boundedness as one depth search per node and
 participant (bounded_oracle), type equations solved through the file
 parser's builder, one graph per variable (solve_oracle), the character loop
 of the tokenizer (tokenize_oracle), partition refinement in rounds over every
-node (refine_oracle), and p-set equations solved in Kleene rounds
-(pset_oracle).
+node (refine_oracle), p-set equations solved in Kleene rounds
+(pset_oracle), and enumeration that makes every outcome public and solves
+it (enumerate_oracle).
 """
 
 from __future__ import annotations
@@ -319,6 +320,25 @@ def solutions_oracle(outcome):
         return []
     theta = Substitution(tsol, psol)
     return [theta] if check_agreement(theta, outcome.conditions)[0] else []
+
+
+def enumerate_oracle(s, budget):
+    """inference.enumerate_solutions one public outcome at a time: infer
+    makes every derivation an InferenceOutcome, solutions solves each on an
+    interned table shared by the call, and a (type, ignored set) pair met
+    before is dropped."""
+    from mpst.inference import infer, solutions
+
+    seen = set()
+    interned = {}
+    for outcome in infer(s, budget):
+        for theta in solutions(outcome, interned=interned):
+            g = theta.types[outcome.root_typevar]
+            p = theta.psets[outcome.root_psetvar]
+            if (g, p) in seen:
+                continue
+            seen.add((g, p))
+            yield outcome, theta, g, p
 
 
 def refine_oracle(sigs, branches):

@@ -265,6 +265,22 @@ def test_state_budget_exceeded_is_exit_3(capsys, argv):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_infer_keeps_the_state_budget_under_an_explicit_size(tmp_path, capsys):
+    # Comm reaches 4 states of 2 cyclic pairs: --max-size does not lift
+    # --max-states.
+    from .test_inference import _pairs_text
+
+    path = tmp_path / "pairs2.mpst"
+    path.write_text(_pairs_text(2), encoding="utf-8")
+    code = run(["infer", "--session", "M", "--max-states", "2", "--max-size", "6", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.BUDGET_EXCEEDED
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: state limit of 2")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -40,7 +40,7 @@ from mpst.terms import Session, minimize_global, participants, session_of
 from mpst.typecheck import accepts
 
 from .conftest import GOLDEN
-from .oracles import pset_oracle, solutions_oracle, solve_oracle
+from .oracles import enumerate_oracle, pset_oracle, solutions_oracle, solve_oracle
 
 
 # Variables for hand-built systems.
@@ -591,6 +591,30 @@ class TestReuse:
         assert solved(m)
         assert len(seen) == len(set(seen)) <= 11
 
+    def test_work_is_paid_per_kept_solution(self, monkeypatch):
+        # The 5-client server's 64 derivations have 5 distinct equation
+        # graphs and 5 distinct solutions; about half of its premises get
+        # budget 1 and are decided without a generator.
+        from mpst import inference
+
+        m = parse(_server_text(5)).sessions["M"]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(inference, "minimize_global", counted("refine", inference.minimize_global))
+        monkeypatch.setattr(inference, "InferenceOutcome", counted("outcome", inference.InferenceOutcome))
+        monkeypatch.setattr(inference._Search, "derive", counted("derive", inference._Search.derive))
+        assert len(solved(m)) == 5
+        assert calls["refine"] == 5
+        assert calls["outcome"] == 5
+        assert calls["derive"] <= 1000
+
     def test_an_infer_call_steps_state_ids_not_sessions(self, monkeypatch):
         # Once the start is normalized, every successor and split is a state
         # id of the call's SessionSpace: no session is stepped or rebuilt.
@@ -708,3 +732,36 @@ class TestPsetWorklistAgainstTheOracle:
             assert got == _pset_solution_or_fault(pset_oracle, eqs, lb)
             faults += isinstance(got, str)
         assert 0 < faults < 200
+
+
+def _enumerated(enumeration, m, budget):
+    try:
+        return list(enumeration(m, budget))
+    except BudgetExhausted:
+        return BudgetExhausted
+
+
+class TestEnumerationAgainstTheOracle:
+    """enumerate_solutions, which solves raw derivations and makes public only
+    what it yields, against tests/oracles.py::enumerate_oracle, which makes
+    every outcome public and solves it: the same outcomes with the same
+    variable ids, substitutions, types and ignored sets, or BudgetExhausted
+    from both."""
+
+    @pytest.mark.parametrize("budget_name", sorted(_PINNED_BUDGETS))
+    def test_pinned_sessions(self, budget_name):
+        budget = _PINNED_BUDGETS[budget_name]
+        for m in _pinned_sessions().values():
+            assert _enumerated(enumerate_solutions, m, budget) == _enumerated(enumerate_oracle, m, budget)
+
+    @pytest.mark.parametrize("seed", range(0, 240, 40))
+    def test_random_sessions(self, seed):
+        kinds = Counter()
+        for s in range(seed, seed + 40):
+            rng = random.Random(s)
+            m = random_session(rng, 3, 3, labels=("a", "b"))
+            budget = SearchBudget(max_size=rng.randint(1, 9), max_outcomes=rng.choice([1, 7, 64]))
+            got = _enumerated(enumerate_solutions, m, budget)
+            assert got == _enumerated(enumerate_oracle, m, budget)
+            kinds["exhausted" if got is BudgetExhausted else "solved" if got else "none"] += 1
+        assert kinds["solved"] and kinds["exhausted"]
