@@ -28,16 +28,19 @@ variable, or (sender, receiver, ((label, variable), ...)); p-set equations
 (variable, (literals, variables)); conditions (type variable, p-set
 variable, p, q, target); goals (state, p-set variable, type variable); size
 and Weak count.  A premise at budget 1 can only end or close a cycle, so it
-is decided where it is entered, without a generator or fresh variables.
+is decided where it is entered, without a generator.
 Public objects are made in ``_relabel`` only, which numbers the variables
-from a counter shared by the call in order of first occurrence.
-``enumerate_solutions`` relabels only what it yields, and a skipped
+from a counter shared by the call in order of first occurrence; every
 derivation advances the counter by its number of equations, one per
-variable, so each outcome keeps the ids ``infer`` gives it.  A call's
-``_Solver`` keys each equation graph by its nodes, (sender, receiver,
-branches) with aliases resolved, and its root; a new key alone is built and
-refined, and the table keeps its canonical graph, interned, with each node's
-block.  ``solutions`` and ``solve_type_equations`` flatten into that core.
+variable.  ``infer`` relabels each derivation, or with ``raw`` yields it
+unnumbered with the id its first variable is given.
+``enumerate_solutions`` takes the raw ones, solves each with ``solutions``
+and relabels only what it yields, so each outcome keeps the ids ``infer``
+gives it.  A call's solving table keys each equation graph by its nodes,
+(sender, receiver, branches) with aliases resolved, and its root; a new key
+alone is built and refined, and the table keeps its canonical graph,
+interned, with each node's block.  Public outcomes and
+``solve_type_equations`` flatten into the same solver.
 """
 
 from __future__ import annotations
@@ -267,15 +270,9 @@ class _Search:
                     return
                 width_left -= 1
                 split, m1 = self.space.split(m, i)
-                if budget == 2 and not (leaves := self.dead(m1, goals, False)):
-                    continue
                 yv, pw = next(self.supply), next(self.supply)
-                if budget == 2:
-                    subs: Iterable[tuple] = [_leaf(m1, yv, pw, *leaf) for leaf in leaves]
-                else:
-                    subs = self.derive(m1, yv, pw, goals, budget - 1, False)
                 eq, peq = (tv, yv), (pv, (split, (pw,)))
-                for sub in subs:
+                for sub in self.premise(m1, yv, pw, goals, budget - 1, False):
                     yield ((eq,) + sub[0], (peq,) + sub[1], sub[2], here + sub[3], 1 + sub[4], 1 + sub[5])
 
     def derive_seq(self, items: list, goals: tuple, budget: int) -> Iterable[tuple]:
@@ -321,16 +318,19 @@ def _relabel(piece: tuple, first: int, space: SessionSpace) -> InferenceOutcome:
     return InferenceOutcome(type_eqs, pset_eqs, conditions, *root, sessions, size, weaks)
 
 
-def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[InferenceOutcome]:
+def infer(s: Session, budget: SearchBudget = SearchBudget(), *, raw: bool = False) -> Iterator:
     """Enumerate resolution outcomes, smallest derivations first.
 
     Deterministic for a fixed budget; raises BudgetExhausted only when the
-    size cap pruned the tree before anything at all could be emitted.
+    size cap pruned the tree before anything at all could be emitted.  With
+    raw, each derivation comes as the search made it, with the id its first
+    variable is given and the session space, so that enumerate_solutions
+    makes public only what it keeps.
     """
     search = _Search(s)
     first = 0
     for piece in search.derivations(budget):
-        yield _relabel(piece, first, search.space)
+        yield (piece, first, search.space) if raw else _relabel(piece, first, search.space)
         first += len(piece[0]) + len(piece[1])
 
 
@@ -339,100 +339,90 @@ def infer(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Inferen
 # ---------------------------------------------------------------------------
 
 
-class _Solver:
-    """The solving tables of one call.
-
-    ``graphs`` maps an equation graph, keyed by its nodes after End (each
-    (sender, receiver, branches) with every alias resolved) and its root, to
-    its canonical graph and the block of each node the root reaches.
-    ``interned`` maps each canonical graph to its first instance, so what is
-    memoized on one is computed once per distinct graph."""
-
-    def __init__(self, interned: dict[GlobalGraph, GlobalGraph] | None = None):
-        self.graphs: dict[tuple, tuple[GlobalGraph, dict[int, int]]] = {}
-        self.interned = {} if interned is None else interned
-
-    def graph(self, nodes: tuple, root: int) -> tuple[GlobalGraph, dict[int, int]]:
-        entry = self.graphs.get((nodes, root))
-        if entry is None:
-            g = GlobalGraph((GNode(END, None, None, ()),) + tuple(GNode(COMM, *n) for n in nodes), root)
-            canon = minimize_global(g)
-            canon = self.interned.setdefault(canon, canon)
-            # A walk of g beside its canonical form finds the block of each node.
-            block = {root: canon.root}
-            todo = [root]
-            while todo:
-                i = todo.pop()
-                targets = dict(canon.nodes[block[i]].branches)
-                for lab, t in g.nodes[i].branches:
-                    if t not in block:
-                        block[t] = targets[lab]
-                        todo.append(t)
-            entry = self.graphs[nodes, root] = (canon, block)
-        return entry
-
-    def places(self, eqs: Sequence[tuple], root) -> tuple[list[GlobalGraph], dict]:
-        """Solve type equations (variable, raw pattern): the graphs whose
-        subterms are all the solutions, the root's first, and each variable's
-        solution as (graph, node).  A variable the root does not reach is
-        solved on a graph of its own."""
-        node_of: dict = {None: 0}  # End is node 0, and None stands for it
-        alias: dict = {}
-        heads: list[tuple] = []
-        for v, pat in eqs:
-            if pat.__class__ is tuple:
-                heads.append(pat)
-                node_of[v] = len(heads)
-            else:
-                alias[v] = pat
-
-        def resolve(ref) -> int:
-            trail = set()
-            while ref not in node_of:
-                if ref not in alias:
-                    raise FreeVariable(f"type variable {ref} has no equation")
-                if ref in trail:
-                    raise UnguardedEquations(f"type variable {ref} is bound to itself without any communication")
-                trail.add(ref)
-                ref = alias[ref]
-            return node_of[ref]
-
-        at = {v: node_of[v] if v in node_of else resolve(alias[v]) for v, _ in eqs}
-        nodes = tuple((p, q, tuple(sorted((lab, resolve(t)) for lab, t in bs))) for p, q, bs in heads)
-        canon, block = self.graph(nodes, resolve(root))
-        roots = [canon]
-        where = {}
-        for v, k in at.items():
-            if k in block:
-                where[v] = (canon, block[k])
-            else:
-                own = self.graph(nodes, k)[0]
-                roots.append(own)
-                where[v] = (own, own.root)
-        return roots, where
-
-    def solve(self, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[tuple]) -> tuple[dict, dict] | None:
-        """The places of the type variables and the p-set solution of one
-        system, or None when it has none under this strategy (see solutions).
-        peqs maps each p-set variable to (literals, variables); conds are
-        (type variable, p-set variable, p, q, target)."""
-        roots, where = self.places(eqs, root)
-        if not all(bounded(g) for g in roots):
-            return None
-        lb = dict.fromkeys(peqs, _NO_NAMES)
-        plays = [_plays_at(*where[c[0]]) for c in conds]
-        for (_, pv, _, _, target), have in zip(conds, plays):
-            lb[pv] = lb[pv] | (target - have)
-        psol = _least(peqs, lb)
-        if any(psol[v] != _union(lits, vs, psol) for v, (lits, vs) in peqs.items()):
-            return None
-        agreed = all((have | psol[pv]) - {p, q} == target for (_, pv, p, q, target), have in zip(conds, plays))
-        return (where, psol) if agreed else None
+def _graph(table: dict, nodes: tuple, root: int) -> tuple[GlobalGraph, dict[int, int]]:
+    """The canonical graph of the equation graph (End, then nodes) at root,
+    and the block of each node root reaches.  The table keeps both under
+    (nodes, root), and each canonical graph as its first equal instance, so
+    each equation graph is refined once and what is memoized on a canonical
+    graph is computed once."""
+    entry = table.get((nodes, root))
+    if entry is None:
+        g = GlobalGraph((GNode(END, None, None, ()),) + tuple(GNode(COMM, *n) for n in nodes), root)
+        canon = minimize_global(g)
+        canon = table.setdefault(canon, canon)
+        # A walk of g beside its canonical form finds the block of each node.
+        block = {root: canon.root}
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            targets = dict(canon.nodes[block[i]].branches)
+            for lab, t in g.nodes[i].branches:
+                if t not in block:
+                    block[t] = targets[lab]
+                    todo.append(t)
+        entry = table[nodes, root] = (canon, block)
+    return entry
 
 
-def _subterm(place: tuple[GlobalGraph, int]) -> GlobalGraph:
-    g, node = place
-    return g.at(node)
+def _places(table: dict, eqs: Sequence[tuple], root) -> tuple[list[GlobalGraph], dict]:
+    """Solve type equations (variable, raw pattern): the graphs whose
+    subterms are all the solutions, the root's first, and each variable's
+    solution as (graph, node), in the order of eqs.  A variable the root
+    does not reach is solved on a graph of its own."""
+    node_of: dict = {None: 0}  # End is node 0, and None stands for it
+    alias: dict = {}
+    heads: list[tuple] = []
+    for v, pat in eqs:
+        if pat.__class__ is tuple:
+            heads.append(pat)
+            node_of[v] = len(heads)
+        else:
+            alias[v] = pat
+
+    def resolve(ref) -> int:
+        trail = set()
+        while ref not in node_of:
+            if ref not in alias:
+                raise FreeVariable(f"type variable {ref} has no equation")
+            if ref in trail:
+                raise UnguardedEquations(f"type variable {ref} is bound to itself without any communication")
+            trail.add(ref)
+            ref = alias[ref]
+        return node_of[ref]
+
+    at = {v: node_of[v] if v in node_of else resolve(alias[v]) for v, _ in eqs}
+    nodes = tuple((p, q, tuple(sorted((lab, resolve(t)) for lab, t in bs))) for p, q, bs in heads)
+    canon, block = _graph(table, nodes, resolve(root))
+    roots = [canon]
+    where = {}
+    for v, k in at.items():
+        if k in block:
+            where[v] = (canon, block[k])
+        else:
+            own = _graph(table, nodes, k)[0]
+            roots.append(own)
+            where[v] = (own, own.root)
+    return roots, where
+
+
+def _solve(table: dict, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[tuple]) -> tuple[dict, dict] | None:
+    """The places of the type variables and the p-set solution of one
+    system, or None when it has none under this strategy (see solutions).
+    peqs maps each p-set variable to (literals, variables), and the solution
+    keeps its order; conds are (type variable, p-set variable, p, q,
+    target)."""
+    roots, where = _places(table, eqs, root)
+    if not all(bounded(g) for g in roots):
+        return None
+    lb = dict.fromkeys(peqs, _NO_NAMES)
+    plays = [_plays_at(*where[c[0]]) for c in conds]
+    for (_, pv, _, _, target), have in zip(conds, plays):
+        lb[pv] = lb[pv] | (target - have)
+    psol = _least(peqs, lb)
+    if any(psol[v] != _union(lits, vs, psol) for v, (lits, vs) in peqs.items()):
+        return None
+    agreed = all((have | psol[pv]) - {p, q} == target for (_, pv, p, q, target), have in zip(conds, plays))
+    return (where, psol) if agreed else None
 
 
 def _flatten(eqs: Mapping[TypeVar, TypePattern]) -> list[tuple]:
@@ -459,8 +449,8 @@ def solve_type_equations(eqs: Mapping[TypeVar, TypePattern]) -> dict[TypeVar, Gl
     """The unique regular-tree solution of a closed, guarded system."""
     if not eqs:
         return {}
-    where = _Solver().places(_flatten(eqs), next(iter(eqs)))[1]
-    return {v: _subterm(where[v]) for v in eqs}
+    where = _places({}, _flatten(eqs), next(iter(eqs)))[1]
+    return {v: g.at(n) for v, (g, n) in itertools.islice(where.items(), len(eqs))}
 
 
 def _union(literals: frozenset[str], variables: Iterable, values: Mapping) -> frozenset[str]:
@@ -514,9 +504,7 @@ def check_agreement(
     return True, None
 
 
-def solutions(
-    outcome: InferenceOutcome, *, interned: dict[GlobalGraph, GlobalGraph] | None = None
-) -> list[Substitution]:
+def solutions(outcome: InferenceOutcome | tuple, *, interned: dict | None = None) -> list[Substitution]:
     """Solve one outcome: zero or one substitution under this strategy.
 
     Types are solved first and every bound graph must be bounded.  Conditions
@@ -524,20 +512,26 @@ def solutions(
     solved type cannot supply); the least p-set solution above those bounds is
     verified against the equations and conditions exactly.
 
-    ``interned`` maps each canonical graph solved so far to its first equal
-    instance, on which solutions are read, so what is memoized on a graph is
-    computed once across the outcomes that share the table.
+    The outcome may also be a derivation as ``infer(raw=True)`` yields it;
+    its substitution is then keyed by the derivation's int variables.
+    ``interned`` is a solving table shared by the calls of one enumeration:
+    it keeps each equation graph solved so far, and each canonical graph as
+    its first equal instance, on which solutions are read, so each equation
+    graph is refined once and what is memoized on a graph is computed once.
     """
-    found = _Solver(interned).solve(
-        _flatten(outcome.type_eqs),
-        outcome.root_typevar,
-        {v: (pat.literals, pat.vars) for v, pat in outcome.pset_eqs.items()},
-        [(c.typevar, c.psetvar, c.p, c.q, c.target) for c in outcome.conditions],
-    )
+    if outcome.__class__ is tuple:
+        eqs, peqs, conds, goals = outcome[0], dict(outcome[1]), outcome[2], outcome[3]
+        root, named = goals[0][2], len(eqs)
+    else:
+        eqs, root, named = _flatten(outcome.type_eqs), outcome.root_typevar, len(outcome.type_eqs)
+        peqs = {v: (pat.literals, pat.vars) for v, pat in outcome.pset_eqs.items()}
+        conds = [(c.typevar, c.psetvar, c.p, c.q, c.target) for c in outcome.conditions]
+    found = _solve({} if interned is None else interned, eqs, root, peqs, conds)
     if found is None:
         return []
     where, psol = found
-    return [Substitution({v: _subterm(where[v]) for v in outcome.type_eqs}, psol)]
+    # where follows eqs, which list the outcome's own variables first.
+    return [Substitution({v: g.at(n) for v, (g, n) in itertools.islice(where.items(), named)}, psol)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +545,19 @@ def enumerate_solutions(s: Session, budget: SearchBudget = SearchBudget()) -> It
     """Solved outcomes with duplicates (same type up to bisimilarity and same
     ignored set) removed.  Each derivation is solved raw, on one table for
     the call, and made public only when it is yielded."""
-    search = _Search(s)
-    solver = _Solver()
+    table: dict = {}
     seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
-    first = 0
-    for piece in search.derivations(budget):
-        eqs, peqs = piece[0], piece[1]
+    for piece, first, space in infer(s, budget, raw=True):
         _, pv0, tv0 = piece[3][0]
-        found = solver.solve(eqs, tv0, dict(peqs), piece[2])
-        if found is not None:
-            where, psol = found
-            key = (where[tv0][0], psol[pv0])
-            if key not in seen:
-                seen.add(key)
-                outcome = _relabel(piece, first, search.space)
-                # _relabel keeps the order of the equations, so zip pairs names.
-                types ={v: _subterm(where[raw]) for v, (raw, _) in zip(outcome.type_eqs, eqs)}
-                psets = {v: psol[raw] for v, (raw, _) in zip(outcome.pset_eqs, peqs)}
-                yield (outcome, Substitution(types, psets)) + key
-        first += len(eqs) + len(peqs)
+        for theta in solutions(piece, interned=table):
+            key = (theta.types[tv0], theta.psets[pv0])
+            if key in seen:
+                continue
+            seen.add(key)
+            outcome = _relabel(piece, first, space)
+            # _relabel and the solution both keep the order of the equations.
+            types = dict(zip(outcome.type_eqs, theta.types.values()))
+            yield (outcome, Substitution(types, dict(zip(outcome.pset_eqs, theta.psets.values())))) + key
 
 
 def solved(s: Session, budget: SearchBudget = SearchBudget()) -> list[Solved]:

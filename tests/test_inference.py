@@ -615,6 +615,29 @@ class TestReuse:
         assert calls["outcome"] == 5
         assert calls["derive"] <= 1000
 
+    def test_enumeration_goes_through_infer_and_solutions(self, monkeypatch):
+        # enumerate_solutions takes its derivations from infer and solves
+        # each with solutions, so a wrapper around either sees all the work.
+        from mpst import inference
+
+        m = parse(_server_text(5)).sessions["M"]
+        calls = Counter()
+
+        def counted_infer(*args, **kwargs):
+            calls["infer"] += 1
+            for item in infer(*args, **kwargs):
+                calls["derivation"] += 1
+                yield item
+
+        def counted_solutions(*args, **kwargs):
+            calls["solutions"] += 1
+            return solutions(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "infer", counted_infer)
+        monkeypatch.setattr(inference, "solutions", counted_solutions)
+        assert len(solved(m)) == 5
+        assert calls == {"infer": 1, "derivation": 64, "solutions": 64}
+
     def test_an_infer_call_steps_state_ids_not_sessions(self, monkeypatch):
         # Once the start is normalized, every successor and split is a state
         # id of the call's SessionSpace: no session is stepped or rebuilt.
