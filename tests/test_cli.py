@@ -15,6 +15,8 @@ from mpst import analysis, cli
 from mpst.cli import run
 from mpst.frontend import format_global
 from mpst.inference import NoSolutionWithinBudget, infer_minimal
+from mpst.semantics import subsets
+from mpst.terms import participants
 
 from .conftest import GOLDEN, golden_path, load_golden
 
@@ -563,6 +565,21 @@ def _digest_inputs(tmp_path):
     return out
 
 
+def _judgment_runs(command, path):
+    """The argument lists of command on one golden: meta once, under a state
+    budget two_loops.mpst exceeds; check on every global x session x subset
+    of the session's participants."""
+    if command == "meta":
+        return [["meta", "--max-states", "150", str(path)]]
+    spec = load_golden(path.name)
+    return [
+        ["check", "--global", gname, "--session", sname, "--ignored", ",".join(sorted(sub)), str(path)]
+        for gname in spec.globals
+        for sname, m in spec.sessions.items()
+        for sub in subsets(participants(m))
+    ]
+
+
 _DIGEST_COMMANDS = {
     "infer-equations": ["infer", "--show-equations"],
     "infer-minimal": ["infer", "--minimal"],
@@ -610,6 +627,27 @@ class TestOutputDigests:
         },
     }
 
+    # check on every global x session x subset of the session's
+    # participants of a golden, and meta on it, in text and JSON.
+    JUDGMENT_DIGESTS = {
+        "check": {
+            "buyer_seller": "0e590507a9d04bac6d4e89857263db14052aca45d8c58c26c7179a59e20d495e",
+            "empty": "c56b2d83c120a4abcc173f0fa619f5a08bcf91e55bb21eb035d73997727615d0",
+            "mutual_loop": "cf0a0cc1684e57073462c6df59f962e832651c497bb2c887453ba8f2703116ae",
+            "social_media": "857a784328e8a0fbf3977774205938aa576ae5ec6c4c14fd075d6e9e98231055",
+            "two_loops": "8ddc76d5cc6266305fbaf707872cbf1a906cb3429894edc265975a2f3849663c",
+            "unbounded": "6730f843ea33f2a41fc3ecc82cbcda0fec4a2fb6aa14e113c4d656d3a1558a09",
+        },
+        "meta": {
+            "buyer_seller": "da4c2973232bfa150cbdf60df9d1828f98ae193757b165af4cbd59eb72883b48",
+            "empty": "125992c9cdfbe5262f67b726ca31297425e40b13ca8a5530006e1075111daf83",
+            "mutual_loop": "d497fb6bb8a83d12cf1488db370afb6f3b0330370a610baf84e777e9f171032f",
+            "social_media": "09fc06d140de5476660f62f65bcd582613deeee5e811dc252937763f76d12c1f",
+            "two_loops": "9422b95a5e9325e99b4848aa8d911c6ddf0745dea8d00a54dc8915fa23de5d2f",
+            "unbounded": "4084a1d91f936039addb6e5c3b95a7741d17613efe96fba993822b10e7d7a377",
+        },
+    }
+
     @pytest.mark.parametrize("command", sorted(_DIGEST_COMMANDS))
     def test_report_is_unchanged(self, capsys, tmp_path, command):
         got = {}
@@ -618,3 +656,15 @@ class TestOutputDigests:
             text = f"{code}\n{capsys.readouterr().out}"
             got[case] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert got == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("command", sorted(JUDGMENT_DIGESTS))
+    def test_judgments_are_unchanged(self, capsys, command):
+        got = {}
+        for path in sorted(GOLDEN.glob("*.mpst")):
+            digest = hashlib.sha256()
+            for argv in _judgment_runs(command, path):
+                for fmt in ("text", "json"):
+                    code = run(argv + ["--format", fmt])
+                    digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+            got[path.stem] = digest.hexdigest()
+        assert got == self.JUDGMENT_DIGESTS[command]
