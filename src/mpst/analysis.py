@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .semantics import ExploreConfig, StateGraph, Trace, explore
-from .terms import COMM, GlobalGraph, IN, OUT, Session, participants
+from .terms import COMM, GlobalGraph, Session, participants
 
 # Fixed note attached to lock-freedom reports: the verdict follows the literal
 # existential-continuation reading, which accepts sessions that a fairness
@@ -168,12 +168,7 @@ def _bounded(g: GlobalGraph) -> BoundednessVerdict:
 def top_partner(s: Session, p: str) -> str | None:
     """The participant addressed at the root of p's process, if p is active."""
     g = s.get(p)
-    if g is None:
-        return None
-    node = g.root_node
-    if node.kind in (OUT, IN):
-        return node.partner
-    return None
+    return None if g is None else g.root_node.partner  # an end node has none
 
 
 # ---------------------------------------------------------------------------

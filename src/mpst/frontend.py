@@ -335,15 +335,15 @@ def parse(text: str) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 
-def _named_nodes(branches_of, root: int, n: int) -> list[int]:
+def _named_nodes(g: ProcessGraph | GlobalGraph) -> list[int]:
     """Root plus every node with several references or a back reference."""
-    indeg = {i: 0 for i in range(n)}
+    indeg = {i: 0 for i in range(len(g.nodes))}
     back: set[int] = set()
     state: dict[int, int] = {}
 
     def dfs(i: int) -> None:
         state[i] = 1
-        for _, t in branches_of(i):
+        for _, t in g.nodes[i].branches:
             indeg[t] += 1
             if state.get(t) == 1:
                 back.add(t)
@@ -351,21 +351,20 @@ def _named_nodes(branches_of, root: int, n: int) -> list[int]:
                 dfs(t)
         state[i] = 2
 
-    dfs(root)
-    named = {root} | back | {i for i, d in indeg.items() if d > 1}
+    dfs(g.root)
+    named = {g.root} | back | {i for i, d in indeg.items() if d > 1}
     return sorted(named)
 
 
-def _render(
-    branches_of,
-    node_text,
-    is_end,
-    end_text: str,
-    root: int,
-    n: int,
-    base: str,
-) -> str:
-    named = [i for i in _named_nodes(branches_of, root, n) if not is_end(i)]
+def _render(g: ProcessGraph | GlobalGraph, node_text, end_text: str, base: str) -> str:
+    """The equations of g named base, base1, ...; node_text(node, body)
+    writes a communication node around the text of its branches."""
+    root = g.root
+
+    def is_end(i: int) -> bool:
+        return g.nodes[i].kind == END
+
+    named = [i for i in _named_nodes(g) if not is_end(i)]
     if root not in named and not is_end(root):
         named.insert(0, root)
     names: dict[int, str] = {}
@@ -378,13 +377,13 @@ def _render(
         if i in names and not at_def:
             return names[i]
         parts = []
-        for lab, t in branches_of(i):
+        for lab, t in g.nodes[i].branches:
             if is_end(t):
                 parts.append(lab)
             else:
                 parts.append(f"{lab} . {go(t, False)}")
         body = parts[0] if len(parts) == 1 else "{ " + ", ".join(parts) + " }"
-        return node_text(i, body)
+        return node_text(g.nodes[i], body)
 
     if is_end(root):
         return f"{base} = {end_text}" if base else end_text
@@ -399,29 +398,13 @@ def format_process(g: ProcessGraph, name: str = "P") -> str:
     states of a state graph that share a process share its text.
     """
     g = terms.minimize(g)
-    return g.cached(("text", name), lambda: _render(
-        lambda i: g.nodes[i].branches,
-        lambda i, body: f"{g.nodes[i].partner}{g.nodes[i].kind}{body}",
-        lambda i: g.nodes[i].kind == END,
-        "0",
-        g.root,
-        len(g.nodes),
-        name,
-    ))
+    return g.cached(("text", name), lambda: _render(g, lambda n, body: f"{n.partner}{n.kind}{body}", "0", name))
 
 
 def format_global(g: GlobalGraph, name: str = "G") -> str:
     """Equation text for a global graph, e.g. ``G = b->s:{ add . G, pay }``."""
     g = terms.minimize_global(g)
-    return _render(
-        lambda i: g.nodes[i].branches,
-        lambda i, body: f"{g.nodes[i].sender}->{g.nodes[i].receiver}:{body}",
-        lambda i: g.nodes[i].kind == END,
-        "end",
-        g.root,
-        len(g.nodes),
-        name,
-    )
+    return _render(g, lambda n, body: f"{n.sender}->{n.receiver}:{body}", "end", name)
 
 
 def parse_global(text: str, name: str = "G") -> GlobalGraph:

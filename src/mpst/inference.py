@@ -52,7 +52,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .analysis import _plays_at, bounded, plays_global
-from .semantics import ExploreConfig, SessionSpace, closure
+from .semantics import ExploreConfig, SessionSpace, closure, subsets
 from .terms import COMM, END, GlobalGraph, GNode, Session, minimize_global
 from .typecheck import Derivation, typecheck
 
@@ -264,12 +264,12 @@ class _Search:
                 yield ((eq,) + sub[0], (peq,) + sub[1], conds + sub[2], here + sub[3], 1 + sub[4], sub[5])
 
         if allow_weak:
-            for i in range((1 << len(plays)) - 1):
+            for split in itertools.islice(subsets(plays), 1, None):
                 if width_left <= 0:
                     self.pruned = True
                     return
                 width_left -= 1
-                split, m1 = self.space.split(m, i)
+                m1 = self.space.without(m, split)
                 yv, pw = next(self.supply), next(self.supply)
                 eq, peq = (tv, yv), (pv, (split, (pw,)))
                 for sub in self.premise(m1, yv, pw, goals, budget - 1, False):

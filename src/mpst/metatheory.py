@@ -25,14 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from .analysis import excluded_lock_free, plays_global, top_partner
-from .semantics import (
-    ExploreConfig,
-    closure,
-    global_successor,
-    global_transitions,
-    reduce,
-    session_transitions,
-)
+from .semantics import ExploreConfig, closure, global_successor, global_transitions
 from .terms import (
     GlobalGraph,
     Session,
@@ -52,14 +45,14 @@ class Violation:
         return f"[{self.check}] {self.detail}"
 
 
-def _session_steps(g: GlobalGraph, m: Session, p: frozenset):
+def _session_steps(space, g: GlobalGraph, s: int, p: frozenset):
     """Subject reduction's edges: each session step and the global step matching it.
 
-    Yields (label, (G', M') or None, why), where why says what went wrong if
-    the step has no successor or no ignored subset re-types its successor.
+    Yields (label, (G', successor id) or None, why), where why says what went
+    wrong if the step has no successor or no ignored subset re-types it.
     """
     gplays = plays_global(g)
-    for lab, m2 in session_transitions(m):
+    for lab, t in space.transitions(s):
         if lab.plays <= gplays:
             g2 = global_successor(g, lab)
             if g2 is None:
@@ -70,41 +63,43 @@ def _session_steps(g: GlobalGraph, m: Session, p: frozenset):
         else:
             yield lab, None, f"step {lab}: exactly one endpoint occurs in the global type"
             continue
-        yield lab, (g2, m2), f"after step {lab}: no ignored subset of {sorted(p)} re-types the session"
+        yield lab, (g2, t), f"after step {lab}: no ignored subset of {sorted(p)} re-types the session"
 
 
-def _global_steps(g: GlobalGraph, m: Session, p: frozenset):
+def _global_steps(space, g: GlobalGraph, s: int, p: frozenset):
     """Session fidelity's edges: each global step, taken by the session."""
     for lab, g2 in global_transitions(g):
-        m2 = reduce(m, lab)
-        if m2 is None:
+        t = dict(space.moves(s, lab.sender, lab.receiver)).get(lab)
+        if t is None:
             yield lab, None, f"global step {lab} cannot be taken by the session"
         else:
-            yield lab, (g2, m2), f"after global step {lab}: no ignored subset of {sorted(p)} re-types"
+            yield lab, (g2, t), f"after global step {lab}: no ignored subset of {sorted(p)} re-types"
 
 
 def _replay(check, steps, g, m, ignored, checker, config) -> list[Violation]:
     """Close the accepted triple (G, M, P) under steps, re-typing every successor.
 
-    Each step that fails, or whose successor no subset of P re-types, is a
-    violation; the walk raises StateLimitExceeded past config's budget.
+    The triples hold state ids of the checker's space of M.  Each step that
+    fails, or whose successor no subset of P re-types, is a violation; the
+    walk raises StateLimitExceeded past config's budget.
     """
     checker = checker or Typechecker()
-    root = (minimize_global(g), normalize_session(m), frozenset(ignored))
-    if not checker.accepts(*root):
+    g, p0 = minimize_global(g), frozenset(ignored)
+    if not checker.accepts(g, m, p0):
         return [Violation(check, "the root judgment is not derivable")]
+    space, s0 = checker.locate(m)
     out: list[Violation] = []
 
     def successors(triple):
         _, _, p1 = triple
-        for lab, succ, why in steps(*triple):
-            p2 = None if succ is None else checker.smallest_accepted_subset(*succ, p1)
+        for lab, succ, why in steps(space, *triple):
+            p2 = None if succ is None else checker.smallest_accepted_subset(succ[0], space.session(succ[1]), p1)
             if p2 is None:
                 out.append(Violation(check, why))
             else:
                 yield lab, (*succ, p2)
 
-    closure(root, successors, config)
+    closure((g, s0, p0), successors, config)
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -246,8 +246,9 @@ class SessionSpace:
     normal form, as normalize_session drops exactly those.  Vectors get state
     ids in the order met, the start first.  What the Comm rule needs (side
     condition, labels, graph ids after each label) is found once per (sender
-    index, sender graph id, receiver graph id); the sender is in the key
-    because the receiver accepts one sender by name.
+    index, sender graph id, receiver graph id) and kept in a move table; the
+    sender is in the key because the receiver accepts one sender by name.
+    The checker, meta and inference step sessions here alone.
     """
 
     def __init__(self, start: Session):
@@ -261,7 +262,7 @@ class SessionSpace:
         self._ids: dict[tuple[int, ...], int] = {}
         self._plays: dict[int, frozenset[str]] = {}
         self._comms: dict[int, tuple] = {}
-        self._splits: dict[int, tuple[list, Iterator[frozenset[str]]]] = {}
+        self._without: dict[tuple[int, frozenset[str]], int] = {}
         self._sessions: dict[int, Session] = {}
         self.start = self._state(tuple(self._graph(g) for _, g in start.bindings))
 
@@ -280,6 +281,20 @@ class SessionSpace:
             self.vectors.append(vector)
         return s
 
+    def _moves(self, i: int, gp: int, gq: int) -> tuple[tuple[CommLabel, int, int], ...]:
+        """The move table entry of sender index i at graph gp and its partner
+        at graph gq: (label, graph ids after it) per message when the Comm
+        side condition holds, none otherwise."""
+        moves = self._ready.get((i, gp, gq))
+        if moves is None:
+            p, sender, receiver = self.names[i], self._graphs[gp], self._graphs[gq]
+            node = sender.root_node
+            moves = self._ready[i, gp, gq] = tuple(
+                (CommLabel(p, h, node.partner), self._graph(sender.step(h)), self._graph(receiver.step(h)))
+                for h in node.labels()
+            ) if _comm_enabled(p, node, receiver.root_node) else ()
+        return moves
+
     def plays(self, s: int) -> frozenset[str]:
         """The active participants of state s, none when s is null."""
         out = self._plays.get(s)
@@ -290,7 +305,7 @@ class SessionSpace:
     def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
         """The Comm edges of state s as (label, successor id), in the order of
         session_transitions, so the edges of one sender are adjacent."""
-        vector, ids, vectors = self.vectors[s], self._ids, self.vectors
+        vector, ids, vectors, ready = self.vectors[s], self._ids, self.vectors, self._ready
         out = []
         for i, gp in enumerate(vector):
             if gp < 0 or (node := self._graphs[gp].root_node).kind != OUT:
@@ -299,13 +314,9 @@ class SessionSpace:
             if j is None or vector[j] < 0:
                 continue
             gq = vector[j]
-            moves = self._ready.get((i, gp, gq))
+            moves = ready.get((i, gp, gq))
             if moves is None:
-                p, q, sender, receiver = self.names[i], self.names[j], self._graphs[gp], self._graphs[gq]
-                moves = self._ready[i, gp, gq] = tuple(
-                    (CommLabel(p, h, q), self._graph(sender.step(h)), self._graph(receiver.step(h)))
-                    for h in node.labels()
-                ) if _comm_enabled(p, node, receiver.root_node) else ()
+                moves = self._moves(i, gp, gq)
             for lab, gp2, gq2 in moves:
                 after = list(vector)
                 after[i], after[j] = gp2, gq2
@@ -314,6 +325,19 @@ class SessionSpace:
                 if t == len(vectors):
                     vectors.append(after)
                 out.append((lab, t))
+        return out
+
+    def moves(self, s: int, p: str, q: str) -> list[tuple[CommLabel, int]]:
+        """The Comm edges of state s on the pair p -> q alone, as in
+        transitions; none when the pair is not ready."""
+        vector, i, j = self.vectors[s], self._index.get(p), self._index.get(q)
+        if i is None or j is None or vector[i] < 0 or vector[j] < 0 or self._graphs[vector[i]].root_node.partner != q:
+            return []
+        out = []
+        for lab, gp2, gq2 in self._moves(i, vector[i], vector[j]):
+            after = list(vector)
+            after[i], after[j] = gp2, gq2
+            out.append((lab, self._state(tuple(after))))
         return out
 
     def comms(self, s: int) -> tuple[tuple[tuple[CommLabel, int], ...], ...]:
@@ -325,18 +349,14 @@ class SessionSpace:
             out = self._comms[s] = tuple(tuple(edges) for _, edges in by_sender)
         return out
 
-    def split(self, s: int, i: int) -> tuple[frozenset[str], int]:
-        """The i-th nonempty subset of plays(s), in subsets order, and the id
-        of the state left when it is split off."""
-        entry = self._splits.get(s)
-        if entry is None:
-            entry = self._splits[s] = ([], islice(subsets(self.plays(s)), 1, None))
-        done, more = entry
-        while len(done) <= i:
-            split = next(more)
-            vector = tuple(-1 if p in split else gid for p, gid in zip(self.names, self.vectors[s]))
-            done.append((split, self._state(vector)))
-        return done[i]
+    def without(self, s: int, names: frozenset[str]) -> int:
+        """The id of the state left when the participants names are split off
+        state s, as a Weak step does; computed once."""
+        t = self._without.get((s, names))
+        if t is None:
+            vector = tuple(-1 if p in names else gid for p, gid in zip(self.names, self.vectors[s]))
+            t = self._without[s, names] = self._state(vector)
+        return t
 
     def session(self, s: int) -> Session:
         """The normal session of state s, built once."""

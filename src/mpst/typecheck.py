@@ -23,12 +23,12 @@ Rule mechanics, given judgment (G, M, P):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable
 
 from .analysis import bounded, plays_global
-from .semantics import communicate, subsets
+from .semantics import SessionSpace, subsets
 from .terms import (
     COMM,
     GlobalGraph,
@@ -46,6 +46,15 @@ class Judgment:
     global_type: GlobalGraph
     session: Session
     ignored: frozenset[str]
+
+    def to_json_dict(self) -> dict:
+        from .frontend import format_global, format_session
+
+        return {
+            "global": format_global(self.global_type),
+            "session": format_session(self.session),
+            "ignored": sorted(self.ignored),
+        }
 
 
 @dataclass(frozen=True)
@@ -67,14 +76,7 @@ class Derivation:
             stack.extend(d.premises)
 
     def to_json_dict(self) -> dict:
-        from .frontend import format_global, format_session
-
-        out: dict = {
-            "rule": self.rule,
-            "global": format_global(self.judgment.global_type),
-            "session": format_session(self.judgment.session),
-            "ignored": sorted(self.judgment.ignored),
-        }
+        out: dict = {"rule": self.rule, **self.judgment.to_json_dict()}
         if self.rule == "Comm":
             out["premises"] = [
                 {"branch": lab, "derivation": d.to_json_dict()}
@@ -118,15 +120,7 @@ class Rejection:
     depth: int = 0  # how far below the queried judgment the failure sits
 
     def to_json_dict(self) -> dict:
-        from .frontend import format_global, format_session
-
-        return {
-            "reason": self.reason,
-            "global": format_global(self.judgment.global_type),
-            "session": format_session(self.judgment.session),
-            "ignored": sorted(self.judgment.ignored),
-            "detail": self.detail,
-        }
+        return {"reason": self.reason, **self.judgment.to_json_dict(), "detail": self.detail}
 
 
 def check_participant_equation(
@@ -136,21 +130,48 @@ def check_participant_equation(
     return (plays_global(gi) | frozenset(pi)) - {p, q} == participants(residual)
 
 
-_Triple = tuple[GlobalGraph, Session, frozenset]
+_Triple = tuple[GlobalGraph, int, frozenset]
 
 
-class Typechecker:
-    """The decision procedure, with caches that persist across queries."""
+class _Space(SessionSpace):
+    """A session space with the judgment tables of its states, keyed on
+    (G, state id, P).  Each session it builds is entered in the checker's
+    index, so that a query on that session is decided in this space."""
 
-    def __init__(self) -> None:
+    def __init__(self, start: Session, index: dict):
+        super().__init__(start)
+        self.index = index
         self.accepted: dict[_Triple, list[tuple[frozenset, Derivation]]] = {}
         self.rejected: dict[_Triple, list[tuple[frozenset, Rejection]]] = {}
 
+    def session(self, s: int) -> Session:
+        m = super().session(s)
+        self.index.setdefault(m, (self, s))
+        return m
+
+
+class Typechecker:
+    """The decision procedure, with caches that persist across queries: one
+    session space per start session asked about, with its judgments."""
+
+    def __init__(self) -> None:
+        self._index: dict[Session, tuple[_Space, int]] = {}
+
+    def locate(self, m: Session) -> tuple[SessionSpace, int]:
+        """The space that decides queries on session m, and m's state id
+        there: the space that built m when there is one, else a new space
+        started at m."""
+        m = normalize_session(m)
+        found = self._index.get(m)
+        if found is None:
+            space = _Space(m, self._index)
+            found = self._index[m] = (space, space.start)
+        return found
+
     def check(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> Derivation | Rejection:
         """A full derivation of the judgment, or the best rejection."""
-        result = self._judge(
-            minimize_global(g), normalize_session(m), frozenset(ignored), frozenset()
-        )
+        space, s = self.locate(m)
+        result = self._judge(space, minimize_global(g), s, frozenset(ignored), frozenset())
         return result if isinstance(result, Rejection) else result[0]
 
     def accepts(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> bool:
@@ -167,27 +188,26 @@ class Typechecker:
     # otherwise.  A success is reusable under any hypothesis superset of refs;
     # a rejection under any hypothesis subset of the recorded one.
 
-    def _judge(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
-        triple = (g, m, p_set)
+    def _judge(self, space: _Space, g: GlobalGraph, s: int, p_set: frozenset, hyps: frozenset):
+        triple = (g, s, p_set)
         if triple in hyps:
-            return Derivation("Cycle", Judgment(g, m, p_set)), frozenset([triple])
-        for refs, deriv in self.accepted.get(triple, ()):
+            return Derivation("Cycle", Judgment(g, space.session(s), p_set)), frozenset([triple])
+        for refs, deriv in space.accepted.get(triple, ()):
             if refs <= hyps:
                 return deriv, refs
-        for cached_hyps, rej in self.rejected.get(triple, ()):
+        for cached_hyps, rej in space.rejected.get(triple, ()):
             if hyps <= cached_hyps:
                 return rej
-        result = self._decide(g, m, p_set, hyps)
+        result = self._decide(space, g, s, p_set, hyps)
         if isinstance(result, Rejection):
-            self.rejected.setdefault(triple, []).append((hyps, result))
+            space.rejected.setdefault(triple, []).append((hyps, result))
         else:
-            _, refs = result
-            self.accepted.setdefault(triple, []).append((refs, result[0]))
+            space.accepted.setdefault(triple, []).append((result[1], result[0]))
         return result
 
-    def _decide(self, g: GlobalGraph, m: Session, p_set: frozenset, hyps: frozenset):
-        judgment = Judgment(g, m, p_set)
-        if g.is_end and m.is_null:
+    def _decide(self, space: _Space, g: GlobalGraph, s: int, p_set: frozenset, hyps: frozenset):
+        judgment = Judgment(g, space.session(s), p_set)
+        if g.is_end and not space.plays(s):
             if not p_set:
                 return Derivation("End", judgment), frozenset()
             return Rejection(
@@ -195,31 +215,26 @@ class Typechecker:
                 judgment,
                 "the null session carries an empty ignored set",
             )
-        rejections: list[Rejection] = []
-        if g.root_node.kind == COMM:
-            result = self._try_comm(judgment, hyps)
-            if not isinstance(result, Rejection):
-                return result
-            rejections.append(result)
-        result = self._try_weak(judgment, hyps)
-        if not isinstance(result, Rejection):
-            return result
-        rejections.append(result)
-        return max(rejections, key=lambda r: r.depth)
+        comm = self._try_comm(space, s, judgment, hyps) if g.root_node.kind == COMM else None
+        if comm is not None and not isinstance(comm, Rejection):
+            return comm
+        weak = self._try_weak(space, s, judgment, hyps)
+        # The deeper rejection is the better one; Comm's on a tie.
+        return weak if comm is None or not isinstance(weak, Rejection) or weak.depth > comm.depth else comm
 
-    def _try_comm(self, judgment: Judgment, hyps: frozenset):
-        g, m, p_set = judgment.global_type, judgment.session, judgment.ignored
+    def _try_comm(self, space: _Space, s: int, judgment: Judgment, hyps: frozenset):
+        g, p_set = judgment.global_type, judgment.ignored
         node = g.root_node
         p, q = node.sender, node.receiver
         labels = node.labels()
-        gp = m.get(p)
+        gp = judgment.session.get(p)
         if gp is None or gp.root_node.kind != OUT or gp.root_node.partner != q:
             return Rejection(
                 "RootMismatch",
                 judgment,
                 f"the global type wants {p} to send to {q}, but the session has no such pair",
             )
-        gq = m.get(q)
+        gq = judgment.session.get(q)
         if gq is None or gq.root_node.kind != IN or gq.root_node.partner != p:
             return Rejection(
                 "RootMismatch",
@@ -247,18 +262,18 @@ class Typechecker:
                 f"at node {verdict.witness_node} of the global type",
             )
 
-        residual = m.without((p, q))
-        residual_plays = participants(residual)
-        hyps2 = hyps | {(g, m, p_set)}
+        # The checks above are the Comm side condition, so p -> q is ready.
+        after = {lab.message: t for lab, t in space.moves(s, p, q)}
+        residual_plays = space.plays(s) - {p, q}
+        here = (g, s, p_set)
+        hyps2 = hyps | {here}
         branch_options: list[list[tuple[frozenset, Derivation, frozenset]]] = []
         best_premise_rej: Rejection | None = None
 
-        for lab in labels:
-            target = dict(node.branches)[lab]
-            gi = g.at(target)
-            mi = communicate(m, p, q, lab)
+        for lab, target in node.branches:
+            gi, si = g.at(target), after[lab]
             plays_gi = plays_global(gi)
-            plays_mi = participants(mi)
+            plays_mi = space.plays(si)
             base = plays_mi - plays_gi
             candidates = []
             if plays_gi <= plays_mi and base <= p_set:
@@ -275,11 +290,10 @@ class Typechecker:
                 )
             options = []
             for pi in candidates:
-                sub = self._judge(gi, mi, pi, hyps2)
+                sub = self._judge(space, gi, si, pi, hyps2)
                 if isinstance(sub, Rejection):
-                    lifted = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
-                    if best_premise_rej is None or lifted.depth > best_premise_rej.depth:
-                        best_premise_rej = lifted
+                    if best_premise_rej is None or sub.depth >= best_premise_rej.depth:
+                        best_premise_rej = replace(sub, depth=sub.depth + 1)
                 else:
                     options.append((pi, sub[0], sub[1]))
             if not options:
@@ -296,10 +310,8 @@ class Typechecker:
                 judgment,
                 f"no choice of branch ignored sets unions to {sorted(p_set)}",
             )
-        premises = tuple(d for _, d, _ in combo)
-        refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {(g, m, p_set)}
-        deriv = Derivation("Comm", judgment, premises, tuple(labels))
-        return deriv, refs
+        refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {here}
+        return Derivation("Comm", judgment, tuple(d for _, d, _ in combo), labels), refs
 
     @staticmethod
     def _combine(branch_options, p_set: frozenset):
@@ -308,11 +320,8 @@ class Typechecker:
         def go(idx: int, union: frozenset, acc: list):
             if idx == len(branch_options):
                 return list(acc) if union == p_set else None
-            remaining_max = union
-            for opts in branch_options[idx:]:
-                for pi, _, _ in opts:
-                    remaining_max = remaining_max | pi
-            if not p_set <= remaining_max:
+            # Prune when the options left cannot cover p_set any more.
+            if not p_set <= union.union(*(pi for opts in branch_options[idx:] for pi, _, _ in opts)):
                 return None
             for option in branch_options[idx]:
                 acc.append(option)
@@ -324,30 +333,27 @@ class Typechecker:
 
         return go(0, frozenset(), [])
 
-    def _try_weak(self, judgment: Judgment, hyps: frozenset):
-        g, m, p_set = judgment.global_type, judgment.session, judgment.ignored
-        pool = (participants(m) & p_set) - plays_global(g)
+    def _try_weak(self, space: _Space, s: int, judgment: Judgment, hyps: frozenset):
+        g, p_set = judgment.global_type, judgment.ignored
+        pool = (space.plays(s) & p_set) - plays_global(g)
         if not pool:
             return Rejection(
                 "IgnoredMismatch",
                 judgment,
                 "no active ignored participant outside the global type can be split off",
             )
-        hyps2 = hyps | {(g, m, p_set)}
+        here = (g, s, p_set)
+        hyps2 = hyps | {here}
         best: Rejection | None = None
         for split in subsets(pool):
             if not split:
                 continue
-            m1 = normalize_session(m.without(split))
-            p1 = p_set - split
-            sub = self._judge(g, m1, p1, hyps2)
+            sub = self._judge(space, g, space.without(s, split), p_set - split, hyps2)
             if isinstance(sub, Rejection):
-                lifted = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
-                if best is None or lifted.depth > best.depth:
-                    best = lifted
+                if best is None or sub.depth >= best.depth:
+                    best = replace(sub, depth=sub.depth + 1)
                 continue
-            deriv = Derivation("Weak", judgment, (sub[0],), (), frozenset(split))
-            return deriv, sub[1] - {(g, m, p_set)}
+            return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
         return best
 
 

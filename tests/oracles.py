@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: trees instead of
 minimized graphs, per-state forward search instead of one backward closure.
 Others keep the library's earlier, direct algorithms instead: exploration over
-sessions (explore_oracle), boundedness as one depth search per node and
-participant (bounded_oracle), type equations solved through the file
+sessions (explore_oracle), meta's walks over sessions (replay_oracle),
+boundedness as one depth search per node and participant
+(bounded_oracle), type equations solved through the file
 parser's builder, one graph per variable (solve_oracle), the character loop
 of the tokenizer (tokenize_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
@@ -83,6 +84,60 @@ def explore_oracle(s, config: ExploreConfig = ExploreConfig()) -> StateGraph:
     builds its successor session and normalizes it."""
     states, edges = closure(normalize_session(s), session_transitions, config)
     return StateGraph(tuple(states), tuple(edges), 0)
+
+
+def replay_oracle(check, g, m, ignored, checker=None, config: ExploreConfig = ExploreConfig()):
+    """metatheory.check_subject_reduction (check "subject-reduction") or
+    check_session_fidelity ("session-fidelity") walked over sessions: each
+    session step is a session_transitions entry, each global step taken by
+    reduce, and the triples hold normal sessions."""
+    from mpst.analysis import plays_global
+    from mpst.metatheory import Violation
+    from mpst.semantics import global_successor, global_transitions, reduce
+    from mpst.terms import minimize_global
+    from mpst.typecheck import Typechecker
+
+    def session_steps(g, m, p):
+        gplays = plays_global(g)
+        for lab, m2 in session_transitions(m):
+            if lab.plays <= gplays:
+                g2 = global_successor(g, lab)
+                if g2 is None:
+                    yield lab, None, f"session step {lab} has no matching global step"
+                    continue
+            elif lab.plays.isdisjoint(gplays):
+                g2 = g
+            else:
+                yield lab, None, f"step {lab}: exactly one endpoint occurs in the global type"
+                continue
+            yield lab, (g2, m2), f"after step {lab}: no ignored subset of {sorted(p)} re-types the session"
+
+    def global_steps(g, m, p):
+        for lab, g2 in global_transitions(g):
+            m2 = reduce(m, lab)
+            if m2 is None:
+                yield lab, None, f"global step {lab} cannot be taken by the session"
+            else:
+                yield lab, (g2, m2), f"after global step {lab}: no ignored subset of {sorted(p)} re-types"
+
+    steps = session_steps if check == "subject-reduction" else global_steps
+    checker = checker or Typechecker()
+    root = (minimize_global(g), normalize_session(m), frozenset(ignored))
+    if not checker.accepts(*root):
+        return [Violation(check, "the root judgment is not derivable")]
+    out = []
+
+    def successors(triple):
+        _, _, p1 = triple
+        for lab, succ, why in steps(*triple):
+            p2 = None if succ is None else checker.smallest_accepted_subset(*succ, p1)
+            if p2 is None:
+                out.append(Violation(check, why))
+            else:
+                yield lab, (*succ, p2)
+
+    closure(root, successors, config)
+    return out
 
 
 def bounded_oracle(g: GlobalGraph):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from mpst import analysis, semantics, terms
+from mpst import analysis, metatheory, semantics, terms, typecheck
 from mpst.analysis import plays_global
 from mpst.frontend import format_global, parse
 from mpst.inference import (
@@ -556,17 +556,17 @@ class TestReuse:
         # consume at most _WIDTH per goal.
         m = parse(_pairs_text(10, cyclic=False)).sessions["M"]
         calls = 0
-        original = Session.without
+        original = semantics.SessionSpace.without
 
-        def counting(self, drop):
+        def counting(self, s, drop):
             nonlocal calls
             calls += 1
-            return original(self, drop)
+            return original(self, s, drop)
 
-        monkeypatch.setattr(Session, "without", counting)
+        monkeypatch.setattr(semantics.SessionSpace, "without", counting)
         with pytest.raises(BudgetExhausted):
             list(infer(m, SearchBudget(max_size=2)))
-        assert calls <= 5038
+        assert 0 < calls <= 5038
 
     def test_unreachable_unbounded_variable_still_rejects(self):
         # X = end, Y = p->q:{l1 . r->s:l, l2 . Y}: only X is the root, but
@@ -658,6 +658,28 @@ class TestReuse:
             monkeypatch.setattr(module, "normalize_session", normalize)
         assert list(infer(m))
         assert calls == {"normalize": 1}
+
+    def test_check_and_meta_step_state_ids_not_sessions(self, monkeypatch, social_media):
+        # The checker and meta step the state ids of a SessionSpace too: the
+        # session-level step functions are neither imported nor called.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("communicate", "session_transitions", "reduce"):
+            monkeypatch.setattr(semantics, name, counted(name, getattr(semantics, name)))
+            for module in (typecheck, metatheory):
+                assert not hasattr(module, name), (module.__name__, name)
+        monkeypatch.setattr(Session, "without", counted("without", Session.without))
+        g, m = social_media.globals["G"], social_media.sessions["M"]
+        assert accepts(g, m, {"u"})
+        assert metatheory.run_file_suite(social_media).ok
+        assert calls == {}
 
 
 def _random_pattern(rng, variables, depth):

@@ -16,8 +16,11 @@ from mpst.metatheory import (
     run_suite,
 )
 from mpst.random_sessions import random_session
-from mpst.semantics import ExploreConfig, StateLimitExceeded
-from mpst.terms import normalize_session
+from mpst.semantics import ExploreConfig, StateLimitExceeded, subsets
+from mpst.terms import normalize_session, participants
+
+from .conftest import GOLDEN, load_golden
+from .oracles import replay_oracle
 
 
 GOLDEN_TRIPLES = [
@@ -135,3 +138,77 @@ class TestWalks:
         spec = load_golden("two_loops.mpst")
         with pytest.raises(StateLimitExceeded, match="state limit of 50"):
             walk(spec.globals["G"], spec.sessions["M"], set(), config=ExploreConfig(max_states=50))
+
+
+class _Recording(Typechecker):
+    """A Typechecker that records, in order, the successors it is asked to
+    re-type.  It re-types them as Typechecker does ("check"), none of them
+    ("none"), or every one with the empty set, the root included ("all"),
+    so that the walks also reach triples that do not type."""
+
+    def __init__(self, mode: str):
+        super().__init__()
+        self.mode = mode
+        self.asked: list[tuple] = []
+
+    def accepts(self, g, m, ignored):
+        return self.mode == "all" or super().accepts(g, m, ignored)
+
+    def smallest_accepted_subset(self, g, m, p_set):
+        self.asked.append((g, m, p_set))
+        if self.mode == "check":
+            return super().smallest_accepted_subset(g, m, p_set)
+        return frozenset() if self.mode == "all" else None
+
+
+_WALKS = [("subject-reduction", check_subject_reduction), ("session-fidelity", check_session_fidelity)]
+
+
+def _walked(walk, g, m, p, mode, config):
+    """The violations of one walk, or the budget it ran out of, and the
+    successors it asked to re-type."""
+    checker = _Recording(mode)
+    try:
+        found = [str(v) for v in walk(g, m, p, checker, config)]
+    except StateLimitExceeded as exc:
+        found = str(exc)
+    return found, checker.asked
+
+
+def _assert_walks_agree(g, m, p, config=ExploreConfig(max_states=40)) -> None:
+    for check, walk in _WALKS:
+        for mode in ("check", "none", "all"):
+            ours = _walked(walk, g, m, p, mode, config)
+            theirs = _walked(lambda *args: replay_oracle(check, *args), g, m, p, mode, config)
+            assert ours == theirs, (check, mode)
+
+
+class TestWalksAgainstTheOracle:
+    """meta's walks on the state ids of the checker's session space against
+    the same walks over sessions: the same violations, or the same budget
+    exceeded, after the same successors were asked to be re-typed."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.mpst")), ids=lambda path: path.stem)
+    def test_goldens(self, path):
+        spec = load_golden(path.name)
+        for g in spec.globals.values():
+            for m in spec.sessions.values():
+                for p in subsets(participants(m)):
+                    _assert_walks_agree(g, m, p)
+
+    @pytest.mark.parametrize("seed", range(0, 10, 2))
+    def test_random_accepted_triples(self, seed):
+        for s in (seed, seed + 1):
+            m = random_session(random.Random(900 + s), 3, 3, labels=("a", "b"))
+            for _, _, g, p in enumerate_solutions(m, SearchBudget(max_size=10, max_outcomes=8)):
+                _assert_walks_agree(g, m, p)
+
+    @pytest.mark.parametrize("states,edges", [(1, 100), (2, 100), (40, 1000), (1000, 1), (1000, 30)])
+    def test_same_budget_point_on_two_loops(self, states, edges):
+        spec = load_golden("two_loops.mpst")
+        g, m = spec.globals["G"], spec.sessions["M"]
+        config = ExploreConfig(max_states=states, max_edges=edges)
+        for check, walk in _WALKS:
+            ours = _walked(walk, g, m, frozenset(), "check", config)
+            assert isinstance(ours[0], str)
+            assert ours == _walked(lambda *args: replay_oracle(check, *args), g, m, frozenset(), "check", config)

@@ -258,9 +258,10 @@ def _assert_space_matches_sessions(m) -> int:
     check it against the same step on its Session; return the state count.
 
     Comm edges, mapped through space.session, are session_transitions of
-    the state's session.  The Weak splits come in subsets order, and each
-    remainder is the vector with the split's positions cleared, whose
-    session is the normal form of the session without the split.
+    the state's session, and the moves of one pair are its edges.  For each
+    Weak split, in subsets order, the remainder is the vector with the
+    split's positions cleared, whose session is the normal form of the
+    session without the split.
     """
     space = SessionSpace(m)
     assert space.session(space.start) == normalize_session(m)
@@ -273,8 +274,10 @@ def _assert_space_matches_sessions(m) -> int:
         edges = [edge for pair in space.comms(s) for edge in pair]
         assert edges == space.transitions(s)
         assert [(lab, space.session(t)) for lab, t in edges] == session_transitions(session)
-        splits = [space.split(s, i) for i in range(2 ** len(space.plays(s)) - 1)]
-        assert [split for split, _ in splits] == list(subsets(space.plays(s)))[1:]
+        for p in space.names:
+            for q in space.names:
+                assert space.moves(s, p, q) == [e for e in edges if (e[0].sender, e[0].receiver) == (p, q)]
+        splits = [(split, space.without(s, split)) for split in list(subsets(space.plays(s)))[1:]]
         for split, t in splits:
             cleared = tuple(-1 if p in split else g for p, g in zip(space.names, space.vectors[s]))
             assert space.vectors[t] == cleared
