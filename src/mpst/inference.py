@@ -177,12 +177,13 @@ def _leaf(m: int, tv: int, pv: int, pat: int | None, pvars: tuple) -> tuple:
 
 class _Search:
     """One infer call's search: the fresh-variable supply, the session space
-    shared by every size cap, and whether the current cap cut a premise
-    short.  Goals hold state ids of the space."""
+    and each state's Weak splits, shared by every size cap, and whether the
+    current cap cut a premise short.  Goals hold state ids of the space."""
 
     def __init__(self, s: Session):
         self.supply = itertools.count()
         self.space = SessionSpace(s)
+        self.splits: dict[int, list[tuple[frozenset[str], int]]] = {}
         self.pruned = False
 
     def derivations(self, budget: SearchBudget) -> Iterator[tuple]:
@@ -264,12 +265,15 @@ class _Search:
                 yield ((eq,) + sub[0], (peq,) + sub[1], conds + sub[2], here + sub[3], 1 + sub[4], sub[5])
 
         if allow_weak:
-            for split in itertools.islice(subsets(plays), 1, None):
+            if m not in self.splits:
+                # A goal takes at most _WIDTH splits; one more shows the cut.
+                firsts = itertools.islice(subsets(plays), 1, _WIDTH + 2)
+                self.splits[m] = [(split, self.space.without(m, split)) for split in firsts]
+            for split, m1 in self.splits[m]:
                 if width_left <= 0:
                     self.pruned = True
                     return
                 width_left -= 1
-                m1 = self.space.without(m, split)
                 yv, pw = next(self.supply), next(self.supply)
                 eq, peq = (tv, yv), (pv, (split, (pw,)))
                 for sub in self.premise(m1, yv, pw, goals, budget - 1, False):

@@ -7,8 +7,8 @@ communication between two roles untouched by the root choice fires inside
 every branch at once.
 
 A SessionSpace numbers the sessions reachable from one start by Comm and
-Weak steps, so that explore and inference walk small ints and build a
-Session only for what they report.
+Weak steps, so that explore, inference, the checker and meta walk small
+ints and build a Session only for what they report.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ class SessionSpace:
     condition, labels, graph ids after each label) is found once per (sender
     index, sender graph id, receiver graph id) and kept in a move table; the
     sender is in the key because the receiver accepts one sender by name.
-    The checker, meta and inference step sessions here alone.
+    Every layer steps sessions here; communicate is the tests' reference.
     """
 
     def __init__(self, start: Session):
@@ -262,7 +262,6 @@ class SessionSpace:
         self._ids: dict[tuple[int, ...], int] = {}
         self._plays: dict[int, frozenset[str]] = {}
         self._comms: dict[int, tuple] = {}
-        self._without: dict[tuple[int, frozenset[str]], int] = {}
         self._sessions: dict[int, Session] = {}
         self.start = self._state(tuple(self._graph(g) for _, g in start.bindings))
 
@@ -281,7 +280,7 @@ class SessionSpace:
             self.vectors.append(vector)
         return s
 
-    def _moves(self, i: int, gp: int, gq: int) -> tuple[tuple[CommLabel, int, int], ...]:
+    def _move_table(self, i: int, gp: int, gq: int) -> tuple[tuple[CommLabel, int, int], ...]:
         """The move table entry of sender index i at graph gp and its partner
         at graph gq: (label, graph ids after it) per message when the Comm
         side condition holds, none otherwise."""
@@ -316,7 +315,7 @@ class SessionSpace:
             gq = vector[j]
             moves = ready.get((i, gp, gq))
             if moves is None:
-                moves = self._moves(i, gp, gq)
+                moves = self._move_table(i, gp, gq)
             for lab, gp2, gq2 in moves:
                 after = list(vector)
                 after[i], after[j] = gp2, gq2
@@ -334,7 +333,7 @@ class SessionSpace:
         if i is None or j is None or vector[i] < 0 or vector[j] < 0 or self._graphs[vector[i]].root_node.partner != q:
             return []
         out = []
-        for lab, gp2, gq2 in self._moves(i, vector[i], vector[j]):
+        for lab, gp2, gq2 in self._move_table(i, vector[i], vector[j]):
             after = list(vector)
             after[i], after[j] = gp2, gq2
             out.append((lab, self._state(tuple(after))))
@@ -351,12 +350,8 @@ class SessionSpace:
 
     def without(self, s: int, names: frozenset[str]) -> int:
         """The id of the state left when the participants names are split off
-        state s, as a Weak step does; computed once."""
-        t = self._without.get((s, names))
-        if t is None:
-            vector = tuple(-1 if p in names else gid for p, gid in zip(self.names, self.vectors[s]))
-            t = self._without[s, names] = self._state(vector)
-        return t
+        state s, as a Weak step does."""
+        return self._state(tuple(-1 if p in names else gid for p, gid in zip(self.names, self.vectors[s])))
 
     def session(self, s: int) -> Session:
         """The normal session of state s, built once."""

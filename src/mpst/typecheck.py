@@ -135,18 +135,18 @@ _Triple = tuple[GlobalGraph, int, frozenset]
 
 class _Space(SessionSpace):
     """A session space with the judgment tables of its states, keyed on
-    (G, state id, P).  Each session it builds is entered in the checker's
-    index, so that a query on that session is decided in this space."""
+    (G, state id, P).  Each session it builds is entered in located, the
+    checker's table of sessions, so that a query on it is decided here."""
 
-    def __init__(self, start: Session, index: dict):
+    def __init__(self, start: Session, located: dict):
         super().__init__(start)
-        self.index = index
+        self.located = located
         self.accepted: dict[_Triple, list[tuple[frozenset, Derivation]]] = {}
         self.rejected: dict[_Triple, list[tuple[frozenset, Rejection]]] = {}
 
     def session(self, s: int) -> Session:
         m = super().session(s)
-        self.index.setdefault(m, (self, s))
+        self.located.setdefault(m, (self, s))
         return m
 
 
@@ -155,17 +155,17 @@ class Typechecker:
     session space per start session asked about, with its judgments."""
 
     def __init__(self) -> None:
-        self._index: dict[Session, tuple[_Space, int]] = {}
+        self._located: dict[Session, tuple[_Space, int]] = {}
 
     def locate(self, m: Session) -> tuple[SessionSpace, int]:
         """The space that decides queries on session m, and m's state id
         there: the space that built m when there is one, else a new space
         started at m."""
         m = normalize_session(m)
-        found = self._index.get(m)
+        found = self._located.get(m)
         if found is None:
-            space = _Space(m, self._index)
-            found = self._index[m] = (space, space.start)
+            space = _Space(m, self._located)
+            found = self._located[m] = (space, space.start)
         return found
 
     def check(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> Derivation | Rejection:
