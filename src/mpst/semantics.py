@@ -304,7 +304,7 @@ class SessionSpace:
     def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
         """The Comm edges of state s as (label, successor id), in the order of
         session_transitions, so the edges of one sender are adjacent."""
-        vector, ids, vectors, ready = self.vectors[s], self._ids, self.vectors, self._ready
+        vector, ids, vectors = self.vectors[s], self._ids, self.vectors
         out = []
         for i, gp in enumerate(vector):
             if gp < 0 or (node := self._graphs[gp].root_node).kind != OUT:
@@ -313,7 +313,7 @@ class SessionSpace:
             if j is None or vector[j] < 0:
                 continue
             gq = vector[j]
-            moves = ready.get((i, gp, gq))
+            moves = self._ready.get((i, gp, gq))
             if moves is None:
                 moves = self._move_table(i, gp, gq)
             for lab, gp2, gq2 in moves:
