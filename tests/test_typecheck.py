@@ -6,6 +6,7 @@ from mpst.terms import END_GLOBAL, normalize_session, session_of
 from mpst.typecheck import (
     Derivation,
     Rejection,
+    Typechecker,
     accepts,
     check_participant_equation,
     typecheck,
@@ -272,3 +273,25 @@ class TestSerialization:
         data = result.to_json_dict()
         assert data["reason"] == "Unbounded"
         assert "detail" in data
+
+
+class TestSessionSpaces:
+    def test_one_space_per_start_session(self, social_media, buyer_seller):
+        # A session a space has built is decided in that space, on its state
+        # id; a session no space has built starts a space of its own.
+        checker = Typechecker()
+        m = social_media.sessions["M"]
+        space, s = checker.locate(m)
+        assert checker.locate(session_of(dict(m.bindings))) == (space, s)
+        for _, t in space.transitions(s):
+            assert checker.locate(space.session(t)) == (space, t)
+        other, start = checker.locate(buyer_seller.sessions["M"])
+        assert other is not space and start == other.start
+
+    def test_judgments_are_keyed_on_state_ids(self, social_media):
+        checker = Typechecker()
+        g, m = social_media.globals["G"], social_media.sessions["M"]
+        assert checker.accepts(g, m, {"u"})
+        space, _ = checker.locate(m)
+        keys = [*space.accepted, *space.rejected]
+        assert keys and all(isinstance(s, int) for _, s, _ in keys)
