@@ -24,7 +24,6 @@ from .inference import (
     NoSolutionWithinBudget,
     SearchBudget,
     Substitution,
-    check_agreement,
     enumerate_solutions,
     infer,
     infer_minimal,
@@ -42,8 +41,6 @@ from .semantics import (
     explore,
     global_successor,
     global_transitions,
-    ready_pairs,
-    reduce,
     session_transitions,
 )
 from .terms import (
@@ -59,13 +56,11 @@ from .terms import (
     participants,
     process_system,
     session_of,
-    sessions_equivalent,
 )
 from .typecheck import (
     Derivation,
     Judgment,
     Rejection,
     accepts,
-    check_participant_equation,
     typecheck,
 )

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .analysis import _plays_at, bounded, plays_global
+from .analysis import _plays_at, bounded
 from .semantics import ExploreConfig, SessionSpace, closure, subsets
 from .terms import COMM, END, GlobalGraph, GNode, Session, minimize_global
 from .typecheck import Derivation, typecheck
@@ -466,10 +466,6 @@ def _union(literals: frozenset[str], variables: Iterable, values: Mapping) -> fr
     return out
 
 
-def _eval_pset(pat: PSetPattern, values: Mapping[PSetVar, frozenset[str]]) -> frozenset[str]:
-    return _union(pat.literals, pat.vars, values)
-
-
 def _least(eqs: Mapping, values: dict) -> dict:
     """The least solution of p-set equations, variable -> (literals,
     variables), above values, which it updates: each equation is evaluated
@@ -496,16 +492,6 @@ def solve_pset_equations(
     """Least solution above the given lower bounds."""
     values = {v: frozenset(lower_bounds.get(v, ())) if lower_bounds else frozenset() for v in eqs}
     return _least({v: (pat.literals, pat.vars) for v, pat in eqs.items()}, values)
-
-
-def check_agreement(
-    theta: Substitution, conditions: Iterable[PCondition]
-) -> tuple[bool, PCondition | None]:
-    for c in conditions:
-        plays = plays_global(theta.types[c.typevar])
-        if (plays | theta.psets[c.psetvar]) - {c.p, c.q} != c.target:
-            return False, c
-    return True, None
 
 
 def solutions(outcome: InferenceOutcome | tuple, *, interned: dict | None = None) -> list[Substitution]:

@@ -236,6 +236,11 @@ def run_suite(
     result = checker.check(g, m, ignored)
     if isinstance(result, Rejection):
         return False, []
+    return True, _violations(result, g, m, ignored, rng, checker, config)
+
+
+def _violations(result: Derivation, g, m, ignored, rng, checker, config) -> list[Violation]:
+    """The violations of every check against the judgment derived as result."""
     violations = []
     violations += check_plays_equation(result)
     violations += check_top_partner_closure(g, normalize_session(m), ignored)
@@ -243,7 +248,7 @@ def run_suite(
     violations += check_session_fidelity(g, m, ignored, checker, config)
     violations += check_lock_freedom_soundness(g, m, ignored, config)
     violations += check_replacement(g, m, ignored, rng, checker=checker)
-    return True, violations
+    return violations
 
 
 def run_file_suite(spec, seed: int = 0, config: ExploreConfig = ExploreConfig()) -> SuiteReport:
@@ -256,17 +261,18 @@ def run_file_suite(spec, seed: int = 0, config: ExploreConfig = ExploreConfig())
     for gname, g in spec.globals.items():
         for sname, m in spec.sessions.items():
             for iname, pset in ignored_choices.items():
-                rng = random.Random(seed)
-                accepted, violations = run_suite(g, m, pset, rng, checker, config)
+                result = checker.check(g, m, pset)
                 entry = {
                     "global": gname,
                     "session": sname,
                     "ignored": sorted(pset),
-                    "accepted": accepted,
-                    "violations": [str(v) for v in violations],
+                    "accepted": isinstance(result, Derivation),
+                    "violations": [],
                 }
-                if not accepted:
-                    rej = checker.check(g, m, pset)
-                    entry["rejection"] = rej.reason
+                if entry["accepted"]:
+                    violations = _violations(result, g, m, pset, random.Random(seed), checker, config)
+                    entry["violations"] = [str(v) for v in violations]
+                else:
+                    entry["rejection"] = result.reason
                 report.combos.append(entry)
     return report

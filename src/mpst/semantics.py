@@ -8,7 +8,8 @@ every branch at once.
 
 A SessionSpace numbers the sessions reachable from one start by Comm and
 Weak steps, so that explore, inference, the checker and meta walk small
-ints and build a Session only for what they report.
+ints and build a Session only for what they report.  It is the one place the
+session step is taken; session_transitions is a view of it on sessions.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ class CommLabel:
 class Trace:
     labels: tuple[CommLabel, ...] = ()
 
-    @property
-    def plays(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for lab in self.labels:
-            out |= lab.plays
-        return out
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 class StateLimitExceeded(Exception):
     def __init__(self, limit: int, kind: str = "state"):
@@ -92,43 +83,6 @@ def _comm_enabled(p: str, node: PNode, qnode: PNode) -> bool:
         and qnode.partner == p
         and set(node.labels()) <= set(qnode.labels())
     )
-
-
-def ready_pairs(m: Session) -> Iterator[tuple[str, str, tuple[str, ...]]]:
-    """(p, q, labels) for every p sending labels to q that q can all receive.
-
-    These are the pairs the Comm rule can fire on, in the order of p.
-    """
-    for p, gp in m.items():
-        node = gp.root_node
-        if node.kind != OUT:
-            continue
-        gq = m.get(node.partner)
-        if gq is not None and _comm_enabled(p, node, gq.root_node):
-            yield p, node.partner, node.labels()
-
-
-def communicate(m: Session, p: str, q: str, label: str) -> Session:
-    """The normal session after p sends label to q; nobody else moves."""
-    return normalize_session(m.replace(p, m.get(p).step(label)).replace(q, m.get(q).step(label)))
-
-
-def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
-    """All enabled single steps of a session, with canonical successors.
-
-    One entry per ready pair (p, q) and message h that p may send.
-    """
-    s = normalize_session(s)
-    return [
-        (CommLabel(p, h, q), communicate(s, p, q, h))
-        for p, q, labels in ready_pairs(s)
-        for h in labels
-    ]
-
-
-def reduce(s: Session, label: CommLabel) -> Session | None:
-    """The unique successor of s under the given label, or None if disabled."""
-    return dict(session_transitions(s)).get(label)
 
 
 @dataclass(frozen=True)
@@ -248,7 +202,8 @@ class SessionSpace:
     condition, labels, graph ids after each label) is found once per (sender
     index, sender graph id, receiver graph id) and kept in a move table; the
     sender is in the key because the receiver accepts one sender by name.
-    Every layer steps sessions here; communicate is the tests' reference.
+    Every layer steps sessions here; the tests check it against a walk over
+    sessions of their own.
     """
 
     def __init__(self, start: Session):
@@ -302,8 +257,9 @@ class SessionSpace:
         return out
 
     def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
-        """The Comm edges of state s as (label, successor id), in the order of
-        session_transitions, so the edges of one sender are adjacent."""
+        """The Comm edges of state s as (label, successor id): one per ready
+        pair and message, in the order of the senders, so the edges of one
+        sender are adjacent."""
         vector, ids, vectors = self.vectors[s], self._ids, self.vectors
         out = []
         for i, gp in enumerate(vector):
@@ -362,10 +318,16 @@ class SessionSpace:
         return m
 
 
+def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
+    """All enabled single steps of a session, with canonical successors."""
+    space = SessionSpace(s)
+    return [(lab, space.session(t)) for lab, t in space.transitions(space.start)]
+
+
 def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
-    """The closure of session_transitions from a canonical start, walked on
-    the state ids of one SessionSpace: the state numbering, edge order and
-    budget point are those of a walk on sessions."""
+    """The closure of the Comm steps from a canonical start, walked on the
+    state ids of one SessionSpace: the state numbering, edge order and
+    budget point are those of a breadth-first walk on sessions."""
     space = SessionSpace(s)
     ids, edges = closure(space.start, space.transitions, config)
     return StateGraph(tuple(map(space.session, ids)), tuple(edges), 0)

@@ -448,14 +448,6 @@ def minimize_global(g: GlobalGraph) -> GlobalGraph:
     return g._canonical()
 
 
-def processes_equivalent(a: ProcessGraph, b: ProcessGraph) -> bool:
-    return minimize(a) == minimize(b)
-
-
-def globals_equivalent(a: GlobalGraph, b: GlobalGraph) -> bool:
-    return minimize_global(a) == minimize_global(b)
-
-
 # ---------------------------------------------------------------------------
 # Building graphs from named recursive equations.
 # ---------------------------------------------------------------------------
@@ -626,11 +618,6 @@ class Session(_Value):
         pairs[participant] = graph
         return session_of(pairs)
 
-    def without(self, participants: Iterable[str]) -> "Session":
-        drop = set(participants)
-        bindings = tuple((p, g) for p, g in self.bindings if p not in drop)
-        return _derived_session(bindings, self._known_normal())
-
 
 def _derived_session(bindings: tuple[tuple[str, ProcessGraph], ...], normal: bool) -> Session:
     """A session whose bindings come, in order, from a validated one."""
@@ -661,7 +648,3 @@ def normalize_session(s: Session) -> Session:
 def participants(s: Session) -> frozenset[str]:
     """The active participants: those bound to a process that is not 0."""
     return frozenset(p for p, g in s.bindings if not g.is_end)
-
-
-def sessions_equivalent(a: Session, b: Session) -> bool:
-    return normalize_session(a) == normalize_session(b)

@@ -37,7 +37,6 @@ from .terms import (
     Session,
     minimize_global,
     normalize_session,
-    participants,
 )
 
 
@@ -121,13 +120,6 @@ class Rejection:
 
     def to_json_dict(self) -> dict:
         return {"reason": self.reason, **self.judgment.to_json_dict(), "detail": self.detail}
-
-
-def check_participant_equation(
-    gi: GlobalGraph, pi: Iterable[str], p: str, q: str, residual: Session
-) -> bool:
-    """Evaluate (plays(gi) | pi) \\ {p, q} = plays(residual)."""
-    return (plays_global(gi) | frozenset(pi)) - {p, q} == participants(residual)
 
 
 _Triple = tuple[GlobalGraph, int, frozenset]

@@ -2,23 +2,96 @@
 
 These deliberately avoid the library's own algorithms: trees instead of
 minimized graphs, per-state forward search instead of one backward closure.
-Others keep the library's earlier, direct algorithms instead: exploration over
-sessions (explore_oracle), meta's walks over sessions (replay_oracle),
-boundedness as one depth search per node and participant
+Others keep the library's earlier, direct algorithms instead: the session
+step taken on sessions (ready_pairs, communicate, session_transitions,
+reduce and without, with their own statement of the Comm side condition),
+exploration over sessions (explore_oracle), meta's walks over sessions
+(replay_oracle), boundedness as one depth search per node and participant
 (bounded_oracle), type equations solved through the file
 parser's builder, one graph per variable (solve_oracle), the character loop
 of the tokenizer (tokenize_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
 (pset_oracle), and enumeration that makes every outcome public and solves
-it (enumerate_oracle).
+it (enumerate_oracle).  The equivalences, the participant equation and the
+agreement check are the plain definitions the tests state facts with.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpst.semantics import ExploreConfig, StateGraph, closure, session_transitions
-from mpst.terms import END, GlobalGraph, ProcessGraph, normalize_session, participants
+from mpst.semantics import CommLabel, ExploreConfig, StateGraph, closure
+from mpst.terms import (
+    END,
+    IN,
+    OUT,
+    GlobalGraph,
+    ProcessGraph,
+    Session,
+    minimize,
+    minimize_global,
+    normalize_session,
+    participants,
+)
+
+
+def processes_equivalent(a: ProcessGraph, b: ProcessGraph) -> bool:
+    return minimize(a) == minimize(b)
+
+
+def globals_equivalent(a: GlobalGraph, b: GlobalGraph) -> bool:
+    return minimize_global(a) == minimize_global(b)
+
+
+def sessions_equivalent(a: Session, b: Session) -> bool:
+    return normalize_session(a) == normalize_session(b)
+
+
+# ---------------------------------------------------------------------------
+# The session step over sessions.
+# ---------------------------------------------------------------------------
+
+
+def without(m: Session, names) -> Session:
+    """m with the participants names split off, as a Weak step does."""
+    drop = set(names)
+    return Session(tuple((p, g) for p, g in m.bindings if p not in drop))
+
+
+def ready_pairs(m: Session):
+    """(p, q, labels) for every p sending labels to q that q can all receive.
+
+    These are the pairs the Comm rule can fire on, in the order of p.
+    """
+    for p, gp in m.items():
+        node = gp.root_node
+        gq = m.get(node.partner) if node.kind == OUT else None
+        if gq is None:
+            continue
+        qnode = gq.root_node
+        if qnode.kind == IN and qnode.partner == p and set(node.labels()) <= set(qnode.labels()):
+            yield p, node.partner, node.labels()
+
+
+def communicate(m: Session, p: str, q: str, label: str) -> Session:
+    """The normal session after p sends label to q; nobody else moves."""
+    return normalize_session(m.replace(p, m.get(p).step(label)).replace(q, m.get(q).step(label)))
+
+
+def session_transitions(s: Session) -> list:
+    """All enabled single steps of a session as (label, normal successor):
+    one per ready pair (p, q) and message that p may send."""
+    s = normalize_session(s)
+    return [
+        (CommLabel(p, h, q), communicate(s, p, q, h))
+        for p, q, labels in ready_pairs(s)
+        for h in labels
+    ]
+
+
+def reduce(s: Session, label) -> Session | None:
+    """The unique successor of s under the given label, or None if disabled."""
+    return dict(session_transitions(s)).get(label)
 
 
 def unfold_process(g: ProcessGraph, depth: int, node: int | None = None):
@@ -93,8 +166,7 @@ def replay_oracle(check, g, m, ignored, checker=None, config: ExploreConfig = Ex
     reduce, and the triples hold normal sessions."""
     from mpst.analysis import plays_global
     from mpst.metatheory import Violation
-    from mpst.semantics import global_successor, global_transitions, reduce
-    from mpst.terms import minimize_global
+    from mpst.semantics import global_successor, global_transitions
     from mpst.typecheck import Typechecker
 
     def session_steps(g, m, p):
@@ -238,7 +310,7 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
     from itertools import chain, combinations
 
     from mpst.analysis import bounded, plays_global
-    from mpst.terms import COMM, IN, OUT, minimize_global, normalize_session
+    from mpst.terms import COMM
 
     if work is not None:
         work[0] -= 1
@@ -272,13 +344,11 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
             and set(lab for lab, _ in node.branches) <= set(gq.root_node.labels())
             and bounded(g).holds
         ):
-            residual_plays = participants(m.without((p, q)))
+            residual_plays = participants(without(m, (p, q)))
             per_branch = []
             for lab, target in node.branches:
                 gi = g.at(target)
-                mi = normalize_session(
-                    m.replace(p, gp.step(lab)).replace(q, gq.step(lab))
-                )
+                mi = communicate(m, p, q, lab)
                 good = [
                     frozenset(cand)
                     for cand in subsets(participants(mi))
@@ -299,7 +369,7 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
         q_split = frozenset(q_raw)
         if not q_split or not q_split <= p_set:
             continue
-        m1 = normalize_session(m.without(q_split))
+        m1 = normalize_session(without(m, q_split))
         for p1_extra in subsets(p_set & q_split):
             p1 = (p_set - q_split) | frozenset(p1_extra)
             if p1 | q_split != p_set:
@@ -340,18 +410,48 @@ def solve_oracle(eqs):
     return dict(zip(eqs, map(read, names)))
 
 
+def check_participant_equation(gi: GlobalGraph, pi, p: str, q: str, residual: Session) -> bool:
+    """Evaluate (plays(gi) | pi) \\ {p, q} = plays(residual)."""
+    from mpst.analysis import plays_global
+
+    return (plays_global(gi) | frozenset(pi)) - {p, q} == participants(residual)
+
+
+def eval_pset(pat, values) -> frozenset[str]:
+    """The value of a p-set pattern: its literals and its variables' values;
+    FreeVariable at the first variable with no value."""
+    from mpst.inference import FreeVariable
+
+    out = frozenset(pat.literals)
+    for v in pat.vars:
+        if v not in values:
+            raise FreeVariable(f"p-set variable {v} has no equation")
+        out |= values[v]
+    return out
+
+
+def check_agreement(theta, conditions):
+    """(True, None) when every participant condition holds under theta, else
+    (False, the first that fails)."""
+    from mpst.analysis import plays_global
+
+    for c in conditions:
+        plays = plays_global(theta.types[c.typevar])
+        if (plays | theta.psets[c.psetvar]) - {c.p, c.q} != c.target:
+            return False, c
+    return True, None
+
+
 def pset_oracle(eqs, lower_bounds):
     """Least solution of p-set equations above lower_bounds, by Kleene rounds
     over every equation until none changes."""
-    from mpst.inference import _eval_pset
-
     lb = {v: frozenset(lower_bounds.get(v, ())) for v in eqs}
     values = dict(lb)
     changed = True
     while changed:
         changed = False
         for v, pat in eqs.items():
-            new = lb[v] | _eval_pset(pat, values)
+            new = lb[v] | eval_pset(pat, values)
             if new != values[v]:
                 values[v] = new
                 changed = True
@@ -362,7 +462,7 @@ def solutions_oracle(outcome):
     """inference.solutions with every variable solved by solve_oracle and
     checked for boundedness on its own graph by bounded_oracle."""
     from mpst.analysis import plays_global
-    from mpst.inference import Substitution, _eval_pset, check_agreement
+    from mpst.inference import Substitution
 
     tsol = solve_oracle(outcome.type_eqs)
     if not all(bounded_oracle(g) for g in tsol.values()):
@@ -371,7 +471,7 @@ def solutions_oracle(outcome):
     for c in outcome.conditions:
         lb[c.psetvar] |= c.target - plays_global(tsol[c.typevar])
     psol = pset_oracle(outcome.pset_eqs, lb)
-    if any(psol[v] != _eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
+    if any(psol[v] != eval_pset(pat, psol) for v, pat in outcome.pset_eqs.items()):
         return []
     theta = Substitution(tsol, psol)
     return [theta] if check_agreement(theta, outcome.conditions)[0] else []

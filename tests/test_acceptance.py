@@ -19,17 +19,11 @@ from mpst.inference import SearchBudget, enumerate_solutions, infer_minimal
 from mpst.metatheory import Typechecker, run_suite
 from mpst.random_sessions import random_session
 from mpst.semantics import ExploreConfig, explore
-from mpst.terms import (
-    globals_equivalent,
-    minimize_global,
-    participants,
-    processes_equivalent,
-    session_of,
-)
+from mpst.terms import minimize_global, participants, session_of
 from mpst.typecheck import Derivation, Rejection, typecheck
 
 from .conftest import golden_path, load_golden
-from .oracles import deadlock_free_oracle, lock_free_oracle
+from .oracles import deadlock_free_oracle, globals_equivalent, lock_free_oracle, processes_equivalent
 
 GOLDEN_FILES = [
     "social_media.mpst",

@@ -185,7 +185,7 @@ class TestLockFreedom:
         assert excluded_lock_free(m, {"r"}).holds
 
     def test_witness_carries_reaching_trace(self, social_media):
-        from mpst.semantics import reduce
+        from .oracles import reduce
 
         verdict = excluded_lock_free(social_media.sessions["M"], set())
         state = normalize_session(social_media.sessions["M"])

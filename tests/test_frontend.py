@@ -27,14 +27,12 @@ from mpst.terms import (
     ProcessGraph,
     ProcRef,
     build_process_graph,
-    globals_equivalent,
     minimize_global,
     normalize_session,
-    processes_equivalent,
 )
 
 from .conftest import GOLDEN
-from .oracles import tokenize_oracle
+from .oracles import globals_equivalent, processes_equivalent, tokenize_oracle
 
 
 class TestParsing:

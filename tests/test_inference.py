@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import mpst
 from mpst import analysis, metatheory, semantics, terms, typecheck
 from mpst.analysis import plays_global
 from mpst.frontend import format_global, parse
@@ -23,7 +26,6 @@ from mpst.inference import (
     Substitution,
     TypeVar,
     UnguardedEquations,
-    check_agreement,
     enumerate_solutions,
     infer,
     infer_minimal,
@@ -40,7 +42,7 @@ from mpst.terms import Session, minimize_global, participants, session_of
 from mpst.typecheck import accepts
 
 from .conftest import GOLDEN
-from .oracles import enumerate_oracle, pset_oracle, solutions_oracle, solve_oracle
+from .oracles import check_agreement, enumerate_oracle, eval_pset, pset_oracle, solutions_oracle, solve_oracle
 
 
 # Variables for hand-built systems.
@@ -141,9 +143,7 @@ class TestSolvePsetEquations:
         sol = solve_pset_equations(eqs, {vy: frozenset({"b"})})
         assert sol[vx] == {"a"}
         assert sol[vy] == {"a", "b"}
-        from mpst.inference import _eval_pset
-
-        assert sol[vy] != _eval_pset(eqs[vy], sol)
+        assert sol[vy] != eval_pset(eqs[vy], sol)
 
 
 class TestAgreement:
@@ -651,8 +651,10 @@ class TestReuse:
 
             return wrapper
 
-        monkeypatch.setattr(semantics, "communicate", counted("communicate", semantics.communicate))
-        monkeypatch.setattr(Session, "without", counted("without", Session.without))
+        transitions = counted("session_transitions", semantics.session_transitions)
+        for module in (mpst, semantics):
+            monkeypatch.setattr(module, "session_transitions", transitions)
+        monkeypatch.setattr(Session, "replace", counted("replace", Session.replace))
         normalize = counted("normalize", terms.normalize_session)
         for module in (terms, semantics):
             monkeypatch.setattr(module, "normalize_session", normalize)
@@ -660,22 +662,27 @@ class TestReuse:
         assert calls == {"normalize": 1}
 
     def test_check_and_meta_step_state_ids_not_sessions(self, monkeypatch, social_media):
-        # The checker and meta step the state ids of a SessionSpace too: the
-        # session-level step functions are neither imported nor called.
-        calls = Counter()
+        # The checker and meta step the state ids of a SessionSpace too.  The
+        # step over sessions is the tests' reference alone: no mpst module
+        # binds it, and the view session_transitions is never called.
+        from mpst import inference
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("communicate", "session_transitions", "reduce"):
-            monkeypatch.setattr(semantics, name, counted(name, getattr(semantics, name)))
-            for module in (typecheck, metatheory):
+        names = [info.name for info in pkgutil.iter_modules(mpst.__path__)]
+        for module in [mpst, *(importlib.import_module(f"mpst.{name}") for name in names)]:
+            for name in ("ready_pairs", "communicate", "reduce"):
                 assert not hasattr(module, name), (module.__name__, name)
-        monkeypatch.setattr(Session, "without", counted("without", Session.without))
+        assert not hasattr(Session, "without")
+        for module in (inference, typecheck, metatheory):
+            assert not hasattr(module, "session_transitions"), module.__name__
+        calls = Counter()
+        original = semantics.session_transitions
+
+        def counted(*args, **kwargs):
+            calls["session_transitions"] += 1
+            return original(*args, **kwargs)
+
+        for module in (mpst, semantics):
+            monkeypatch.setattr(module, "session_transitions", counted)
         g, m = social_media.globals["G"], social_media.sessions["M"]
         assert accepts(g, m, {"u"})
         assert metatheory.run_file_suite(social_media).ok

@@ -94,6 +94,23 @@ class TestFileSuite:
         assert g_combos and all(not c["accepted"] for c in g_combos)
         assert all(c["rejection"] == "Unbounded" for c in g_combos)
 
+    def test_each_combo_is_decided_once(self, monkeypatch):
+        # Both combos of unbounded.mpst are rejected; the rejection the suite
+        # reports is the one its single check gave.
+        from .conftest import golden_path
+
+        calls = []
+        check = Typechecker.check
+
+        def counted(self, *args):
+            calls.append(args)
+            return check(self, *args)
+
+        monkeypatch.setattr(Typechecker, "check", counted)
+        report = run_file_suite(parse(golden_path("unbounded.mpst").read_text()), seed=3)
+        assert [c["accepted"] for c in report.combos] == [False, False]
+        assert len(calls) == 2
+
     def test_empty_file_suite_is_vacuous(self):
         report = run_file_suite(parse(""), seed=0)
         assert report.ok and report.combos == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mpst import semantics
 from mpst.frontend import format_session, parse
 from mpst.random_sessions import random_global, random_process, random_session
 from mpst.semantics import (
@@ -13,20 +14,20 @@ from mpst.semantics import (
     explore,
     global_successor,
     global_transitions,
-    reduce,
-    session_transitions,
     subsets,
 )
-from mpst.terms import (
-    Session,
-    globals_equivalent,
-    normalize_session,
-    participants,
-    session_of,
-)
+from mpst.terms import Session, normalize_session, participants, session_of
 
 from .conftest import GOLDEN, load_golden
-from .oracles import explore_oracle, global_step_oracle, unfold_global
+from .oracles import (
+    explore_oracle,
+    global_step_oracle,
+    globals_equivalent,
+    reduce,
+    session_transitions,
+    unfold_global,
+    without,
+)
 
 
 def sess(text: str):
@@ -257,10 +258,11 @@ def _assert_space_matches_sessions(m) -> int:
     """Walk every state a SessionSpace reaches from m by Comm and Weak and
     check it against the same step on its Session; return the state count.
 
-    Comm edges, mapped through space.session, are session_transitions of
-    the state's session, and the moves of one pair are its edges.  For each
-    Weak split, in subsets order, the remainder is the vector with the
-    split's positions cleared, whose session is the normal form of the
+    Comm edges, mapped through space.session, are the oracle's
+    session_transitions of the state's session, as is the library's view
+    semantics.session_transitions, and the moves of one pair are its edges.
+    For each Weak split, in subsets order, the remainder is the vector with
+    the split's positions cleared, whose session is the normal form of the
     session without the split.
     """
     space = SessionSpace(m)
@@ -274,6 +276,7 @@ def _assert_space_matches_sessions(m) -> int:
         edges = [edge for pair in space.comms(s) for edge in pair]
         assert edges == space.transitions(s)
         assert [(lab, space.session(t)) for lab, t in edges] == session_transitions(session)
+        assert semantics.session_transitions(session) == session_transitions(session)
         for p in space.names:
             for q in space.names:
                 assert space.moves(s, p, q) == [e for e in edges if (e[0].sender, e[0].receiver) == (p, q)]
@@ -281,7 +284,7 @@ def _assert_space_matches_sessions(m) -> int:
         for split, t in splits:
             cleared = tuple(-1 if p in split else g for p, g in zip(space.names, space.vectors[s]))
             assert space.vectors[t] == cleared
-            assert space.session(t) == normalize_session(session.without(split))
+            assert space.session(t) == normalize_session(without(session, split))
         for _, t in edges + splits:
             if t not in seen:
                 seen.add(t)

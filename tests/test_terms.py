@@ -41,10 +41,10 @@ from mpst.terms import (
     normalize_session,
     participants,
     session_of,
-    sessions_equivalent,
+
 )
 
-from .oracles import refine_oracle, unfold_process
+from .oracles import refine_oracle, sessions_equivalent, unfold_process
 
 
 def out(partner, *branches):

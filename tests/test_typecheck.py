@@ -3,14 +3,9 @@ import pytest
 from mpst.frontend import parse
 from mpst.metatheory import check_plays_equation
 from mpst.terms import END_GLOBAL, normalize_session, session_of
-from mpst.typecheck import (
-    Derivation,
-    Rejection,
-    Typechecker,
-    accepts,
-    check_participant_equation,
-    typecheck,
-)
+from mpst.typecheck import Derivation, Rejection, Typechecker, accepts, typecheck
+
+from .oracles import check_participant_equation, without
 
 
 def first_global(text):
@@ -169,7 +164,7 @@ class TestParticipantEquation:
         m = normalize_session(social_media.sessions["M"])
         # after q-hello-p the continuation keeps all three roles; u is ignored
         g1 = g.at(dict(g.root_node.branches)["hello"])
-        residual = m.without(("q", "p"))
+        residual = without(m, ("q", "p"))
         assert check_participant_equation(g1, {"u"}, "q", "p", residual)
 
     def test_trivial_empty(self):
