@@ -1,5 +1,7 @@
 """Multiparty sessions, global types, liveness analysis and type inference."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     BoundednessVerdict,
     LivenessVerdict,
@@ -17,20 +19,6 @@ from .frontend import (
     format_process,
     format_session,
     parse,
-)
-from .inference import (
-    BudgetExhausted,
-    InferenceOutcome,
-    NoSolutionWithinBudget,
-    SearchBudget,
-    Substitution,
-    enumerate_solutions,
-    infer,
-    infer_minimal,
-    render_outcome,
-    solutions,
-    solve_pset_equations,
-    solve_type_equations,
 )
 from .semantics import (
     CommLabel,
@@ -64,3 +52,24 @@ from .typecheck import (
     accepts,
     typecheck,
 )
+
+# Loaded on first access (PEP 562): deciding a judgment or a property never imports inference.
+_INFERENCE = frozenset(
+    "BudgetExhausted InferenceOutcome NoSolutionWithinBudget SearchBudget Substitution enumerate_solutions infer"
+    " infer_minimal render_outcome solutions solve_pset_equations solve_type_equations".split()
+)
+__all__ = sorted(
+    {n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)} | _INFERENCE
+)
+
+
+def __getattr__(name: str):
+    if name in _INFERENCE:
+        from . import inference
+
+        return getattr(inference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_INFERENCE})

@@ -5,7 +5,9 @@ judgment and ``--format``; ``infer`` the session, ``--minimal``,
 ``--show-equations`` and all three budgets; ``analyze`` its checks and
 ``--max-states``; ``meta`` ``--seed`` and ``--max-states``.  A budget option
 left unset takes its value from MPST_BUDGET, else its built-in default, and
-the variable is checked as a whole for every subcommand.
+the variable is checked as a whole for every subcommand.  ``check`` and
+``analyze`` load neither ``mpst.inference`` nor ``mpst.metatheory``: the
+``infer`` and ``meta`` handlers import theirs when they run.
 
 Exit codes: 0 when the property holds / a derivation or solution was found,
 1 when it fails / nothing was found, 2 on usage or parse errors or an
@@ -27,11 +29,8 @@ import json
 import os
 import sys
 
-from . import inference
 from .analysis import bounded, depth, excluded_deadlock_free, excluded_lock_free
 from .frontend import ParseError, SpecFile, format_global, format_session, parse
-from .inference import SearchBudget, render_outcome
-from .metatheory import run_file_suite
 from .semantics import ExploreConfig, StateLimitExceeded, explore
 from .terms import GlobalGraph, Session, TermError, check_ident
 from .typecheck import Derivation, typecheck
@@ -164,9 +163,11 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_infer(ns: argparse.Namespace) -> int:
+    from . import inference
+
     spec = _load(ns)
     m = _pick_session(spec, ns)
-    budget = SearchBudget(
+    budget = inference.SearchBudget(
         max_size=ns.max_size, max_outcomes=ns.max_outcomes, explore=ExploreConfig(max_states=ns.max_states)
     )
     found = inference.solved(m, budget)
@@ -180,7 +181,7 @@ def cmd_infer(ns: argparse.Namespace) -> int:
             "ignored": sorted(p),
         }
         if ns.show_equations:
-            entry["equations"] = render_outcome(outcome)
+            entry["equations"] = inference.render_outcome(outcome)
         payload_outcomes.append(entry)
     if ns.format == "json":
         _emit(
@@ -286,6 +287,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def cmd_meta(ns: argparse.Namespace) -> int:
+    from .metatheory import run_file_suite
+
     spec = _load(ns)
     report = run_file_suite(spec, ns.seed, ExploreConfig(max_states=ns.max_states))
     if ns.format == "json":

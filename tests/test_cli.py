@@ -377,6 +377,42 @@ def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
     assert err == b""
 
 
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from mpst import cli
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    loaded.append([code, sorted(m for m in ("mpst.inference", "mpst.metatheory") if m in sys.modules)])
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_imports_only_what_it_runs():
+    # check and analyze decide a judgment or a property: no inference, no metatheory
+    runs = [
+        ["check", "--global", "G", "--session", "M", "--ignored", "Service", BUYER],
+        ["analyze", "--global", "G", "--session", "M", "--ignored", "Service", "--bounded", "--lockfree",
+         "--deadlockfree", BUYER],
+        ["infer", "--session", "M", "--minimal", BUYER],
+        ["meta", BUYER],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(runs)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [0, []],
+        [0, []],
+        [0, ["mpst.inference"]],
+        [0, ["mpst.inference", "mpst.metatheory"]],
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
