@@ -4,7 +4,9 @@ Depth of a participant in a global type is the supremum, over all paths, of
 the index of the first communication involving that participant; a path that
 terminates or loops without ever involving the participant pushes the
 supremum to infinity.  A global type is bounded when every participant of
-every subterm has finite depth there.
+every subterm has finite depth there.  Both are read off count-downs from
+the nodes where the participant plays, over the predecessor index that the
+global step uses too (semantics._settle), so neither recurses.
 
 Liveness verdicts are decided exactly on the finite reachable-state graph.
 A participant is locked in a state when no path from that state contains a
@@ -19,7 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .semantics import ExploreConfig, StateGraph, Trace, explore
+from .semantics import ExploreConfig, StateGraph, Trace, _predecessors, _settle, explore
 from .terms import COMM, GlobalGraph, Session, participants
 
 # Fixed note attached to lock-freedom reports: the verdict follows the literal
@@ -58,40 +60,40 @@ def plays_global(g: GlobalGraph) -> frozenset[str]:
     return _plays_at(g, g.root)
 
 
-def _depth_at(g: GlobalGraph, start: int, p: str) -> int | float:
-    if p not in _plays_at(g, start):
-        return 0
-    # Walk the region reachable without touching p.  An End node or a cycle
-    # inside the region means some path avoids p forever.
-    color: dict[int, int] = {}  # 1 = on stack, 2 = done
-    best: dict[int, int | float] = {}
-
-    def visit(i: int) -> int | float:
+def _meets(g: GlobalGraph) -> dict[str, list[int]]:
+    """Each participant of g with the nodes the root reaches where it is
+    sender or receiver."""
+    meets: dict[str, list[int]] = {}
+    for i in _predecessors(g):
         node = g.nodes[i]
-        if node.kind != COMM:
-            return math.inf  # terminated without meeting p
-        if p in (node.sender, node.receiver):
-            return 1
-        if color.get(i) == 1:
-            return math.inf  # p-avoiding cycle
-        if color.get(i) == 2:
-            return best[i]
-        color[i] = 1
-        worst: int | float = 0
-        for _, t in node.branches:
-            sub = visit(t)
-            worst = max(worst, math.inf if sub is math.inf else 1 + sub)
-        color[i] = 2
-        best[i] = worst
-        return worst
+        if node.kind == COMM:
+            meets.setdefault(node.sender, []).append(i)
+            meets.setdefault(node.receiver, []).append(i)
+    return meets
 
-    return visit(start)
+
+def _settling(g: GlobalGraph, meets: list[int]) -> tuple[list[int], list[int]]:
+    """Where p plays in g and where p has finite depth, as settle orders
+    from meets, the nodes where p is sender or receiver: a node settles at
+    one branch into the first (some path from it meets p), and at all of its
+    branches into the second (every path from it meets p)."""
+    region = _settle(g, meets, dict.fromkeys(_predecessors(g), 1))
+    return region, _settle(g, meets, {i: len(g.nodes[i].branches) for i in region})
 
 
 def depth(g: GlobalGraph, p: str) -> int | float:
     """Depth of p in g: 0 when absent, the longest wait otherwise, inf if
-    some path never involves p."""
-    return _depth_at(g, g.root, p)
+    some path never involves p.  Read off p's count-down, where every node
+    settles after its branches: 1 where p plays, else one more than its
+    deepest branch."""
+    region, order = _settling(g, _meets(g).get(p, []))
+    value: dict[int, int] = {}
+    for i in order:
+        node = g.nodes[i]
+        value[i] = 1 if p in (node.sender, node.receiver) else 1 + max(value[t] for _, t in node.branches)
+    if g.root in value:
+        return value[g.root]
+    return math.inf if g.root in region else 0
 
 
 @dataclass(frozen=True)
@@ -110,54 +112,21 @@ def bounded(g: GlobalGraph) -> BoundednessVerdict:
     Depth of p at a node is infinite exactly when p plays below the node (some
     path from it meets p) and some path from it avoids p forever, to End or
     around a cycle.  So one pass per participant p over the nodes reachable
-    from the root decides every node at once: a backward closure from the
-    nodes where p is sender or receiver gives where p plays, and a count-down
-    over the same predecessor lists (a node is settled once each of its
-    branches leads to a settled node or to p) gives the nodes whose every
-    p-avoiding path meets p.  A node in the first set and not in the second is
-    a witness; the verdict names the least such node, then the least
-    participant.  O(P * (N + E)) for P participants, N nodes and E branches.
+    from the root decides every node at once: where p plays and p's
+    count-down are two settle orders over the same predecessor lists (see
+    _settling), and a node in the first and not in the second is a witness.
+    The verdict names the least such node, then the least participant.
+    O(P * (N + E)) for P participants, N nodes and E branches.
     Kept on g.
     """
     return g.cached("bounded", lambda: _bounded(g))
 
 
 def _bounded(g: GlobalGraph) -> BoundednessVerdict:
-    reachable = [g.root]  # grows while it is read
-    preds: dict[int, list[int]] = {}  # one entry per branch into the node
-    for i in reachable:
-        for _, t in g.nodes[i].branches:
-            if t not in preds:
-                preds[t] = []
-                if t != g.root:
-                    reachable.append(t)
-            preds[t].append(i)
-    meets: dict[str, list[int]] = {}
-    for i in reachable:
-        node = g.nodes[i]
-        if node.kind == COMM:
-            meets.setdefault(node.sender, []).append(i)
-            meets.setdefault(node.receiver, []).append(i)
     witnesses = []  # (least witness node, p) per participant p that has one
-    for p in meets:
-        plays = set(meets[p])
-        todo = list(plays)
-        while todo:
-            for i in preds.get(todo.pop(), ()):
-                if i not in plays:
-                    plays.add(i)
-                    todo.append(i)
-        settled = set(meets[p])
-        waiting = {i: len(g.nodes[i].branches) for i in plays}
-        todo = list(settled)
-        while todo:
-            for i in preds.get(todo.pop(), ()):
-                if i not in settled:
-                    waiting[i] -= 1
-                    if waiting[i] == 0:
-                        settled.add(i)
-                        todo.append(i)
-        unsettled = plays - settled
+    for p, meets in _meets(g).items():
+        region, order = _settling(g, meets)
+        unsettled = set(region).difference(order)
         if unsettled:
             witnesses.append((min(unsettled), p))
     if not witnesses:

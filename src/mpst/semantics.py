@@ -4,7 +4,8 @@ Session steps: a sender whose whole label set is accepted by the matching
 receiver hands over one message and both move to the chosen continuations;
 nobody else changes.  Global steps: a root communication fires directly, or a
 communication between two roles untouched by the root choice fires inside
-every branch at once.
+every branch at once.  A step is one count-down (_settle), as boundedness
+and depth in analysis are.
 
 A SessionSpace numbers the sessions reachable from one start by Comm and
 Weak steps, so that explore, inference, the checker and meta walk small
@@ -22,7 +23,6 @@ from typing import Iterable, Iterator
 
 from .terms import (
     COMM,
-    GNode,
     GlobalGraph,
     IN,
     OUT,
@@ -30,6 +30,7 @@ from .terms import (
     ProcessGraph,
     Session,
     _derived_session,
+    _make,
     minimize_global,
     normalize_session,
 )
@@ -347,16 +348,41 @@ def _candidate_labels(g: GlobalGraph) -> list[CommLabel]:
     return sorted(labels)
 
 
-def _direct_branch(node: GNode, label: CommLabel) -> int | None:
-    """Target of the root-fire rule at this node, if it applies."""
-    if node.kind != COMM:
-        return None
-    if node.sender != label.sender or node.receiver != label.receiver:
-        return None
-    for lab, tgt in node.branches:
-        if lab == label.message:
-            return tgt
-    return None
+def _predecessors(g: GlobalGraph) -> dict[int, list[int]]:
+    """The nodes the root of g reaches, in the order found, each with the
+    nodes that branch to it, one entry per branch.  Kept on g."""
+
+    def compute() -> dict[int, list[int]]:
+        reachable = [g.root]  # grows while it is read
+        preds: dict[int, list[int]] = {g.root: []}
+        for i in reachable:
+            for _, t in g.nodes[i].branches:
+                if t not in preds:
+                    preds[t] = []
+                    reachable.append(t)
+                preds[t].append(i)
+        return preds
+
+    return g.cached("preds", compute)
+
+
+def _settle(g: GlobalGraph, seeds: Iterable[int], waits: dict[int, int]) -> list[int]:
+    """The nodes that settle, in order: the seeds, nodes the root of g
+    reaches, then each node i of waits once waits[i] of its branches lead to
+    settled nodes; waits is used up.  The least model of those rules (Dowling
+    and Gallier 1984): a node that only a cycle through it would settle never
+    does.  O(N + E) over the N nodes and E branches the root reaches."""
+    preds = _predecessors(g)
+    order = list(seeds)
+    settled = set(order)
+    for i in order:  # grows while it is read
+        for j in preds[i]:
+            if j not in settled and j in waits:
+                waits[j] -= 1
+                if not waits[j]:
+                    settled.add(j)
+                    order.append(j)
+    return order
 
 
 def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
@@ -365,29 +391,27 @@ def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
     Least fixpoint over the nodes of g: a node steps when the label fires at
     its root, to that branch's target, or when its roles are disjoint from
     the label's and every branch has stepped, to a copy of it over the
-    stepped branches, appended after the nodes of g.  Cyclic dependencies
-    never step: they would require an infinite derivation.
+    stepped branches, appended after the nodes of g.  One count-down from the
+    nodes where the label fires decides it.  Cyclic dependencies never step:
+    they would require an infinite derivation.
     """
-    nodes = list(g.nodes)
-    stepped: dict[int, int] = {}  # node of g -> its successor in nodes
-    changed = True
-    while changed:
-        changed = False
-        for i, node in enumerate(g.nodes):
-            if i in stepped or node.kind != COMM:
-                continue
-            tgt = _direct_branch(node, label)
-            if tgt is None and not ({node.sender, node.receiver} & label.plays) and all(
-                t in stepped for _, t in node.branches
-            ):
-                tgt = len(nodes)
-                nodes.append(node.rebranch(tuple((lab, stepped[t]) for lab, t in node.branches)))
-            if tgt is not None:
-                stepped[i] = tgt
-                changed = True
+    nodes, plays = g.nodes, label.plays
+    fires: dict[int, int] = {}  # node where the label fires -> that branch's target
+    waits: dict[int, int] = {}  # node that steps once its branches have -> their count
+    for i in _predecessors(g):
+        node = nodes[i]
+        if node.sender == label.sender and node.receiver == label.receiver:
+            fires.update((i, t) for lab, t in node.branches if lab == label.message)
+        elif node.kind == COMM and node.sender not in plays and node.receiver not in plays:
+            waits[i] = len(node.branches)
+    stepped, out = dict(fires), list(nodes)
+    for i in _settle(g, fires, waits)[len(fires):]:
+        stepped[i] = len(out)
+        out.append(nodes[i].rebranch(tuple((lab, stepped[t]) for lab, t in nodes[i].branches)))
     if g.root not in stepped:
         return None
-    return minimize_global(GlobalGraph(tuple(nodes), stepped[g.root]))
+    # the copies keep the validated shapes of g's nodes and point into out
+    return minimize_global(_make(GlobalGraph, tuple(out), stepped[g.root]))
 
 
 def global_transitions(g: GlobalGraph) -> list[tuple[CommLabel, GlobalGraph]]:

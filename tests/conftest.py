@@ -13,6 +13,12 @@ def golden_path(name: str) -> Path:
     return GOLDEN / name
 
 
+def global_chain(n: int) -> str:
+    """A file of n + 1 globals: G0 = p->q:a . G1, ..., Gn = r->s:b."""
+    lines = [f"global G{i} = p->q:a . G{i + 1}" for i in range(n)]
+    return "\n".join(lines + [f"global G{n} = r->s:b"]) + "\n"
+
+
 def load_golden(name: str) -> SpecFile:
     return parse(golden_path(name).read_text(encoding="utf-8"))
 

@@ -1,13 +1,14 @@
 """Independent reference implementations the primary code is checked against.
 
 These deliberately avoid the library's own algorithms: trees instead of
-minimized graphs, per-state forward search instead of one backward closure.
+minimized graphs, path enumeration instead of count-downs (depth_oracle,
+bounded_oracle), per-state forward search instead of one backward closure.
 Others keep the library's earlier, direct algorithms instead: the session
 step taken on sessions (ready_pairs, communicate, session_transitions,
 reduce and without, with their own statement of the Comm side condition),
 exploration over sessions (explore_oracle), meta's walks over sessions
-(replay_oracle), boundedness as one depth search per node and participant
-(bounded_oracle), type equations solved through the file
+(replay_oracle), the global step in rounds over every node
+(global_successor_oracle), type equations solved through the file
 parser's builder, one graph per variable (solve_oracle), the character loop
 of the tokenizer (tokenize_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
@@ -152,6 +153,33 @@ def global_step_oracle(
     return ("...",) if depth == 0 else (n.sender, n.receiver, tuple(branches))
 
 
+def global_successor_oracle(g: GlobalGraph, label):
+    """semantics.global_successor as rounds over every node of g, until none
+    steps anew: a node steps when the label fires at its root, to that
+    branch's target, or when its roles are disjoint from the label's and
+    every branch has stepped, to a copy of it over the stepped branches."""
+    nodes = list(g.nodes)
+    stepped: dict[int, int] = {}  # node of g -> its successor in nodes
+    changed = True
+    while changed:
+        changed = False
+        for i, node in enumerate(g.nodes):
+            if i in stepped or node.kind == END:
+                continue
+            tgt = None
+            if (node.sender, node.receiver) == (label.sender, label.receiver):
+                tgt = next((t for lab, t in node.branches if lab == label.message), None)
+            elif not ({node.sender, node.receiver} & label.plays) and all(t in stepped for _, t in node.branches):
+                tgt = len(nodes)
+                nodes.append(node.rebranch(tuple((lab, stepped[t]) for lab, t in node.branches)))
+            if tgt is not None:
+                stepped[i] = tgt
+                changed = True
+    if g.root not in stepped:
+        return None
+    return minimize_global(GlobalGraph(tuple(nodes), stepped[g.root]))
+
+
 def explore_oracle(s, config: ExploreConfig = ExploreConfig()) -> StateGraph:
     """The closure of session_transitions over sessions: every transition
     builds its successor session and normalizes it."""
@@ -213,10 +241,10 @@ def replay_oracle(check, g, m, ignored, checker=None, config: ExploreConfig = Ex
 
 
 def bounded_oracle(g: GlobalGraph):
-    """Boundedness by one depth search per reachable node and participant,
-    in node order, then participant order; the first infinite depth is the
-    witness."""
-    from mpst.analysis import BoundednessVerdict, _depth_at, _plays_at
+    """Boundedness by one path enumeration (depth_oracle) per reachable node
+    and participant, in node order, then participant order; the first
+    infinite depth is the witness."""
+    from mpst.analysis import BoundednessVerdict, plays_global
 
     reachable = {g.root}
     todo = [g.root]
@@ -226,8 +254,9 @@ def bounded_oracle(g: GlobalGraph):
                 reachable.add(t)
                 todo.append(t)
     for node_id in sorted(reachable):
-        for p in sorted(_plays_at(g, node_id)):
-            if _depth_at(g, node_id, p) == math.inf:
+        sub = GlobalGraph(g.nodes, node_id)
+        for p in sorted(plays_global(sub)):
+            if depth_oracle(sub, p) == math.inf:
                 return BoundednessVerdict(False, node_id, p)
     return BoundednessVerdict(True)
 

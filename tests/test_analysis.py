@@ -17,7 +17,7 @@ from mpst.random_sessions import random_global, random_session
 from mpst.semantics import explore
 from mpst.terms import COMM, END, GNode, GlobalGraph, normalize_session, participants, session_of
 
-from .conftest import GOLDEN, load_golden
+from .conftest import GOLDEN, global_chain, load_golden
 from .oracles import bounded_oracle, deadlock_free_oracle, lock_free_oracle
 
 
@@ -67,6 +67,17 @@ class TestDepth:
         g = random_global(random.Random(seed), ("p", "q", "r"), max_nodes=5)
         for participant in ("p", "q", "r"):
             assert depth(g, participant) == depth_oracle(g, participant), (seed, participant)
+
+
+class TestLongChain:
+    """The count-downs are loops: a chain deeper than the recursion limit
+    gets its depth and its verdict."""
+
+    def test_depth_and_bounded(self):
+        g = parse(global_chain(2000)).globals["G0"]
+        assert depth(g, "r") == 2001
+        assert depth(g, "p") == 1
+        assert bounded(g).holds
 
 
 class TestBounded:

@@ -18,7 +18,7 @@ from mpst.inference import NoSolutionWithinBudget, infer_minimal
 from mpst.semantics import subsets
 from mpst.terms import participants
 
-from .conftest import GOLDEN, golden_path, load_golden
+from .conftest import GOLDEN, global_chain, golden_path, load_golden
 
 
 def schema(name: str) -> dict:
@@ -298,6 +298,15 @@ def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
     assert code == cli.BUDGET_EXCEEDED
     assert captured.err.startswith("error: ") and "recursion limit" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_depth_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "chain.mpst"
+    path.write_text(global_chain(2000))
+    code = run(["analyze", "--global", "G0", "--bounded", "--depth", "r", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "depth of r: 2001" in captured.out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,12 +17,23 @@ from mpst.semantics import (
     global_transitions,
     subsets,
 )
-from mpst.terms import Session, normalize_session, participants, session_of
+from mpst.terms import (
+    COMM,
+    END,
+    GNode,
+    GlobalGraph,
+    Session,
+    minimize_global,
+    normalize_session,
+    participants,
+    session_of,
+)
 
 from .conftest import GOLDEN, load_golden
 from .oracles import (
     explore_oracle,
     global_step_oracle,
+    global_successor_oracle,
     globals_equivalent,
     reduce,
     session_transitions,
@@ -370,3 +382,39 @@ def test_global_successor_agrees_with_the_tree_oracle(seed):
             assert found == global_step_oracle(g, lab, 8), (s, str(lab))
             pairs += 1
     assert pairs > 0
+
+
+def _every_subterm(g):
+    return [g] + [g.at(i) for i in range(len(g.nodes))]
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 60))
+def test_global_successor_agrees_with_the_rounds_oracle(seed):
+    graphs = [h for s in range(seed, seed + 60) for h in _every_subterm(random_global(random.Random(s)))]
+    if seed == 0:
+        graphs += [
+            h
+            for path in sorted(GOLDEN.glob("*.mpst"))
+            for g in load_golden(path.name).globals.values()
+            for h in _every_subterm(g)
+        ]
+    fired = 0
+    for g in graphs:
+        for lab in _candidate_labels(g):
+            succ = global_successor(g, lab)
+            assert succ == global_successor_oracle(g, lab), (g, str(lab))
+            fired += succ is not None
+    assert fired > 0
+
+
+def test_global_successor_on_a_long_chain_is_one_pass():
+    # p->q:a n-1 times, then r->s:b: r b s fires at the last node only, and
+    # every node above it steps by a copy; rounds over every node take
+    # seconds here
+    n = 3000
+    chain = [GNode(COMM, "p", "q", (("a", i + 1),)) for i in range(n - 1)]
+    g = GlobalGraph(tuple(chain + [GNode(COMM, "r", "s", (("b", n),)), GNode(END, None, None, ())]), 0)
+    start = time.perf_counter()
+    succ = global_successor(g, CommLabel("r", "b", "s"))
+    assert time.perf_counter() - start < 1.0
+    assert succ == minimize_global(GlobalGraph(tuple(chain + [GNode(END, None, None, ())]), 0))
