@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .semantics import ExploreConfig, StateGraph, Trace, _predecessors, _settle, explore
-from .terms import COMM, GlobalGraph, Session, participants
+from .terms import COMM, GlobalGraph, Session, _Value, participants
 
 # Fixed note attached to lock-freedom reports: the verdict follows the literal
 # existential-continuation reading, which accepts sessions that a fairness
@@ -96,11 +95,11 @@ def depth(g: GlobalGraph, p: str) -> int | float:
     return math.inf if g.root in region else 0
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
-    holds: bool
-    witness_node: int | None = None
-    witness_participant: str | None = None
+class BoundednessVerdict(_Value):
+    __slots__ = ("holds", "witness_node", "witness_participant")
+
+    def __init__(self, holds: bool, witness_node: int | None = None, witness_participant: str | None = None) -> None:
+        self._set(holds, witness_node, witness_participant)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -145,16 +144,23 @@ def top_partner(s: Session, p: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LivenessVerdict:
-    prop: str  # "lock-freedom" or "deadlock-freedom"
-    ignored: frozenset[str]
-    holds: bool
-    witness_state: int | None = None
-    witness_session: Session | None = None
-    witness_participant: str | None = None
-    witness_trace: Trace | None = None  # how to reach the witness state
-    note: str | None = None
+class LivenessVerdict(_Value):
+    __slots__ = (
+        "prop", "ignored", "holds", "witness_state", "witness_session", "witness_participant", "witness_trace", "note"
+    )
+
+    def __init__(
+        self,
+        prop: str,  # "lock-freedom" or "deadlock-freedom"
+        ignored: frozenset[str],
+        holds: bool,
+        witness_state: int | None = None,
+        witness_session: Session | None = None,
+        witness_participant: str | None = None,
+        witness_trace: Trace | None = None,  # how to reach the witness state
+        note: str | None = None,
+    ) -> None:
+        self._set(prop, ignored, holds, witness_state, witness_session, witness_participant, witness_trace, note)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -22,8 +22,7 @@ Recursion is written through named definitions, never a binder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import terms
 from .terms import (
@@ -42,16 +41,18 @@ from .terms import (
     ProcRef,
     Session,
     TermError,
+    _Value,
     session_of,
 )
 
 KEYWORDS = {"process", "session", "global", "ignored", "end"}
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    column: int
+class Span(_Value):
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        self._set(line, column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -68,15 +69,20 @@ class DuplicateDefinition(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(_Value):
     """All definitions of one source file, checked; each mapping keeps
     definition order and builds a term when it is first read."""
 
-    processes: Mapping[str, ProcessGraph]
-    sessions: Mapping[str, Session]
-    globals: Mapping[str, GlobalGraph]
-    ignored_sets: Mapping[str, frozenset[str]]
+    __slots__ = ("processes", "sessions", "globals", "ignored_sets")
+
+    def __init__(
+        self,
+        processes: Mapping[str, ProcessGraph],
+        sessions: Mapping[str, Session],
+        globals: Mapping[str, GlobalGraph],
+        ignored_sets: Mapping[str, frozenset[str]],
+    ) -> None:
+        self._set(processes, sessions, globals, ignored_sets)
 
 
 class _OnRead(Mapping):
@@ -97,17 +103,6 @@ class _OnRead(Mapping):
         return len(self._values)
 
 
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'punct', 'zero', 'eof'
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column)
-
-
 # One alternative per token kind, tried in order at every position; a word
 # that starts with no letter or underscore, and any other character, is
 # "bad".  \w is str.isalnum() or "_", character by character.
@@ -116,7 +111,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of text, each (kind, text, line, column) with kind 'ident',
+    'punct', 'zero' or 'eof'."""
     tokens = []
     line, start = 1, 0  # the line and the index of its first character
     for m in _TOKEN_RE.finditer(text):
@@ -129,10 +126,10 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if kind == "bad" or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
             raise ParseError(f"unexpected character {text[pos]!r}", Span(line, pos - start + 1))
-        tokens.append(_Token(kind, m.group(), line, pos - start + 1))
+        tokens.append((kind, m.group(), line, pos - start + 1))
     # a comment on the last line ends where it starts, as no column is counted in it
     end = text.find("#", start)
-    tokens.append(_Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
+    tokens.append(("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return tokens
 
 
@@ -141,58 +138,65 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> tuple[str, str]:
+        """The kind and the text of the next token."""
+        kind, text, _, _ = self.tokens[self.pos]
+        return kind, text
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def span(self, back: int = 0) -> Span:
+        """Where the next token starts, or the token back tokens before it."""
+        _, _, line, column = self.tokens[self.pos - back]
+        return Span(line, column)
+
+    def next(self) -> str:
+        """The text of the next token, which is consumed."""
+        _, text = self.peek()
         self.pos += 1
-        return tok
+        return text
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text: str | None = None) -> str:
+        found_kind, found = self.peek()
+        if found_kind != kind or (text is not None and found != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.span)
+            raise ParseError(f"expected {want!r}, found {found or found_kind!r}", self.span())
         return self.next()
 
-    def ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text or tok.kind!r}", tok.span)
-        if tok.text in KEYWORDS:
-            raise ParseError(f"keyword {tok.text!r} cannot be used as {what}", tok.span)
+    def ident(self, what: str) -> str:
+        kind, text = self.peek()
+        if kind != "ident":
+            raise ParseError(f"expected {what}, found {text or kind!r}", self.span())
+        if text in KEYWORDS:
+            raise ParseError(f"keyword {text!r} cannot be used as {what}", self.span())
         return self.next()
 
-    def name(self, what: str) -> _Token:
+    def name(self, what: str) -> str:
         """An identifier checked now; names inside terms are left to the builders."""
-        tok = self.ident(f"a {what}")
+        text = self.ident(f"a {what}")
         try:
-            terms.check_ident(tok.text, what)
+            terms.check_ident(text, what)
         except TermError as exc:
-            raise ParseError(str(exc), tok.span) from None
-        return tok
+            raise ParseError(str(exc), self.span(back=1)) from None
+        return text
 
     # -- processes ---------------------------------------------------------
 
     def proc(self) -> ProcExpr:
-        tok = self.peek()
-        if tok.kind == "zero":
+        if self.peek() == ("zero", "0"):
             self.next()
             return ProcEnd()
         name = self.ident("a process name or participant")
-        nxt = self.peek()
-        if nxt.kind == "punct" and nxt.text in (OUT, IN):
+        kind, text = self.peek()
+        if kind == "punct" and text in (OUT, IN):
             self.next()
             branches = self.branches(self.proc, ProcEnd())
-            return ProcComm(nxt.text, name.text, branches)
-        return ProcRef(name.text)
+            return ProcComm(text, name, branches)
+        return ProcRef(name)
 
     def branches(self, sub, empty):
-        if self.peek().kind == "punct" and self.peek().text == "{":
+        if self.peek() == ("punct", "{"):
             self.next()
             out = [self.branch(sub, empty)]
-            while self.peek().text == ",":
+            while self.peek() == ("punct", ","):
                 self.next()
                 out.append(self.branch(sub, empty))
             self.expect("punct", "}")
@@ -201,52 +205,52 @@ class _Parser:
 
     def branch(self, sub, empty):
         label = self.ident("a message label")
-        if self.peek().kind == "punct" and self.peek().text == ".":
+        if self.peek() == ("punct", "."):
             self.next()
-            return (label.text, sub())
-        return (label.text, empty)
+            return (label, sub())
+        return (label, empty)
 
     # -- global types -------------------------------------------------------
 
     def glob(self) -> GlobalExpr:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "end":
+        if self.peek() == ("ident", "end"):
             self.next()
             return GlobalEnd()
         name = self.ident("a global-type name or participant")
-        if self.peek().text == "->":
+        if self.peek() == ("punct", "->"):
             self.next()
             receiver = self.ident("a participant")
             self.expect("punct", ":")
             branches = self.branches(self.glob, GlobalEnd())
-            return GlobalComm(name.text, receiver.text, branches)
-        return GlobalRef(name.text)
+            return GlobalComm(name, receiver, branches)
+        return GlobalRef(name)
 
     # -- sessions and ignored sets -------------------------------------------
 
     def sess(self) -> list[tuple[str, ProcExpr, Span]]:
-        if self.peek().kind == "zero":
+        if self.peek() == ("zero", "0"):
             self.next()
             return []
         out = [self.binding()]
-        while self.peek().text == "|":
+        while self.peek() == ("punct", "|"):
             self.next()
             out.append(self.binding())
         return out
 
     def binding(self) -> tuple[str, ProcExpr, Span]:
+        span = self.span()
         part = self.ident("a participant")
         self.expect("punct", ":")
-        return (part.text, self.proc(), part.span)
+        return (part, self.proc(), span)
 
     def pset(self) -> frozenset[str]:
         self.expect("punct", "{")
         names = []
-        if self.peek().text != "}":
-            names.append(self.name("participant").text)
-            while self.peek().text == ",":
+        if self.peek() != ("punct", "}"):
+            names.append(self.name("participant"))
+            while self.peek() == ("punct", ","):
                 self.next()
-                names.append(self.name("participant").text)
+                names.append(self.name("participant"))
         self.expect("punct", "}")
         return frozenset(names)
 
@@ -267,32 +271,33 @@ def parse(text: str) -> SpecFile:
             )
         spans[name] = span
 
-    while p.peek().kind != "eof":
+    while p.peek() != ("eof", ""):
         kw = p.expect("ident")
-        if kw.text not in ("process", "session", "global", "ignored"):
+        if kw not in ("process", "session", "global", "ignored"):
             raise ParseError(
-                f"expected a definition keyword, found {kw.text!r}", kw.span
+                f"expected a definition keyword, found {kw!r}", p.span(back=1)
             )
+        span = p.span()
         name = p.name("definition name")
-        define(name.text, name.span)
+        define(name, span)
         p.expect("punct", "=")
-        if kw.text == "process":
-            proc_defs[name.text] = p.proc()
-        elif kw.text == "session":
+        if kw == "process":
+            proc_defs[name] = p.proc()
+        elif kw == "session":
             bindings = p.sess()
             seen: dict[str, Span] = {}
             for part, _, span in bindings:
                 if part in seen:
                     raise DuplicateDefinition(
-                        f"participant {part!r} bound twice in session {name.text!r}",
+                        f"participant {part!r} bound twice in session {name!r}",
                         span,
                     )
                 seen[part] = span
-            sess_defs[name.text] = bindings
-        elif kw.text == "global":
-            glob_defs[name.text] = p.glob()
+            sess_defs[name] = bindings
+        elif kw == "global":
+            glob_defs[name] = p.glob()
         else:
-            pset_defs[name.text] = p.pset()
+            pset_defs[name] = p.pset()
 
     # One build of the process system: the definitions are its first roots,
     # so that their faults are met first, then the bindings, under keys that

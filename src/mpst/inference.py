@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .analysis import _plays_at, bounded
 from .semantics import ExploreConfig, SessionSpace, closure, subsets
-from .terms import COMM, END, GlobalGraph, GNode, Session, minimize_global
+from .terms import COMM, END, GlobalGraph, GNode, Session, _Ordered, _Value, minimize_global
 from .typecheck import Derivation, typecheck
 
 
@@ -73,9 +72,11 @@ class NoSolutionWithinBudget(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class TypeVar:
-    id: int
+class TypeVar(_Ordered):
+    __slots__ = ("id",)
+
+    def __init__(self, id: int) -> None:
+        self._set(id)
 
     def __hash__(self) -> int:
         return hash(self.id)
@@ -84,9 +85,11 @@ class TypeVar:
         return f"T{self.id}"
 
 
-@dataclass(frozen=True, order=True)
-class PSetVar:
-    id: int
+class PSetVar(_Ordered):
+    __slots__ = ("id",)
+
+    def __init__(self, id: int) -> None:
+        self._set(id)
 
     def __hash__(self) -> int:
         return hash(self.id)
@@ -95,70 +98,81 @@ class PSetVar:
         return f"t{self.id}"
 
 
-@dataclass(frozen=True)
-class PatEnd:
-    pass
+class PatEnd(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PatVar:
-    var: TypeVar
+class PatVar(_Value):
+    __slots__ = ("var",)
+
+    def __init__(self, var: TypeVar) -> None:
+        self._set(var)
 
 
-@dataclass(frozen=True)
-class PatComm:
-    sender: str
-    receiver: str
-    branches: tuple[tuple[str, "TypePattern"], ...]
+class PatComm(_Value):
+    __slots__ = ("sender", "receiver", "branches")
+
+    def __init__(self, sender: str, receiver: str, branches: tuple[tuple[str, "TypePattern"], ...]) -> None:
+        self._set(sender, receiver, branches)
 
 
 TypePattern = Union[PatEnd, PatVar, PatComm]
 
 
-@dataclass(frozen=True)
-class PSetPattern:
+class PSetPattern(_Value):
     """A flattened union of literal participants and p-set variables."""
 
-    literals: frozenset[str] = frozenset()
-    vars: tuple[PSetVar, ...] = ()
+    __slots__ = ("literals", "vars")
+
+    def __init__(self, literals: frozenset[str] = frozenset(), vars: tuple[PSetVar, ...] = ()) -> None:
+        self._set(literals, vars)
 
 
-@dataclass(frozen=True)
-class PCondition:
+class PCondition(_Value):
     """(plays(typevar) | psetvar) \\ {p, q} must equal target."""
 
-    typevar: TypeVar
-    psetvar: PSetVar
-    p: str
-    q: str
-    target: frozenset[str]
+    __slots__ = ("typevar", "psetvar", "p", "q", "target")
+
+    def __init__(self, typevar: TypeVar, psetvar: PSetVar, p: str, q: str, target: frozenset[str]) -> None:
+        self._set(typevar, psetvar, p, q, target)
 
 
-@dataclass(frozen=True)
-class Substitution:
-    types: Mapping[TypeVar, GlobalGraph]
-    psets: Mapping[PSetVar, frozenset[str]]
+class Substitution(_Value):
+    __slots__ = ("types", "psets")
+
+    def __init__(self, types: Mapping[TypeVar, GlobalGraph], psets: Mapping[PSetVar, frozenset[str]]) -> None:
+        self._set(types, psets)
 
 
-@dataclass(frozen=True)
-class InferenceOutcome:
+class InferenceOutcome(_Value):
     """One resolved derivation: the emitted systems plus bookkeeping."""
 
-    type_eqs: Mapping[TypeVar, TypePattern]
-    pset_eqs: Mapping[PSetVar, PSetPattern]
-    conditions: tuple[PCondition, ...]
-    root_typevar: TypeVar
-    root_psetvar: PSetVar
-    goals: tuple[tuple[Session, PSetVar, TypeVar], ...]
-    size: int
-    weak_count: int
+    __slots__ = ("type_eqs", "pset_eqs", "conditions", "root_typevar", "root_psetvar", "goals", "size", "weak_count")
+
+    def __init__(
+        self,
+        type_eqs: Mapping[TypeVar, TypePattern],
+        pset_eqs: Mapping[PSetVar, PSetPattern],
+        conditions: tuple[PCondition, ...],
+        root_typevar: TypeVar,
+        root_psetvar: PSetVar,
+        goals: tuple[tuple[Session, PSetVar, TypeVar], ...],
+        size: int,
+        weak_count: int,
+    ) -> None:
+        self._set(type_eqs, pset_eqs, conditions, root_typevar, root_psetvar, goals, size, weak_count)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_size: int | None = None  # None: 4 x reachable session count
-    max_outcomes: int = 64
-    explore: ExploreConfig = field(default_factory=ExploreConfig)
+class SearchBudget(_Value):
+    __slots__ = ("max_size", "max_outcomes", "explore")
+
+    def __init__(
+        self,
+        max_size: int | None = None,  # None: 4 x reachable session count
+        max_outcomes: int = 64,
+        explore: ExploreConfig = ExploreConfig(),  # immutable, so one default serves every budget
+    ) -> None:
+        self._set(max_size, max_outcomes, explore)
 
 
 # ---------------------------------------------------------------------------

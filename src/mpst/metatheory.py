@@ -22,13 +22,13 @@ independent loops need not be finite in number.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .analysis import excluded_lock_free, plays_global, top_partner
 from .semantics import ExploreConfig, closure, global_successor, global_transitions
 from .terms import (
     GlobalGraph,
     Session,
+    _Value,
     minimize_global,
     normalize_session,
     participants,
@@ -36,10 +36,20 @@ from .terms import (
 from .typecheck import Derivation, Rejection, Typechecker
 
 
-@dataclass
-class Violation:
-    check: str
-    detail: str
+class _Record(_Value):
+    """A value whose fields may be assigned, and so has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class Violation(_Record):
+    __slots__ = ("check", "detail")
+
+    def __init__(self, check: str, detail: str) -> None:
+        self._set(check, detail)
 
     def __str__(self) -> str:
         return f"[{self.check}] {self.detail}"
@@ -204,9 +214,11 @@ def check_replacement(
     return out
 
 
-@dataclass
-class SuiteReport:
-    combos: list[dict] = field(default_factory=list)
+class SuiteReport(_Record):
+    __slots__ = ("combos",)
+
+    def __init__(self, combos: list[dict] | None = None) -> None:
+        self._set([] if combos is None else combos)
 
     @property
     def violations(self) -> list[str]:

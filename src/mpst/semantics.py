@@ -16,7 +16,6 @@ session step is taken; session_transitions is a view of it on sessions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 from typing import Iterable, Iterator
@@ -29,6 +28,8 @@ from .terms import (
     PNode,
     ProcessGraph,
     Session,
+    _Ordered,
+    _Value,
     _derived_session,
     _make,
     minimize_global,
@@ -36,15 +37,13 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class CommLabel:
-    sender: str
-    message: str
-    receiver: str
+class CommLabel(_Ordered):
+    __slots__ = ("sender", "message", "receiver")
 
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
+    def __init__(self, sender: str, message: str, receiver: str) -> None:
+        if sender == receiver:
             raise ValueError("sender and receiver must differ")
+        self._set(sender, message, receiver)
 
     @property
     def plays(self) -> frozenset[str]:
@@ -54,9 +53,11 @@ class CommLabel:
         return f"{self.sender} {self.message} {self.receiver}"
 
 
-@dataclass(frozen=True)
-class Trace:
-    labels: tuple[CommLabel, ...] = ()
+class Trace(_Value):
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple[CommLabel, ...] = ()) -> None:
+        self._set(labels)
 
 
 class StateLimitExceeded(Exception):
@@ -65,10 +66,11 @@ class StateLimitExceeded(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class ExploreConfig:
-    max_states: int = 1_000_000
-    max_edges: int = 4_000_000
+class ExploreConfig(_Value):
+    __slots__ = ("max_states", "max_edges")
+
+    def __init__(self, max_states: int = 1_000_000, max_edges: int = 4_000_000) -> None:
+        self._set(max_states, max_edges)
 
 
 def _comm_enabled(p: str, node: PNode, qnode: PNode) -> bool:
@@ -86,13 +88,15 @@ def _comm_enabled(p: str, node: PNode, qnode: PNode) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(_Value):
     """Finite closure of the session step relation, states deduplicated."""
 
-    states: tuple[Session, ...]
-    edges: tuple[tuple[int, CommLabel, int], ...]
-    initial: int = 0
+    __slots__ = ("states", "edges", "initial", "__dict__")  # a __dict__ for the cached indexes
+
+    def __init__(
+        self, states: tuple[Session, ...], edges: tuple[tuple[int, CommLabel, int], ...], initial: int = 0
+    ) -> None:
+        self._set(states, edges, initial)
 
     @cached_property
     def _successor_index(self) -> list[list[tuple[CommLabel, int]]]:

@@ -3,7 +3,7 @@
 A regular (possibly infinite) term has finitely many distinct subterms, so it
 is stored as a finite rooted graph.  Graphs are brought to a canonical form
 (bisimulation-minimal, breadth-first numbered, branches sorted by label), which
-makes equality of regular terms plain structural equality of the dataclasses.
+makes equality of regular terms plain equality of their fields (see _Value).
 
 Canonical forms are kept, not recomputed: every graph remembers its hash, its
 canonical form and the subgraphs asked of it, and every session its normal
@@ -14,7 +14,8 @@ the nodes reachable from the new root.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -59,46 +60,108 @@ def check_ident(name: str, what: str = "identifier") -> str:
     return name
 
 
+class _Value:
+    """An immutable value whose fields are its ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``, where names that start
+    with an underscore hold memos, and sets them in its ``__init__`` with
+    ``_set``.  Values hash as the tuple of their fields and are equal when
+    their classes are the same and their fields are equal; they are shown,
+    copied and pickled through their fields, in order.  Assigning to a
+    field raises AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _key = property(lambda self: ())  # the tuple of the fields
+
+    def __init_subclass__(cls) -> None:
+        if "__slots__" in vars(cls):
+            fields = cls.__match_args__ = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+            if fields:
+                get = attrgetter(*fields)  # a tuple from two names or more
+                cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        # Copies and pickles go through the validating constructor.
+        return (self.__class__, self._key)
+
+
+@total_ordering
+class _Ordered(_Value):
+    """A value ordered as the tuple of its fields, against its own class only."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return self._key < other._key if other.__class__ is self.__class__ else NotImplemented
+
+
 # ---------------------------------------------------------------------------
 # Syntax trees for recursive equation systems (the input of the builders).
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProcEnd:
-    pass
+class ProcEnd(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProcRef:
-    name: str
+class ProcRef(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class ProcComm:
-    kind: str  # OUT or IN
-    partner: str
-    branches: tuple[tuple[str, "ProcExpr"], ...]
+class ProcComm(_Value):
+    __slots__ = ("kind", "partner", "branches")
+
+    def __init__(self, kind: str, partner: str, branches: tuple[tuple[str, "ProcExpr"], ...]) -> None:
+        self._set(kind, partner, branches)  # kind is OUT or IN
 
 
 ProcExpr = Union[ProcEnd, ProcRef, ProcComm]
 
 
-@dataclass(frozen=True)
-class GlobalEnd:
-    pass
+class GlobalEnd(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GlobalRef:
-    name: str
+class GlobalRef(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class GlobalComm:
-    sender: str
-    receiver: str
-    branches: tuple[tuple[str, "GlobalExpr"], ...]
+class GlobalComm(_Value):
+    __slots__ = ("sender", "receiver", "branches")
+
+    def __init__(self, sender: str, receiver: str, branches: tuple[tuple[str, "GlobalExpr"], ...]) -> None:
+        self._set(sender, receiver, branches)
 
 
 GlobalExpr = Union[GlobalEnd, GlobalRef, GlobalComm]
@@ -121,13 +184,17 @@ def _check_choice(labels: Sequence[str]) -> None:
         seen.add(lab)
 
 
-@dataclass(frozen=True)
-class PNode:
+class PNode(_Value):
     """One process state: terminated, or a send/receive choice."""
 
-    kind: str  # END, OUT or IN
-    partner: str | None
-    branches: tuple[tuple[str, int], ...]  # (label, successor), sorted by label
+    __slots__ = ("kind", "partner", "branches")
+
+    def __init__(self, kind: str, partner: str | None, branches: tuple[tuple[str, int], ...]) -> None:
+        # kind is END, OUT or IN; branches are (label, successor), sorted by label.
+        # Nodes are the values built most often, so their fields are set one by one.
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "branches", branches)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.branches)
@@ -151,14 +218,19 @@ class PNode:
             raise TermError(f"unknown process node kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class GNode:
+class GNode(_Value):
     """One global-type state: End, or a communication between two roles."""
 
-    kind: str  # END or COMM
-    sender: str | None
-    receiver: str | None
-    branches: tuple[tuple[str, int], ...]
+    __slots__ = ("kind", "sender", "receiver", "branches")
+
+    def __init__(
+        self, kind: str, sender: str | None, receiver: str | None, branches: tuple[tuple[str, int], ...]
+    ) -> None:
+        # kind is END or COMM; the fields are set one by one, as PNode's are
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sender", sender)
+        object.__setattr__(self, "receiver", receiver)
+        object.__setattr__(self, "branches", branches)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.branches)
@@ -184,44 +256,20 @@ class GNode:
             raise TermError(f"unknown global node kind {self.kind!r}")
 
 
-class _Value:
-    """Frozen value whose hash is computed once, on first use.
-
-    Subclasses keep their fields and their memo in ``__slots__``.  Equality
-    is structural, as for a dataclass, but tries identity and the hashes
-    first.
-    """
-
-    __slots__ = ("_hash",)
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return hash(self) == hash(other) and self._key() == other._key()
-
-    def __reduce__(self):
-        # Copies and pickles go through the validating constructor.
-        return (self.__class__, self._key())
+def _kept_hash(value: _Value) -> int:
+    """The hash of a graph or a session, computed once: both are deep and hashed often."""
+    try:
+        return value._hash
+    except AttributeError:
+        h = hash(value._key)
+        object.__setattr__(value, "_hash", h)
+        return h
 
 
 def _make(cls, *fields, **memo):
     """An instance built from already-validated parts, without re-validating."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(obj, name, value)
+    obj._set(*fields)
     for name, value in memo.items():
         object.__setattr__(obj, name, value)
     return obj
@@ -237,20 +285,19 @@ class _Graph(_Value):
     graph: no table outside it keeps a term alive.
     """
 
-    __slots__ = ("_canon", "_memo")
+    __slots__ = ("_canon", "_memo", "_hash")
+    __hash__ = _kept_hash
 
-    def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if not (0 <= self.root < n):
+    def __init__(self, nodes: tuple, root: int) -> None:
+        n = len(nodes)
+        if not (0 <= root < n):
             raise TermError("root out of range")
-        for node in self.nodes:
+        for node in nodes:
             node.check()
             for _, tgt in node.branches:
                 if not (0 <= tgt < n):
                     raise TermError(f"branch target {tgt} out of range")
-
-    def _key(self) -> tuple:
-        return (self.nodes, self.root)
+        self._set(nodes, root)
 
     @property
     def root_node(self):
@@ -302,7 +349,6 @@ class _Graph(_Value):
         return self.cached(node_id, lambda: _canonical_forms(self, refine)(node_id))
 
 
-@dataclass(frozen=True, eq=False)
 class ProcessGraph(_Graph):
     """Finite rooted graph of process states.
 
@@ -311,9 +357,7 @@ class ProcessGraph(_Graph):
     only).
     """
 
-    __slots__ = ("nodes", "root")
-    nodes: tuple[PNode, ...]
-    root: int
+    __slots__ = ("nodes", "root")  # tuple[PNode, ...], int
 
     def step(self, label: str) -> "ProcessGraph":
         """Canonical graph re-rooted at the continuation of the given branch."""
@@ -324,11 +368,8 @@ class ProcessGraph(_Graph):
         raise KeyError(label)
 
 
-@dataclass(frozen=True, eq=False)
 class GlobalGraph(_Graph):
-    __slots__ = ("nodes", "root")
-    nodes: tuple[GNode, ...]
-    root: int
+    __slots__ = ("nodes", "root")  # tuple[GNode, ...], int
 
     def at(self, node_id: int) -> "GlobalGraph":
         """Canonical subgraph rooted at the given node."""
@@ -567,7 +608,6 @@ def build_global_graph(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Session(_Value):
     """Parallel composition of participant-owned processes.
 
@@ -576,11 +616,11 @@ class Session(_Value):
     its normal form in ``_normal`` (``None`` when it is normal itself).
     """
 
-    __slots__ = ("bindings", "_normal")
-    bindings: tuple[tuple[str, ProcessGraph], ...]
+    __slots__ = ("bindings", "_normal", "_hash")
+    __hash__ = _kept_hash
 
-    def __post_init__(self) -> None:
-        names = [p for p, _ in self.bindings]
+    def __init__(self, bindings: tuple[tuple[str, ProcessGraph], ...]) -> None:
+        names = [p for p, _ in bindings]
         for p in names:
             check_ident(p, "participant")
         if len(set(names)) != len(names):
@@ -588,9 +628,7 @@ class Session(_Value):
             raise DuplicateParticipant(f"participant(s) bound twice: {', '.join(dup)}")
         if names != sorted(names):
             raise TermError("session bindings must be sorted by participant")
-
-    def _key(self) -> tuple:
-        return (self.bindings,)
+        self._set(bindings)
 
     def _known_normal(self) -> bool:
         return getattr(self, "_normal", self) is None

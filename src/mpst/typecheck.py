@@ -23,7 +23,6 @@ Rule mechanics, given judgment (G, M, P):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable
 
@@ -35,16 +34,17 @@ from .terms import (
     IN,
     OUT,
     Session,
+    _Value,
     minimize_global,
     normalize_session,
 )
 
 
-@dataclass(frozen=True)
-class Judgment:
-    global_type: GlobalGraph
-    session: Session
-    ignored: frozenset[str]
+class Judgment(_Value):
+    __slots__ = ("global_type", "session", "ignored")
+
+    def __init__(self, global_type: GlobalGraph, session: Session, ignored: frozenset[str]) -> None:
+        self._set(global_type, session, ignored)
 
     def to_json_dict(self) -> dict:
         from .frontend import format_global, format_session
@@ -56,13 +56,18 @@ class Judgment:
         }
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str  # "End", "Comm", "Cycle" or "Weak"
-    judgment: Judgment
-    premises: tuple["Derivation", ...] = ()
-    branch_labels: tuple[str, ...] = ()  # Comm: message per premise
-    discharged: frozenset[str] = frozenset()  # Weak: participants split off
+class Derivation(_Value):
+    __slots__ = ("rule", "judgment", "premises", "branch_labels", "discharged")
+
+    def __init__(
+        self,
+        rule: str,  # "End", "Comm", "Cycle" or "Weak"
+        judgment: Judgment,
+        premises: tuple["Derivation", ...] = (),
+        branch_labels: tuple[str, ...] = (),  # Comm: message per premise
+        discharged: frozenset[str] = frozenset(),  # Weak: participants split off
+    ) -> None:
+        self._set(rule, judgment, premises, branch_labels, discharged)
 
     def rule_counts(self) -> Counter:
         return Counter(d.rule for d in self.iter_nodes())
@@ -110,13 +115,14 @@ class Derivation:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    reason: str  # RootMismatch, LabelSetMismatch, ParticipantEquationFailed,
-    #              Unbounded or IgnoredMismatch
-    judgment: Judgment
-    detail: str
-    depth: int = 0  # how far below the queried judgment the failure sits
+class Rejection(_Value):
+    __slots__ = ("reason", "judgment", "detail", "depth")
+
+    def __init__(self, reason: str, judgment: Judgment, detail: str, depth: int = 0) -> None:
+        # reason is RootMismatch, LabelSetMismatch, ParticipantEquationFailed,
+        # Unbounded or IgnoredMismatch; depth is how far below the queried
+        # judgment the failure sits
+        self._set(reason, judgment, detail, depth)
 
     def to_json_dict(self) -> dict:
         return {"reason": self.reason, **self.judgment.to_json_dict(), "detail": self.detail}
@@ -285,7 +291,7 @@ class Typechecker:
                 sub = self._judge(space, gi, si, pi, hyps2)
                 if isinstance(sub, Rejection):
                     if best_premise_rej is None or sub.depth >= best_premise_rej.depth:
-                        best_premise_rej = replace(sub, depth=sub.depth + 1)
+                        best_premise_rej = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
                 else:
                     options.append((pi, sub[0], sub[1]))
             if not options:
@@ -343,7 +349,7 @@ class Typechecker:
             sub = self._judge(space, g, space.without(s, split), p_set - split, hyps2)
             if isinstance(sub, Rejection):
                 if best is None or sub.depth >= best.depth:
-                    best = replace(sub, depth=sub.depth + 1)
+                    best = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
                 continue
             return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
         return best
