@@ -424,17 +424,20 @@ def parse_process(text: str, name: str = "P") -> ProcessGraph:
 
 
 def format_session(s: Session) -> str:
-    """One-line session text; looping processes get local equation suffixes."""
+    """One-line session text; looping processes get local equation suffixes.
+
+    A binding is inlined when its process renders as one equation, one line,
+    and no branch points back to its root, so that its body names nothing.
+    """
     if not s.bindings:
         return "0"
     pieces = []
     defs = []
     for idx, (p, g) in enumerate(s.items()):
-        text = format_process(g, f"P{idx}")
-        lines = text.splitlines()
-        head = lines[0].split(" = ", 1)[1]
-        if len(lines) == 1 and f"P{idx}" not in head:
-            pieces.append(f"{p}: {head}")
+        g = terms.minimize(g)
+        lines = format_process(g, f"P{idx}").splitlines()
+        if len(lines) == 1 and all(t != g.root for node in g.nodes for _, t in node.branches):
+            pieces.append(f"{p}: {lines[0].split(' = ', 1)[1]}")
         else:
             pieces.append(f"{p}: P{idx}")
             defs.extend(lines)

@@ -22,14 +22,15 @@ from typing import Iterable, Iterator
 
 from .terms import (
     COMM,
+    END,
     GlobalGraph,
     IN,
     OUT,
-    PNode,
     ProcessGraph,
     Session,
     _Ordered,
     _Value,
+    _canonical_forms,
     _derived_session,
     _make,
     minimize_global,
@@ -71,21 +72,6 @@ class ExploreConfig(_Value):
 
     def __init__(self, max_states: int = 1_000_000, max_edges: int = 4_000_000) -> None:
         self._set(max_states, max_edges)
-
-
-def _comm_enabled(p: str, node: PNode, qnode: PNode) -> bool:
-    """The Comm side condition on p's root node and its partner's.
-
-    p sends, its partner receives from p, and every label p may send is one
-    the partner accepts.  The partner is found by name, so the caller passes
-    the root node of the process bound to ``node.partner``.
-    """
-    return (
-        node.kind == OUT
-        and qnode.kind == IN
-        and qnode.partner == p
-        and set(node.labels()) <= set(qnode.labels())
-    )
 
 
 class StateGraph(_Value):
@@ -200,39 +186,31 @@ def subsets(pool: Iterable[str]) -> Iterator[frozenset[str]]:
 class SessionSpace:
     """The sessions reachable from one start by Comm and Weak, as small ints.
 
-    A state is the vector of the graph ids of the start's participants, in
-    its order, with -1 for one that has terminated or been split off: the
-    normal form, as normalize_session drops exactly those.  Vectors get state
-    ids in the order met, the start first.  What the Comm rule needs (side
-    condition, labels, graph ids after each label) is found once per (sender
-    index, sender graph id, receiver graph id) and kept in a move table; the
-    sender is in the key because the receiver accepts one sender by name.
-    Every layer steps sessions here; the tests check it against a walk over
-    sessions of their own.
+    The space keeps the canonical graph of each of the start's participants,
+    in its order, and a state is the vector of their node ids, with -1 for
+    one that has terminated or been split off: the normal form, as
+    normalize_session drops exactly those.  The nodes of a canonical graph
+    are pairwise non-bisimilar, so a node id names one process.  Vectors get
+    state ids in the order met, the start first.  What the Comm rule needs
+    (side condition, labels, node ids after each label) is read off the two
+    nodes once per (sender index, sender node, receiver node) and kept in a
+    move table; the sender is in the key because the receiver accepts one
+    sender by name.  Every layer steps sessions here; the tests check it
+    against a walk over sessions of their own.
     """
 
     def __init__(self, start: Session):
         start = normalize_session(start)
         self.names = tuple(p for p, _ in start.bindings)
         self._index = {p: k for k, p in enumerate(self.names)}
-        self._graphs: list[ProcessGraph] = []
-        self._graph_ids: dict[ProcessGraph, int] = {}
+        self._graphs = tuple(g for _, g in start.bindings)
         self._ready: dict[tuple[int, int, int], tuple[tuple[CommLabel, int, int], ...]] = {}
         self.vectors: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._plays: dict[int, frozenset[str]] = {}
         self._comms: dict[int, tuple] = {}
         self._sessions: dict[int, Session] = {}
-        self.start = self._state(tuple(self._graph(g) for _, g in start.bindings))
-
-    def _graph(self, g: ProcessGraph) -> int:
-        if g.is_end:
-            return -1
-        gid = self._graph_ids.get(g)
-        if gid is None:
-            gid = self._graph_ids[g] = len(self._graphs)
-            self._graphs.append(g)
-        return gid
+        self.start = self._state(tuple(g.root for g in self._graphs))
 
     def _state(self, vector: tuple[int, ...]) -> int:
         s = self._ids.setdefault(vector, len(self.vectors))
@@ -240,25 +218,28 @@ class SessionSpace:
             self.vectors.append(vector)
         return s
 
-    def _move_table(self, i: int, gp: int, gq: int) -> tuple[tuple[CommLabel, int, int], ...]:
-        """The move table entry of sender index i at graph gp and its partner
-        at graph gq: (label, graph ids after it) per message when the Comm
-        side condition holds, none otherwise."""
-        moves = self._ready.get((i, gp, gq))
+    def _move_table(self, i: int, np: int, nq: int) -> tuple[tuple[CommLabel, int, int], ...]:
+        """The move table entry of sender index i at send node np and its
+        partner at node nq: (label, node ids after it) per message when the
+        Comm side condition holds, none otherwise.  The condition: the partner
+        receives from i and accepts every label i may send."""
+        moves = self._ready.get((i, np, nq))
         if moves is None:
-            p, sender, receiver = self.names[i], self._graphs[gp], self._graphs[gq]
-            node = sender.root_node
-            moves = self._ready[i, gp, gq] = tuple(
-                (CommLabel(p, h, node.partner), self._graph(sender.step(h)), self._graph(receiver.step(h)))
-                for h in node.labels()
-            ) if _comm_enabled(p, node, receiver.root_node) else ()
+            p, pg = self.names[i], self._graphs[i]
+            node = pg.nodes[np]
+            qg = self._graphs[self._index[node.partner]]
+            qnode, after = qg.nodes[nq], dict(qg.nodes[nq].branches)
+            ready = qnode.kind == IN and qnode.partner == p and all(h in after for h in node.labels())
+            moves = self._ready[i, np, nq] = tuple(
+                (CommLabel(p, h, node.partner), _live(pg, t), _live(qg, after[h])) for h, t in node.branches
+            ) if ready else ()
         return moves
 
     def plays(self, s: int) -> frozenset[str]:
         """The active participants of state s, none when s is null."""
         out = self._plays.get(s)
         if out is None:
-            out = self._plays[s] = frozenset(p for p, gid in zip(self.names, self.vectors[s]) if gid >= 0)
+            out = self._plays[s] = frozenset(p for p, n in zip(self.names, self.vectors[s]) if n >= 0)
         return out
 
     def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
@@ -267,19 +248,19 @@ class SessionSpace:
         sender are adjacent."""
         vector, ids, vectors = self.vectors[s], self._ids, self.vectors
         out = []
-        for i, gp in enumerate(vector):
-            if gp < 0 or (node := self._graphs[gp].root_node).kind != OUT:
+        for i, np in enumerate(vector):
+            if np < 0 or (node := self._graphs[i].nodes[np]).kind != OUT:
                 continue
             j = self._index.get(node.partner)
             if j is None or vector[j] < 0:
                 continue
-            gq = vector[j]
-            moves = self._ready.get((i, gp, gq))
+            nq = vector[j]
+            moves = self._ready.get((i, np, nq))
             if moves is None:
-                moves = self._move_table(i, gp, gq)
-            for lab, gp2, gq2 in moves:
+                moves = self._move_table(i, np, nq)
+            for lab, np2, nq2 in moves:
                 after = list(vector)
-                after[i], after[j] = gp2, gq2
+                after[i], after[j] = np2, nq2
                 after = tuple(after)
                 t = ids.setdefault(after, len(vectors))  # _state, inlined in the hot loop
                 if t == len(vectors):
@@ -288,17 +269,9 @@ class SessionSpace:
         return out
 
     def moves(self, s: int, p: str, q: str) -> list[tuple[CommLabel, int]]:
-        """The Comm edges of state s on the pair p -> q alone, as in
-        transitions; none when the pair is not ready."""
-        vector, i, j = self.vectors[s], self._index.get(p), self._index.get(q)
-        if i is None or j is None or vector[i] < 0 or vector[j] < 0 or self._graphs[vector[i]].root_node.partner != q:
-            return []
-        out = []
-        for lab, gp2, gq2 in self._move_table(i, vector[i], vector[j]):
-            after = list(vector)
-            after[i], after[j] = gp2, gq2
-            out.append((lab, self._state(tuple(after))))
-        return out
+        """The Comm edges of state s on the pair p -> q alone: its group of
+        comms(s), none when the pair is not ready."""
+        return next((list(e) for e in self.comms(s) if (e[0][0].sender, e[0][0].receiver) == (p, q)), [])
 
     def comms(self, s: int) -> tuple[tuple[tuple[CommLabel, int], ...], ...]:
         """The transitions of s grouped by ready pair, in the order of the
@@ -312,15 +285,21 @@ class SessionSpace:
     def without(self, s: int, names: frozenset[str]) -> int:
         """The id of the state left when the participants names are split off
         state s, as a Weak step does."""
-        return self._state(tuple(-1 if p in names else gid for p, gid in zip(self.names, self.vectors[s])))
+        return self._state(tuple(-1 if p in names else n for p, n in zip(self.names, self.vectors[s])))
 
     def session(self, s: int) -> Session:
-        """The normal session of state s, built once."""
+        """The normal session of state s, built once: a binding is the subgraph
+        of its participant's graph at its node, which the graph keeps."""
         m = self._sessions.get(s)
         if m is None:
-            bindings = tuple((p, self._graphs[g]) for p, g in zip(self.names, self.vectors[s]) if g >= 0)
-            m = self._sessions[s] = _derived_session(bindings, True)
+            graphs = zip(self.names, self._graphs, self.vectors[s])
+            m = self._sessions[s] = _derived_session(tuple((p, g._subgraph(n)) for p, g, n in graphs if n >= 0), True)
         return m
+
+
+def _live(g: ProcessGraph, n: int) -> int:
+    """Node n of g as a state vector holds it: -1 when it has terminated."""
+    return -1 if g.nodes[n].kind == END else n
 
 
 def session_transitions(s: Session) -> list[tuple[CommLabel, Session]]:
@@ -392,13 +371,17 @@ def _settle(g: GlobalGraph, seeds: Iterable[int], waits: dict[int, int]) -> list
 def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
     """The global type after one step with the given label, or None.
 
-    Least fixpoint over the nodes of g: a node steps when the label fires at
-    its root, to that branch's target, or when its roles are disjoint from
-    the label's and every branch has stepped, to a copy of it over the
-    stepped branches, appended after the nodes of g.  One count-down from the
-    nodes where the label fires decides it.  Cyclic dependencies never step:
-    they would require an infinite derivation.
+    Least fixpoint over the nodes of g's canonical form: a node steps when
+    the label fires at its root, to that branch's target, or when its roles
+    are disjoint from the label's and every branch has stepped, to a copy of
+    it over the stepped branches.  One count-down from the nodes where the
+    label fires decides it.  Cyclic dependencies never step: they would
+    require an infinite derivation.  The nodes of a canonical graph are
+    pairwise non-bisimilar and a copy points only at nodes settled before
+    it, so a copy equal in value to a known node is that node, and a new one
+    is no other: the result is renumbered from its root, never refined.
     """
+    g = minimize_global(g)
     nodes, plays = g.nodes, label.plays
     fires: dict[int, int] = {}  # node where the label fires -> that branch's target
     waits: dict[int, int] = {}  # node that steps once its branches have -> their count
@@ -409,13 +392,16 @@ def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
         elif node.kind == COMM and node.sender not in plays and node.receiver not in plays:
             waits[i] = len(node.branches)
     stepped, out = dict(fires), list(nodes)
+    ids = {node: i for i, node in enumerate(nodes)}
     for i in _settle(g, fires, waits)[len(fires):]:
-        stepped[i] = len(out)
-        out.append(nodes[i].rebranch(tuple((lab, stepped[t]) for lab, t in nodes[i].branches)))
+        copy = nodes[i].rebranch(tuple((lab, stepped[t]) for lab, t in nodes[i].branches))
+        stepped[i] = k = ids.setdefault(copy, len(out))
+        if k == len(out):
+            out.append(copy)
     if g.root not in stepped:
         return None
     # the copies keep the validated shapes of g's nodes and point into out
-    return minimize_global(_make(GlobalGraph, tuple(out), stepped[g.root]))
+    return _canonical_forms(_make(GlobalGraph, tuple(out), g.root), refine=False)(stepped[g.root])
 
 
 def global_transitions(g: GlobalGraph) -> list[tuple[CommLabel, GlobalGraph]]:

@@ -262,7 +262,6 @@ class Typechecker:
 
         # The checks above are the Comm side condition, so p -> q is ready.
         after = {lab.message: t for lab, t in space.moves(s, p, q)}
-        residual_plays = space.plays(s) - {p, q}
         here = (g, s, p_set)
         hyps2 = hyps | {here}
         branch_options: list[list[tuple[frozenset, Derivation, frozenset]]] = []
@@ -273,21 +272,19 @@ class Typechecker:
             plays_gi = plays_global(gi)
             plays_mi = space.plays(si)
             base = plays_mi - plays_gi
-            candidates = []
-            if plays_gi <= plays_mi and base <= p_set:
-                for extra in subsets(plays_mi & plays_gi & p_set):
-                    pi = base | extra
-                    if (plays_gi | pi) - {p, q} == residual_plays:
-                        candidates.append(pi)
-            if not candidates:
+            # Under these two guards every P_i = base | extra, extra within
+            # plays(G_i), solves the participant equation: (plays(G_i) | P_i)
+            # \ {p,q} is plays(M_i) \ {p,q}, which is plays(M) \ {p,q}, as a
+            # Comm step changes only p's and q's activity.
+            if not (plays_gi <= plays_mi and base <= p_set):
                 return Rejection(
                     "ParticipantEquationFailed",
                     judgment,
                     f"branch {lab!r}: no ignored subset can satisfy "
-                    f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(residual_plays)}",
+                    f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(space.plays(s) - {p, q})}",
                 )
             options = []
-            for pi in candidates:
+            for pi in (base | extra for extra in subsets(plays_gi & p_set)):
                 sub = self._judge(space, gi, si, pi, hyps2)
                 if isinstance(sub, Rejection):
                     if best_premise_rej is None or sub.depth >= best_premise_rej.depth:

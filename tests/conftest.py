@@ -19,6 +19,16 @@ def global_chain(n: int) -> str:
     return "\n".join(lines + [f"global G{n} = r->s:b"]) + "\n"
 
 
+def pairs_text(k: int) -> str:
+    """A file whose session M runs k independent ping-pong pairs p{i} <-> q{i}."""
+    lines, binds = [], []
+    for i in range(k):
+        lines.append(f"process P{i} = q{i}!a . q{i}?b . P{i}")
+        lines.append(f"process Q{i} = p{i}?a . p{i}!b . Q{i}")
+        binds.append(f"p{i}: P{i} | q{i}: Q{i}")
+    return "\n".join(lines + ["session M = " + " | ".join(binds)])
+
+
 def load_golden(name: str) -> SpecFile:
     return parse(golden_path(name).read_text(encoding="utf-8"))
 

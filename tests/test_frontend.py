@@ -158,6 +158,15 @@ class TestPrinting:
         spec = parse("session Empty = 0")
         assert format_session(spec.sessions["Empty"]) == "0"
 
+    def test_format_session_inlines_by_structure_not_by_name(self):
+        # a label P0 and a partner P1x are no local equation names, and the
+        # loop still gets one
+        spec = parse(
+            "process A = P1x!P0\nprocess B = p?P0\nprocess L = r?x . L\n"
+            "session M = P1x: B | p: A | s: L"
+        )
+        assert format_session(spec.sessions["M"]) == "P1x: p?P0 | p: P1x!P0 | s: P2  where  P2 = r?x . P2"
+
 
 def _chain(n: int, last: str) -> str:
     lines = [f"process P{i} = q!a . P{i + 1}" for i in range(n - 1)]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from mpst import semantics
+from mpst import semantics, terms
 from mpst.frontend import format_session, parse
 from mpst.random_sessions import random_global, random_process, random_session
 from mpst.semantics import (
@@ -12,6 +12,7 @@ from mpst.semantics import (
     SessionSpace,
     StateLimitExceeded,
     _candidate_labels,
+    closure,
     explore,
     global_successor,
     global_transitions,
@@ -22,14 +23,16 @@ from mpst.terms import (
     END,
     GNode,
     GlobalGraph,
+    ProcessGraph,
     Session,
     minimize_global,
     normalize_session,
     participants,
     session_of,
 )
+from mpst.typecheck import typecheck
 
-from .conftest import GOLDEN, load_golden
+from .conftest import GOLDEN, load_golden, pairs_text
 from .oracles import (
     explore_oracle,
     global_step_oracle,
@@ -418,3 +421,64 @@ def test_global_successor_on_a_long_chain_is_one_pass():
     succ = global_successor(g, CommLabel("r", "b", "s"))
     assert time.perf_counter() - start < 1.0
     assert succ == minimize_global(GlobalGraph(tuple(chain + [GNode(END, None, None, ())]), 0))
+
+
+class TestStepsAreLookups:
+    """A session step reads the move table among the nodes of the start's
+    graphs, and a global step looks its copies up among the nodes of a
+    canonical type: neither builds a graph per step nor refines one."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name) -> list:
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_explore_hashes_and_steps_no_process_graph(self, monkeypatch):
+        m = sess(pairs_text(7))
+        hashes = self._count(monkeypatch, ProcessGraph, "__hash__")
+        steps = self._count(monkeypatch, ProcessGraph, "step")
+        graph = explore(m)
+        assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
+        assert hashes == [] and steps == []  # 70 and 28 with a table of graphs
+
+    def test_check_steps_no_process_graph(self, monkeypatch):
+        spec = load_golden("social_media.mpst")
+        g, m = spec.globals["G"], spec.sessions["M"]
+        steps = self._count(monkeypatch, ProcessGraph, "step")
+        assert typecheck(g, m, {"u"}).rule == "Comm"
+        assert steps == []  # 14 with a table of graphs
+
+    def test_closure_builds_no_graph_until_a_session_is_read(self, monkeypatch):
+        n = 2000
+        lines = [f"process P{i} = q!a . P{i + 1}" for i in range(n - 1)]
+        lines += [f"process P{n - 1} = q!a . 0", "process Q = p?a . Q", "session M = p: P0 | q: Q"]
+        space = SessionSpace(sess("\n".join(lines)))
+        forms = self._count(monkeypatch, terms, "_canonical_forms")
+        states, edges = closure(space.start, space.transitions)
+        assert len(states) == n + 1 and len(edges) == n
+        assert forms == []  # one per step when each step built the sender's graph
+        assert len(space.session(states[n // 2]).get("p").nodes) == n // 2 + 1
+        assert len(forms) == 1
+
+    def test_global_steps_of_the_goldens_refine_nothing(self, monkeypatch):
+        types = [
+            g for path in sorted(GOLDEN.glob("*.mpst")) for g in load_golden(path.name).globals.values()
+        ]
+        refines = self._count(monkeypatch, terms, "_refine")
+        steps = [step for g in types for i in range(len(g.nodes)) for step in global_transitions(g.at(i))]
+        assert steps and refines == []  # 26 when every stepped type was refined
+
+    def test_global_steps_of_growing_types_refine_nothing(self, monkeypatch):
+        # two_loops' G reaches a larger global type on every lap
+        frontier = [load_golden("two_loops.mpst").globals["G"]]
+        refines = self._count(monkeypatch, terms, "_refine")
+        for _ in range(10):
+            frontier = [succ for g in frontier for _, succ in global_transitions(g)][:50]
+        assert frontier and refines == []  # 526 when every stepped type was refined

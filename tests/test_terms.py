@@ -44,6 +44,7 @@ from mpst.terms import (
 
 )
 
+from .conftest import pairs_text
 from .oracles import refine_oracle, sessions_equivalent, unfold_process
 
 
@@ -289,15 +290,6 @@ def _random_graphs(seed):
     return graphs
 
 
-def _pairs_text(k):
-    lines, binds = [], []
-    for i in range(k):
-        lines.append(f"process P{i} = q{i}!a . q{i}?b . P{i}")
-        lines.append(f"process Q{i} = p{i}?a . p{i}!b . Q{i}")
-        binds.append(f"p{i}: P{i} | q{i}: Q{i}")
-    return "\n".join(lines + ["session M = " + " | ".join(binds)])
-
-
 class TestCanonicalByConstruction:
     def test_minimize_returns_canonical_input_itself(self, social_media):
         for g in list(social_media.processes.values()) + [END_PROCESS]:
@@ -365,20 +357,26 @@ class TestCanonicalByConstruction:
         return calls
 
     def test_explore_does_not_rerun_partition_refinement(self, monkeypatch):
-        m = parse(_pairs_text(7)).sessions["M"]
+        m = parse(pairs_text(7)).sessions["M"]
         calls = self._count_refinements(monkeypatch)
         graph = explore(m)
         assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
         assert len(calls) <= 100  # 16,142 when every step re-minimized
 
     def test_explore_works_once_per_distinct_process_graph(self, monkeypatch):
-        m = normalize_session(parse(_pairs_text(7)).sessions["M"])
-        steps, sessions, renders = [], [], []
-        step, make, render = ProcessGraph.step, terms._make, frontend._render
+        m = normalize_session(parse(pairs_text(7)).sessions["M"])
+        renumbered, sessions, renders = [], [], []
+        forms, make, render = terms._canonical_forms, terms._make, frontend._render
 
-        def counting_step(g, label):
-            steps.append((g, label))
-            return step(g, label)
+        def counting_forms(g, refine):
+            form = forms(g, refine)
+
+            def counting_form(root):
+                out = form(root)
+                renumbered.extend(out.nodes)
+                return out
+
+            return counting_form
 
         def counting_make(cls, *args, **memo):
             if cls is Session:
@@ -389,14 +387,15 @@ class TestCanonicalByConstruction:
             renders.append(args)
             return render(*args)
 
-        monkeypatch.setattr(ProcessGraph, "step", counting_step)
+        monkeypatch.setattr(terms, "_canonical_forms", counting_forms)
         monkeypatch.setattr(terms, "_make", counting_make)
         monkeypatch.setattr(frontend, "_render", counting_render)
         graph = explore(m)
         assert len(graph.states) == 128 and len(graph.edges) == 7 * 128
-        # 14 participants with 2 process graphs each and one label per graph;
-        # 1,792 steps and 1,792 sessions when every transition built its successor
-        assert len(steps) == len(set(steps)) == 28
+        # 14 participants with a 2-node process graph each, renumbered once at
+        # its other node; 1,792 steps and 1,792 sessions when every transition
+        # built its successor
+        assert len(renumbered) == 28
         assert len(sessions) == len(graph.states)
         # 128 states share 28 (process, local name) pairs, each rendered once
         graph.to_json_dict()
@@ -417,7 +416,7 @@ class TestCanonicalByConstruction:
         assert calls == []
 
     def test_a_file_runs_one_refinement_per_equation_system(self, monkeypatch):
-        text = _pairs_text(7)
+        text = pairs_text(7)
         calls = self._count_refinements(monkeypatch)
         parse(text)
         assert len(calls) <= 3  # processes, global types, bindings; 28 when built one by one
