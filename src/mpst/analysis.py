@@ -21,7 +21,7 @@ import math
 from collections import defaultdict
 
 from .semantics import ExploreConfig, StateGraph, Trace, _predecessors, _settle, explore
-from .terms import COMM, GlobalGraph, Session, _Value, participants
+from .terms import COMM, GlobalGraph, Session, _Value
 
 # Fixed note attached to lock-freedom reports: the verdict follows the literal
 # existential-continuation reading, which accepts sessions that a fairness
@@ -34,29 +34,9 @@ LOCKFREEDOM_NOTE = (
 )
 
 
-def _plays_at(g: GlobalGraph, node_id: int) -> frozenset[str]:
-    return g.cached(("plays", node_id), lambda: _collect_plays(g, node_id))
-
-
-def _collect_plays(g: GlobalGraph, node_id: int) -> frozenset[str]:
-    seen = {node_id}
-    todo = [node_id]
-    out = set()
-    while todo:
-        n = g.nodes[todo.pop()]
-        if n.kind == COMM:
-            out.add(n.sender)
-            out.add(n.receiver)
-            for _, t in n.branches:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-    return frozenset(out)
-
-
 def plays_global(g: GlobalGraph) -> frozenset[str]:
     """All participants occurring in the (paths of the) global type."""
-    return _plays_at(g, g.root)
+    return _tables(g)[0][g.root]
 
 
 def _meets(g: GlobalGraph) -> dict[str, list[int]]:
@@ -118,19 +98,37 @@ def bounded(g: GlobalGraph) -> BoundednessVerdict:
     O(P * (N + E)) for P participants, N nodes and E branches.
     Kept on g.
     """
+    return _tables(g)[2]
+
+
+def _tables(g: GlobalGraph) -> tuple[dict[int, frozenset[str]], set[int], BoundednessVerdict]:
+    """What _bounded computes, once per graph and kept on it."""
     return g.cached("bounded", lambda: _bounded(g))
 
 
-def _bounded(g: GlobalGraph) -> BoundednessVerdict:
+def _bounded(g: GlobalGraph) -> tuple[dict[int, frozenset[str]], set[int], BoundednessVerdict]:
+    """Per node the root of g reaches, who plays in its subterm and whether
+    it is unbounded, which is whether it reaches a witness (one reverse pass
+    from them over the predecessor index); then the verdict of g."""
+    preds = _predecessors(g)
+    plays = dict.fromkeys(preds, frozenset())
+    unbounded: set[int] = set()
     witnesses = []  # (least witness node, p) per participant p that has one
     for p, meets in _meets(g).items():
         region, order = _settling(g, meets)
+        for i in region:
+            plays[i] = plays[i] | {p}
         unsettled = set(region).difference(order)
         if unsettled:
             witnesses.append((min(unsettled), p))
-    if not witnesses:
-        return BoundednessVerdict(True)
-    return BoundednessVerdict(False, *min(witnesses))
+            unbounded |= unsettled
+    todo = list(unbounded)
+    while todo:
+        for j in preds[todo.pop()]:
+            if j not in unbounded:
+                unbounded.add(j)
+                todo.append(j)
+    return plays, unbounded, BoundednessVerdict(False, *min(witnesses)) if witnesses else BoundednessVerdict(True)
 
 
 def top_partner(s: Session, p: str) -> str | None:
@@ -218,21 +216,13 @@ def excluded_lock_free(
         involving[lab.sender].add(i)
         involving[lab.receiver].add(i)
     live: dict[str, set[int]] = {}  # p -> states some path from which involves p
-    for i, state in enumerate(graph.states):
-        for p in sorted(participants(state) - ignored):
+    for i in range(len(graph.states)):
+        for p in sorted(graph.plays(i) - ignored):
             if p not in live:
                 live[p] = _states_reaching(graph, involving[p])
             if i not in live[p]:
-                return LivenessVerdict(
-                    "lock-freedom",
-                    ignored,
-                    False,
-                    i,
-                    state,
-                    p,
-                    graph.path_to(i),
-                    LOCKFREEDOM_NOTE,
-                )
+                witness = (i, graph.states[i], p, graph.path_to(i))
+                return LivenessVerdict("lock-freedom", ignored, False, *witness, LOCKFREEDOM_NOTE)
     return LivenessVerdict("lock-freedom", ignored, True, note=LOCKFREEDOM_NOTE)
 
 
@@ -247,9 +237,7 @@ def excluded_deadlock_free(
     if graph is None:
         graph = explore(s, config)
     for i in graph.terminal_states():
-        stuck = sorted(participants(graph.states[i]) - ignored)
+        stuck = sorted(graph.plays(i) - ignored)
         if stuck:
-            return LivenessVerdict(
-                "deadlock-freedom", ignored, False, i, graph.states[i], stuck[0], graph.path_to(i)
-            )
+            return LivenessVerdict("deadlock-freedom", ignored, False, i, graph.states[i], stuck[0], graph.path_to(i))
     return LivenessVerdict("deadlock-freedom", ignored, True)

@@ -224,9 +224,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         elif ns.format == "json":
             _emit(graph.to_json_dict())
         else:
-            for i, st in enumerate(graph.states):
+            for i, text in enumerate(graph.texts()):
                 mark = "*" if i == graph.initial else " "
-                print(f"{mark} state {i}: {format_session(st)}")
+                print(f"{mark} state {i}: {text}")
             for i, lab, j in graph.edges:
                 print(f"  {i} --{lab}--> {j}")
         return 0

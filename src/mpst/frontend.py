@@ -341,29 +341,23 @@ def parse(text: str) -> SpecFile:
 
 
 def _named_nodes(g: ProcessGraph | GlobalGraph) -> list[int]:
-    """Root plus every node with several references or a back reference."""
-    indeg = {i: 0 for i in range(len(g.nodes))}
-    back: set[int] = set()
-    state: dict[int, int] = {}
-
-    def dfs(i: int) -> None:
-        state[i] = 1
-        for _, t in g.nodes[i].branches:
+    """Root plus every node the root reaches by several references.  A back
+    reference needs no more: a node other than the root that a walk from the
+    root enters by its one reference is no ancestor of that reference."""
+    indeg = dict.fromkeys(range(len(g.nodes)), 0)
+    seen, todo = {g.root}, [g.root]
+    while todo:
+        for _, t in g.nodes[todo.pop()].branches:
             indeg[t] += 1
-            if state.get(t) == 1:
-                back.add(t)
-            elif t not in state:
-                dfs(t)
-        state[i] = 2
-
-    dfs(g.root)
-    named = {g.root} | back | {i for i, d in indeg.items() if d > 1}
-    return sorted(named)
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return sorted({g.root} | {i for i, d in indeg.items() if d > 1})
 
 
-def _render(g: ProcessGraph | GlobalGraph, node_text, end_text: str, base: str) -> str:
-    """The equations of g named base, base1, ...; node_text(node, body)
-    writes a communication node around the text of its branches."""
+def _render(g: ProcessGraph | GlobalGraph, head, end_text: str, base: str) -> str:
+    """The equations of g named base, base1, ...; head(node) is the text of a
+    communication node before its branches."""
     root = g.root
 
     def is_end(i: int) -> bool:
@@ -376,23 +370,21 @@ def _render(g: ProcessGraph | GlobalGraph, node_text, end_text: str, base: str) 
     for k, i in enumerate(sorted(named, key=lambda i: (i != root, i))):
         names[i] = base if k == 0 else f"{base}{k}"
 
-    def go(i: int, at_def: bool) -> str:
-        if is_end(i):
-            return end_text
-        if i in names and not at_def:
-            return names[i]
-        parts = []
-        for lab, t in g.nodes[i].branches:
-            if is_end(t):
-                parts.append(lab)
-            else:
-                parts.append(f"{lab} . {go(t, False)}")
-        body = parts[0] if len(parts) == 1 else "{ " + ", ".join(parts) + " }"
-        return node_text(g.nodes[i], body)
+    def body(i: int) -> str:
+        # the nodes inlined into i's equation, parents first; texts children first
+        order = [i]
+        for k in order:  # grows while it is read
+            order += [t for _, t in g.nodes[k].branches if t not in names and not is_end(t)]
+        text: dict[int, str] = {}
+        for k in reversed(order):
+            node = g.nodes[k]
+            parts = [lab if is_end(t) else f"{lab} . {names.get(t, text.get(t))}" for lab, t in node.branches]
+            text[k] = head(node) + (parts[0] if len(parts) == 1 else "{ " + ", ".join(parts) + " }")
+        return text[i]
 
     if is_end(root):
         return f"{base} = {end_text}" if base else end_text
-    chunks = [f"{names[i]} = {go(i, True)}" for i in names]
+    chunks = [f"{names[i]} = {body(i)}" for i in names]
     return "\n".join(chunks)
 
 
@@ -403,13 +395,13 @@ def format_process(g: ProcessGraph, name: str = "P") -> str:
     states of a state graph that share a process share its text.
     """
     g = terms.minimize(g)
-    return g.cached(("text", name), lambda: _render(g, lambda n, body: f"{n.partner}{n.kind}{body}", "0", name))
+    return g.cached(("text", name), lambda: _render(g, lambda n: f"{n.partner}{n.kind}", "0", name))
 
 
 def format_global(g: GlobalGraph, name: str = "G") -> str:
     """Equation text for a global graph, e.g. ``G = b->s:{ add . G, pay }``."""
     g = terms.minimize_global(g)
-    return _render(g, lambda n, body: f"{n.sender}->{n.receiver}:{body}", "end", name)
+    return g.cached(("text", name), lambda: _render(g, lambda n: f"{n.sender}->{n.receiver}:", "end", name))
 
 
 def parse_global(text: str, name: str = "G") -> GlobalGraph:
@@ -424,24 +416,24 @@ def parse_process(text: str, name: str = "P") -> ProcessGraph:
 
 
 def format_session(s: Session) -> str:
-    """One-line session text; looping processes get local equation suffixes.
+    """One-line session text; looping processes get local equation suffixes."""
+    return _join_bindings([_binding_text(p, g, k) for k, (p, g) in enumerate(s.items())])
 
-    A binding is inlined when its process renders as one equation, one line,
-    and no branch points back to its root, so that its body names nothing.
-    """
-    if not s.bindings:
+
+def _binding_text(p: str, g: ProcessGraph, k: int) -> tuple[str, list[str]]:
+    """The text of binding p: g at position k of a session, and the equations
+    it names: none when one line with no branch back to the root says it."""
+    g = terms.minimize(g)
+    lines = format_process(g, f"P{k}").splitlines()
+    if len(lines) == 1 and all(t != g.root for node in g.nodes for _, t in node.branches):
+        return f"{p}: {lines[0].split(' = ', 1)[1]}", []
+    return f"{p}: P{k}", lines
+
+
+def _join_bindings(texts: list[tuple[str, list[str]]]) -> str:
+    """A session's text from the texts of its bindings, in order."""
+    if not texts:
         return "0"
-    pieces = []
-    defs = []
-    for idx, (p, g) in enumerate(s.items()):
-        g = terms.minimize(g)
-        lines = format_process(g, f"P{idx}").splitlines()
-        if len(lines) == 1 and all(t != g.root for node in g.nodes for _, t in node.branches):
-            pieces.append(f"{p}: {lines[0].split(' = ', 1)[1]}")
-        else:
-            pieces.append(f"{p}: P{idx}")
-            defs.extend(lines)
-    out = " | ".join(pieces)
-    if defs:
-        out += "  where  " + " ; ".join(defs)
-    return out
+    out = " | ".join(piece for piece, _ in texts)
+    defs = [line for _, lines in texts for line in lines]
+    return out + "  where  " + " ; ".join(defs) if defs else out

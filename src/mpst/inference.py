@@ -50,7 +50,7 @@ from collections import deque
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .analysis import _plays_at, bounded
+from .analysis import _tables, bounded
 from .semantics import ExploreConfig, SessionSpace, closure, subsets
 from .terms import COMM, END, GlobalGraph, GNode, Session, _Ordered, _Value, minimize_global
 from .typecheck import Derivation, typecheck
@@ -433,7 +433,7 @@ def _solve(table: dict, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[
     if not all(bounded(g) for g in roots):
         return None
     lb = dict.fromkeys(peqs, _NO_NAMES)
-    plays = [_plays_at(*where[c[0]]) for c in conds]
+    plays = [_tables(g)[0][n] for g, n in (where[c[0]] for c in conds)]
     for (_, pv, _, _, target), have in zip(conds, plays):
         lb[pv] = lb[pv] | (target - have)
     psol = _least(peqs, lb)

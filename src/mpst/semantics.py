@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import combinations, groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .terms import (
     COMM,
@@ -35,6 +35,7 @@ from .terms import (
     _make,
     minimize_global,
     normalize_session,
+    participants,
 )
 
 
@@ -75,25 +76,26 @@ class ExploreConfig(_Value):
 
 
 class StateGraph(_Value):
-    """Finite closure of the session step relation, states deduplicated."""
+    """Finite closure of the session step relation, states deduplicated: a
+    tuple of sessions, or explore's view of state ids, built when read."""
 
     __slots__ = ("states", "edges", "initial", "__dict__")  # a __dict__ for the cached indexes
 
     def __init__(
-        self, states: tuple[Session, ...], edges: tuple[tuple[int, CommLabel, int], ...], initial: int = 0
+        self, states: Sequence[Session], edges: tuple[tuple[int, CommLabel, int], ...], initial: int = 0
     ) -> None:
         self._set(states, edges, initial)
 
     @cached_property
     def _successor_index(self) -> list[list[tuple[CommLabel, int]]]:
-        index: list[list[tuple[CommLabel, int]]] = [[] for _ in self.states]
+        index: list[list[tuple[CommLabel, int]]] = [[] for _ in range(len(self.states))]
         for i, lab, j in self.edges:
             index[i].append((lab, j))
         return index
 
     @cached_property
     def _predecessor_index(self) -> list[tuple[int, ...]]:
-        index: list[list[int]] = [[] for _ in self.states]
+        index: list[list[int]] = [[] for _ in range(len(self.states))]
         for i, _, j in self.edges:
             index[j].append(i)
         return [tuple(sources) for sources in index]
@@ -109,43 +111,74 @@ class StateGraph(_Value):
         sources = {i for i, _, _ in self.edges}
         return [i for i in range(len(self.states)) if i not in sources]
 
+    def plays(self, i: int) -> frozenset[str]:
+        """The active participants of state i."""
+        states = self.states
+        return states.space.plays(states.ids[i]) if isinstance(states, _States) else participants(states[i])
+
+    def texts(self) -> list[str]:
+        """The format_session text of every state, in order."""
+        from .frontend import format_session
+
+        states = self.states
+        if isinstance(states, _States):
+            return [states.space.text(s) for s in states.ids]
+        return [*map(format_session, states)]
+
     def path_to(self, state: int) -> Trace:
         """A shortest label sequence from the initial state to the given one."""
-        best: dict[int, tuple[CommLabel, ...]] = {self.initial: ()}
+        parent: dict[int, tuple[int, CommLabel] | None] = {self.initial: None}
         queue = deque([self.initial])
         while queue:
             i = queue.popleft()
             if i == state:
-                return Trace(best[i])
+                labels = []
+                while parent[i] is not None:
+                    i, lab = parent[i]
+                    labels.append(lab)
+                return Trace(tuple(reversed(labels)))
             for lab, j in self._successor_index[i]:
-                if j not in best:
-                    best[j] = best[i] + (lab,)
+                if j not in parent:
+                    parent[j] = (i, lab)
                     queue.append(j)
         raise ValueError(f"state {state} unreachable from the initial state")
 
     def to_json_dict(self) -> dict:
-        from .frontend import format_session
-
-        return {
-            "states": [format_session(st) for st in self.states],
-            "edges": [
-                {"from": i, "label": str(lab), "to": j} for i, lab, j in self.edges
-            ],
-            "initial": self.initial,
-        }
+        edges = [{"from": i, "label": str(lab), "to": j} for i, lab, j in self.edges]
+        return {"states": self.texts(), "edges": edges, "initial": self.initial}
 
     def to_dot(self) -> str:
-        from .frontend import format_session
-
         lines = ["digraph session_states {", "  rankdir=LR;"]
-        for i, st in enumerate(self.states):
+        for i, text in enumerate(self.texts()):
             shape = "doublecircle" if i == self.initial else "circle"
-            text = format_session(st).replace('"', '\\"')
+            text = text.replace('"', '\\"')
             lines.append(f'  s{i} [shape={shape}, label="{i}: {text}"];')
         for i, lab, j in self.edges:
             lines.append(f'  s{i} -> s{j} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+class _States(Sequence):
+    """A SessionSpace's states by id, as sessions, equal to the same sessions."""
+
+    def __init__(self, space: "SessionSpace", ids: list[int]) -> None:
+        self.space, self.ids = space, ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> Session:
+        return self.space.session(self.ids[k])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def closure(start, successors, config: ExploreConfig = ExploreConfig()) -> tuple[list, list]:
@@ -210,6 +243,7 @@ class SessionSpace:
         self._plays: dict[int, frozenset[str]] = {}
         self._comms: dict[int, tuple] = {}
         self._sessions: dict[int, Session] = {}
+        self._texts: dict[tuple[int, int, int], tuple[str, list[str]]] = {}
         self.start = self._state(tuple(g.root for g in self._graphs))
 
     def _state(self, vector: tuple[int, ...]) -> int:
@@ -241,6 +275,12 @@ class SessionSpace:
         if out is None:
             out = self._plays[s] = frozenset(p for p, n in zip(self.names, self.vectors[s]) if n >= 0)
         return out
+
+    def node(self, s: int, p: str):
+        """The node of participant p in state s, None when p is not active."""
+        i = self._index.get(p)
+        n = -1 if i is None else self.vectors[s][i]
+        return None if n < 0 else self._graphs[i].nodes[n]
 
     def transitions(self, s: int) -> list[tuple[CommLabel, int]]:
         """The Comm edges of state s as (label, successor id): one per ready
@@ -296,6 +336,16 @@ class SessionSpace:
             m = self._sessions[s] = _derived_session(tuple((p, g._subgraph(n)) for p, g, n in graphs if n >= 0), True)
         return m
 
+    def text(self, s: int) -> str:
+        """format_session of state s, from binding texts kept per (participant, node, position)."""
+        from .frontend import _binding_text, _join_bindings
+
+        texts, live = self._texts, [(i, n) for i, n in enumerate(self.vectors[s]) if n >= 0]
+        for k, (i, n) in enumerate(live):
+            if (i, n, k) not in texts:
+                texts[i, n, k] = _binding_text(self.names[i], self._graphs[i]._subgraph(n), k)
+        return _join_bindings([texts[i, n, k] for k, (i, n) in enumerate(live)])
+
 
 def _live(g: ProcessGraph, n: int) -> int:
     """Node n of g as a state vector holds it: -1 when it has terminated."""
@@ -314,7 +364,7 @@ def explore(s: Session, config: ExploreConfig = ExploreConfig()) -> StateGraph:
     budget point are those of a breadth-first walk on sessions."""
     space = SessionSpace(s)
     ids, edges = closure(space.start, space.transitions, config)
-    return StateGraph(tuple(map(space.session, ids)), tuple(edges), 0)
+    return StateGraph(_States(space, ids), tuple(edges), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,16 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable
 
-from .analysis import bounded, plays_global
+from .analysis import _tables, bounded
 from .semantics import SessionSpace, subsets
 from .terms import (
     COMM,
+    END,
     GlobalGraph,
     IN,
     OUT,
     Session,
+    _make,
     _Value,
     minimize_global,
     normalize_session,
@@ -41,10 +43,21 @@ from .terms import (
 
 
 class Judgment(_Value):
-    __slots__ = ("global_type", "session", "ignored")
+    """A judgment (G, M, P).  One the checker makes holds a node of G and a
+    state of a session space, and builds G and M when they are first read."""
+
+    __slots__ = ("global_type", "session", "ignored", "_ids")
 
     def __init__(self, global_type: GlobalGraph, session: Session, ignored: frozenset[str]) -> None:
         self._set(global_type, session, ignored)
+
+    def __getattr__(self, name: str):
+        if name not in ("global_type", "session"):
+            raise AttributeError(name)
+        g, n, space, s = self._ids
+        object.__setattr__(self, "global_type", g.at(n))
+        object.__setattr__(self, "session", space.session(s))
+        return getattr(self, name)
 
     def to_json_dict(self) -> dict:
         from .frontend import format_global, format_session
@@ -116,7 +129,7 @@ class Derivation(_Value):
 
 
 class Rejection(_Value):
-    __slots__ = ("reason", "judgment", "detail", "depth")
+    __slots__ = ("reason", "judgment", "detail", "depth", "_why")
 
     def __init__(self, reason: str, judgment: Judgment, detail: str, depth: int = 0) -> None:
         # reason is RootMismatch, LabelSetMismatch, ParticipantEquationFailed,
@@ -124,11 +137,26 @@ class Rejection(_Value):
         # judgment the failure sits
         self._set(reason, judgment, detail, depth)
 
+    def __getattr__(self, name: str):
+        # the detail of a rejection made by _rejection, why(), written when first read
+        if name != "detail":
+            raise AttributeError(name)
+        object.__setattr__(self, "detail", self._why())
+        return self.detail
+
     def to_json_dict(self) -> dict:
         return {"reason": self.reason, **self.judgment.to_json_dict(), "detail": self.detail}
 
 
-_Triple = tuple[GlobalGraph, int, frozenset]
+def _rejection(reason: str, judgment: Judgment, why, depth: int = 0) -> Rejection:
+    return _make(Rejection, reason, judgment, depth=depth, _why=why)
+
+
+def _unbounded_detail(g: GlobalGraph, n: int) -> str:
+    """The Unbounded detail at node n of g, in the numbering of its subterm."""
+    v = bounded(g.at(n))
+    where = f"at node {v.witness_node} of the global type"
+    return f"participant {v.witness_participant!r} can be postponed forever {where}"
 
 
 class _Space(SessionSpace):
@@ -139,8 +167,8 @@ class _Space(SessionSpace):
     def __init__(self, start: Session, located: dict):
         super().__init__(start)
         self.located = located
-        self.accepted: dict[_Triple, list[tuple[frozenset, Derivation]]] = {}
-        self.rejected: dict[_Triple, list[tuple[frozenset, Rejection]]] = {}
+        self.accepted: dict[tuple, list[tuple[frozenset, Derivation]]] = {}
+        self.rejected: dict[tuple, list[tuple[frozenset, Rejection]]] = {}
 
     def session(self, s: int) -> Session:
         m = super().session(s)
@@ -169,7 +197,8 @@ class Typechecker:
     def check(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> Derivation | Rejection:
         """A full derivation of the judgment, or the best rejection."""
         space, s = self.locate(m)
-        result = self._judge(space, minimize_global(g), s, frozenset(ignored), frozenset())
+        g = minimize_global(g)
+        result = self._judge(space, g, g.root, s, frozenset(ignored), frozenset())
         return result if isinstance(result, Rejection) else result[0]
 
     def accepts(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> bool:
@@ -181,95 +210,76 @@ class Typechecker:
         """The first subset of p_set (smallest, then lexicographic) that types."""
         return next((sub for sub in subsets(p_set) if self.accepts(g, m, sub)), None)
 
-    # Result of _judge: (Derivation, refs) on success, where refs is the set of
-    # hypothesis triples the derivation's Cycle leaves point at; a Rejection
-    # otherwise.  A success is reusable under any hypothesis superset of refs;
-    # a rejection under any hypothesis subset of the recorded one.
+    # The search walks node n of canonical g and state s, keyed on g.at(n), kept
+    # on g, so types that share a subterm share its triples.  _judge gives
+    # (Derivation, refs) on success, where refs is the set of hypothesis triples
+    # the derivation's Cycle leaves point at, else a Rejection.  A success is
+    # reusable under any hypothesis superset of refs; a rejection under any
+    # hypothesis subset of the recorded one.
 
-    def _judge(self, space: _Space, g: GlobalGraph, s: int, p_set: frozenset, hyps: frozenset):
-        triple = (g, s, p_set)
+    def _judge(self, space: _Space, g: GlobalGraph, n: int, s: int, p_set: frozenset, hyps: frozenset):
+        triple = (g.at(n), s, p_set)
         if triple in hyps:
-            return Derivation("Cycle", Judgment(g, space.session(s), p_set)), frozenset([triple])
+            return Derivation("Cycle", _judgment(g, n, space, s, p_set)), frozenset([triple])
         for refs, deriv in space.accepted.get(triple, ()):
             if refs <= hyps:
                 return deriv, refs
         for cached_hyps, rej in space.rejected.get(triple, ()):
             if hyps <= cached_hyps:
                 return rej
-        result = self._decide(space, g, s, p_set, hyps)
+        result = self._decide(_judgment(g, n, space, s, p_set), hyps)
         if isinstance(result, Rejection):
             space.rejected.setdefault(triple, []).append((hyps, result))
         else:
             space.accepted.setdefault(triple, []).append((result[1], result[0]))
         return result
 
-    def _decide(self, space: _Space, g: GlobalGraph, s: int, p_set: frozenset, hyps: frozenset):
-        judgment = Judgment(g, space.session(s), p_set)
-        if g.is_end and not space.plays(s):
-            if not p_set:
+    def _decide(self, judgment: Judgment, hyps: frozenset):
+        g, n, space, s = judgment._ids
+        if g.nodes[n].kind == END and not space.plays(s):
+            if not judgment.ignored:
                 return Derivation("End", judgment), frozenset()
-            return Rejection(
-                "IgnoredMismatch",
-                judgment,
-                "the null session carries an empty ignored set",
-            )
-        comm = self._try_comm(space, s, judgment, hyps) if g.root_node.kind == COMM else None
+            return _rejection("IgnoredMismatch", judgment, lambda: "the null session carries an empty ignored set")
+        comm = self._try_comm(judgment, hyps) if g.nodes[n].kind == COMM else None
         if comm is not None and not isinstance(comm, Rejection):
             return comm
-        weak = self._try_weak(space, s, judgment, hyps)
+        weak = self._try_weak(judgment, hyps)
         # The deeper rejection is the better one; Comm's on a tie.
         return weak if comm is None or not isinstance(weak, Rejection) or weak.depth > comm.depth else comm
 
-    def _try_comm(self, space: _Space, s: int, judgment: Judgment, hyps: frozenset):
-        g, p_set = judgment.global_type, judgment.ignored
-        node = g.root_node
+    def _try_comm(self, judgment: Judgment, hyps: frozenset):
+        g, n, space, s = judgment._ids
+        p_set = judgment.ignored
+        node = g.nodes[n]
         p, q = node.sender, node.receiver
         labels = node.labels()
-        gp = judgment.session.get(p)
-        if gp is None or gp.root_node.kind != OUT or gp.root_node.partner != q:
-            return Rejection(
-                "RootMismatch",
-                judgment,
-                f"the global type wants {p} to send to {q}, but the session has no such pair",
-            )
-        gq = judgment.session.get(q)
-        if gq is None or gq.root_node.kind != IN or gq.root_node.partner != p:
-            return Rejection(
-                "RootMismatch",
-                judgment,
-                f"the global type wants {q} to receive from {p}, but the session has no such pair",
-            )
-        if set(gp.root_node.labels()) != set(labels):
-            return Rejection(
-                "LabelSetMismatch",
-                judgment,
-                f"{p} sends {sorted(gp.root_node.labels())} but the global type lists {sorted(labels)}",
-            )
-        if not set(labels) <= set(gq.root_node.labels()):
-            return Rejection(
-                "LabelSetMismatch",
-                judgment,
-                f"{q} accepts {sorted(gq.root_node.labels())}, missing some of {sorted(labels)}",
-            )
-        verdict = bounded(g)
-        if not verdict:
-            return Rejection(
-                "Unbounded",
-                judgment,
-                f"participant {verdict.witness_participant!r} can be postponed forever "
-                f"at node {verdict.witness_node} of the global type",
-            )
+        np, nq = space.node(s, p), space.node(s, q)
+        if np is None or np.kind != OUT or np.partner != q:
+            why = f"the global type wants {p} to send to {q}, but the session has no such pair"
+            return _rejection("RootMismatch", judgment, lambda: why)
+        if nq is None or nq.kind != IN or nq.partner != p:
+            why = f"the global type wants {q} to receive from {p}, but the session has no such pair"
+            return _rejection("RootMismatch", judgment, lambda: why)
+        if set(np.labels()) != set(labels):
+            why = f"{p} sends {sorted(np.labels())} but the global type lists {sorted(labels)}"
+            return _rejection("LabelSetMismatch", judgment, lambda: why)
+        if not set(labels) <= set(nq.labels()):
+            why = f"{q} accepts {sorted(nq.labels())}, missing some of {sorted(labels)}"
+            return _rejection("LabelSetMismatch", judgment, lambda: why)
+        plays, unbounded, _ = _tables(g)
+        if n in unbounded:
+            return _rejection("Unbounded", judgment, lambda: _unbounded_detail(g, n))
 
         # The checks above are the Comm side condition, so p -> q is ready.
         after = {lab.message: t for lab, t in space.moves(s, p, q)}
-        here = (g, s, p_set)
+        here = (g.at(n), s, p_set)
         hyps2 = hyps | {here}
         branch_options: list[list[tuple[frozenset, Derivation, frozenset]]] = []
         best_premise_rej: Rejection | None = None
 
         for lab, target in node.branches:
-            gi, si = g.at(target), after[lab]
-            plays_gi = plays_global(gi)
+            si = after[lab]
+            plays_gi = plays[target]
             plays_mi = space.plays(si)
             base = plays_mi - plays_gi
             # Under these two guards every P_i = base | extra, extra within
@@ -277,18 +287,18 @@ class Typechecker:
             # \ {p,q} is plays(M_i) \ {p,q}, which is plays(M) \ {p,q}, as a
             # Comm step changes only p's and q's activity.
             if not (plays_gi <= plays_mi and base <= p_set):
-                return Rejection(
+                return _rejection(
                     "ParticipantEquationFailed",
                     judgment,
-                    f"branch {lab!r}: no ignored subset can satisfy "
+                    lambda: f"branch {lab!r}: no ignored subset can satisfy "
                     f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(space.plays(s) - {p, q})}",
                 )
             options = []
             for pi in (base | extra for extra in subsets(plays_gi & p_set)):
-                sub = self._judge(space, gi, si, pi, hyps2)
+                sub = self._judge(space, g, target, si, pi, hyps2)
                 if isinstance(sub, Rejection):
                     if best_premise_rej is None or sub.depth >= best_premise_rej.depth:
-                        best_premise_rej = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
+                        best_premise_rej = _rejection(sub.reason, sub.judgment, sub._why, sub.depth + 1)
                 else:
                     options.append((pi, sub[0], sub[1]))
             if not options:
@@ -300,11 +310,8 @@ class Typechecker:
         if combo is None:
             if best_premise_rej is not None:
                 return best_premise_rej
-            return Rejection(
-                "IgnoredMismatch",
-                judgment,
-                f"no choice of branch ignored sets unions to {sorted(p_set)}",
-            )
+            why = f"no choice of branch ignored sets unions to {sorted(p_set)}"
+            return _rejection("IgnoredMismatch", judgment, lambda: why)
         refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {here}
         return Derivation("Comm", judgment, tuple(d for _, d, _ in combo), labels), refs
 
@@ -328,28 +335,31 @@ class Typechecker:
 
         return go(0, frozenset(), [])
 
-    def _try_weak(self, space: _Space, s: int, judgment: Judgment, hyps: frozenset):
-        g, p_set = judgment.global_type, judgment.ignored
-        pool = (space.plays(s) & p_set) - plays_global(g)
+    def _try_weak(self, judgment: Judgment, hyps: frozenset):
+        g, n, space, s = judgment._ids
+        p_set = judgment.ignored
+        pool = (space.plays(s) & p_set) - _tables(g)[0][n]
         if not pool:
-            return Rejection(
-                "IgnoredMismatch",
-                judgment,
-                "no active ignored participant outside the global type can be split off",
-            )
-        here = (g, s, p_set)
+            why = "no active ignored participant outside the global type can be split off"
+            return _rejection("IgnoredMismatch", judgment, lambda: why)
+        here = (g.at(n), s, p_set)
         hyps2 = hyps | {here}
         best: Rejection | None = None
         for split in subsets(pool):
             if not split:
                 continue
-            sub = self._judge(space, g, space.without(s, split), p_set - split, hyps2)
+            sub = self._judge(space, g, n, space.without(s, split), p_set - split, hyps2)
             if isinstance(sub, Rejection):
                 if best is None or sub.depth >= best.depth:
-                    best = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
+                    best = _rejection(sub.reason, sub.judgment, sub._why, sub.depth + 1)
                 continue
             return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
         return best
+
+
+def _judgment(g: GlobalGraph, n: int, space: SessionSpace, s: int, p_set: frozenset) -> Judgment:
+    """The judgment at node n of g and state s of space, on ids."""
+    return _make(Judgment, ignored=p_set, _ids=(g, n, space, s))
 
 
 def typecheck(

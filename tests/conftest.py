@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mpst import terms
 from mpst.frontend import SpecFile, parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,6 +28,19 @@ def pairs_text(k: int) -> str:
         lines.append(f"process Q{i} = p{i}?a . p{i}!b . Q{i}")
         binds.append(f"p{i}: P{i} | q{i}: Q{i}")
     return "\n".join(lines + ["session M = " + " | ".join(binds)])
+
+
+def sessions_made(monkeypatch) -> list:
+    """The field tuples of every Session built from here on, in order."""
+    made, make = [], terms._make
+
+    def counting_make(cls, *fields, **memo):
+        if cls is terms.Session:
+            made.append(fields)
+        return make(cls, *fields, **memo)
+
+    monkeypatch.setattr(terms, "_make", counting_make)
+    return made
 
 
 def load_golden(name: str) -> SpecFile:

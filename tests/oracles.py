@@ -240,12 +240,7 @@ def replay_oracle(check, g, m, ignored, checker=None, config: ExploreConfig = Ex
     return out
 
 
-def bounded_oracle(g: GlobalGraph):
-    """Boundedness by one path enumeration (depth_oracle) per reachable node
-    and participant, in node order, then participant order; the first
-    infinite depth is the witness."""
-    from mpst.analysis import BoundednessVerdict, plays_global
-
+def _reachable(g) -> set[int]:
     reachable = {g.root}
     todo = [g.root]
     while todo:
@@ -253,9 +248,23 @@ def bounded_oracle(g: GlobalGraph):
             if t not in reachable:
                 reachable.add(t)
                 todo.append(t)
-    for node_id in sorted(reachable):
+    return reachable
+
+
+def plays_oracle(g: GlobalGraph) -> frozenset[str]:
+    """The senders and receivers of the nodes the root reaches."""
+    return frozenset(r for i in _reachable(g) for r in (g.nodes[i].sender, g.nodes[i].receiver) if r is not None)
+
+
+def bounded_oracle(g: GlobalGraph):
+    """Boundedness by one path enumeration (depth_oracle) per reachable node
+    and participant, in node order, then participant order; the first
+    infinite depth is the witness."""
+    from mpst.analysis import BoundednessVerdict
+
+    for node_id in sorted(_reachable(g)):
         sub = GlobalGraph(g.nodes, node_id)
-        for p in sorted(plays_global(sub)):
+        for p in sorted(plays_oracle(sub)):
             if depth_oracle(sub, p) == math.inf:
                 return BoundednessVerdict(False, node_id, p)
     return BoundednessVerdict(True)

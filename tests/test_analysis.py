@@ -5,6 +5,7 @@ import pytest
 
 from mpst.analysis import (
     LOCKFREEDOM_NOTE,
+    _tables,
     bounded,
     depth,
     excluded_deadlock_free,
@@ -15,10 +16,20 @@ from mpst.analysis import (
 from mpst.frontend import parse
 from mpst.random_sessions import random_global, random_session
 from mpst.semantics import explore
-from mpst.terms import COMM, END, GNode, GlobalGraph, normalize_session, participants, session_of
+from mpst.terms import (
+    COMM,
+    END,
+    GNode,
+    GlobalGraph,
+    minimize_global,
+    normalize_session,
+    participants,
+    session_of,
+)
+from mpst.typecheck import _unbounded_detail
 
-from .conftest import GOLDEN, global_chain, load_golden
-from .oracles import bounded_oracle, deadlock_free_oracle, lock_free_oracle
+from .conftest import GOLDEN, global_chain, load_golden, sessions_made
+from .oracles import bounded_oracle, deadlock_free_oracle, lock_free_oracle, plays_oracle
 
 
 def glob(text: str):
@@ -163,6 +174,46 @@ class TestBoundedAgainstTheOracle:
             for h in [g] + [g.at(i) for i in range(len(g.nodes))]:
                 assert bounded(h) == bounded_oracle(h)
         assert not bounded(load_golden("unbounded.mpst").globals["GB"]).holds
+
+
+class TestNodeTables:
+    """The per-node tables the checker reads at every node of a global type,
+    against the oracles on the subterm there."""
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_globals_at_every_node(self, chunk):
+        holds = set()
+        for seed in range(100 * chunk, 100 * (chunk + 1)):
+            g = minimize_global(random_global(random.Random(seed), max_nodes=8))
+            plays, unbounded, verdict = _tables(g)
+            assert verdict == bounded_oracle(g)
+            assert set(plays) == set(range(len(g.nodes)))
+            for n in range(len(g.nodes)):
+                want = bounded_oracle(g.at(n))
+                assert plays[n] == plays_oracle(g.at(n)), (seed, n)
+                assert (n not in unbounded) == want.holds, (seed, n)
+                if not want.holds:
+                    # the Unbounded rejection names its witness in the subterm's numbering
+                    assert _unbounded_detail(g, n) == (
+                        f"participant {want.witness_participant!r} can be postponed forever "
+                        f"at node {want.witness_node} of the global type"
+                    )
+                holds.add(want.holds)
+        assert holds == {True, False}
+
+
+class TestLivenessOnStateIds:
+    @pytest.mark.parametrize("check", [excluded_lock_free, excluded_deadlock_free])
+    def test_only_a_witness_session_is_built(self, social_media, monkeypatch, check):
+        m = social_media.sessions["M"]
+        graph = explore(m)
+        made = sessions_made(monkeypatch)
+        assert check(m, {"u"}, graph=graph).holds
+        assert made == []
+        verdict = check(m, set(), graph=graph)
+        verdict.to_json_dict()
+        assert not verdict.holds
+        assert made == [(verdict.witness_session.bindings,)]
 
 
 class TestTopPartner:

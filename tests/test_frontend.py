@@ -193,6 +193,23 @@ def test_long_definition_chains_parse(n, last, states):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_chains_deeper_than_the_recursion_limit_print(closed):
+    # 3,000 distinct nodes, inlined into one equation; a closed chain names
+    # its root at the back reference
+    n = 3000
+    procs = [f"process P{i} = q!a{i} . P{i + 1}" for i in range(n - 1)]
+    globs = [f"global G{i} = p->q:a{i} . G{i + 1}" for i in range(n - 1)]
+    spec = parse("\n".join(
+        procs + [f"process P{n - 1} = q!a{n - 1} . {'P0' if closed else '0'}"]
+        + globs + [f"global G{n - 1} = p->q:a{n - 1} . {'G0' if closed else 'end'}"]
+    ))
+    p, g = spec.processes["P0"], spec.globals["G0"]
+    assert len(p.nodes) == n + (not closed) and len(g.nodes) == n + (not closed)
+    assert format_process(p) == "P = " + " . ".join([f"q!a{i}" for i in range(n)] + ["P"] * closed)
+    assert format_global(g) == "G = " + " . ".join([f"p->q:a{i}" for i in range(n)] + ["G"] * closed)
+
+
 def test_long_global_type_chain_parses():
     n = 2000
     lines = [f"global G{i} = p->q:a . G{i + 1}" for i in range(n - 1)]

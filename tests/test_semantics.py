@@ -32,7 +32,7 @@ from mpst.terms import (
 )
 from mpst.typecheck import typecheck
 
-from .conftest import GOLDEN, load_golden, pairs_text
+from .conftest import GOLDEN, load_golden, pairs_text, sessions_made
 from .oracles import (
     explore_oracle,
     global_step_oracle,
@@ -482,3 +482,51 @@ class TestStepsAreLookups:
         for _ in range(10):
             frontier = [succ for g in frontier for _, succ in global_transitions(g)][:50]
         assert frontier and refines == []  # 526 when every stepped type was refined
+
+
+class TestStatesAreIds:
+    """explore's graph holds the state ids of its space: counting, stepping,
+    plays, traces and texts build no session; reading a state builds one."""
+
+    def test_explore_and_its_queries_build_no_session(self, monkeypatch):
+        m = normalize_session(sess(pairs_text(3)))
+        made = sessions_made(monkeypatch)
+        graph = explore(m)
+        n = len(graph.states)
+        assert n == 8 and len(graph.edges) == 3 * 8
+        for i in range(n):
+            graph.successors(i)
+            graph.predecessors(i)
+            graph.path_to(i)
+        assert graph.terminal_states() == []
+        texts = graph.texts()
+        plays = [graph.plays(i) for i in range(n)]
+        assert made == []
+        assert graph.states[5] is graph.states[5] and len(made) == 1
+        assert plays == [participants(st) for st in graph.states]
+        assert texts == [format_session(st) for st in graph.states]
+        assert len(made) == n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_texts_and_plays_are_those_of_the_sessions(self, seed):
+        sessions = [random_session(random.Random(seed * 40 + k), 4, 5) for k in range(40)]
+        if seed == 0:
+            sessions += [m for path in sorted(GOLDEN.glob("*.mpst")) for m in load_golden(path.name).sessions.values()]
+        for m in sessions:
+            graph = explore(m)
+            plain = explore_oracle(m)
+            assert graph.texts() == plain.texts() == [format_session(st) for st in graph.states]
+            assert graph.to_dot() == plain.to_dot() and graph.to_json_dict() == plain.to_json_dict()
+            assert [graph.plays(i) for i in range(len(graph.states))] == list(map(participants, plain.states))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_path_to_is_the_first_shortest_trace(self, seed):
+        graph = explore(random_session(random.Random(300 + seed), 4, 5))
+        best = {graph.initial: ()}  # label sequences, breadth first, the first found kept
+        queue = [graph.initial]
+        for i in queue:
+            for lab, j in graph.successors(i):
+                if j not in best:
+                    best[j] = best[i] + (lab,)
+                    queue.append(j)
+        assert {i: graph.path_to(i).labels for i in best} == best
