@@ -17,6 +17,12 @@ Grammar (comments run from ``#`` to end of line)::
 
 An omitted branch continuation stands for the terminated process / ``end``.
 Recursion is written through named definitions, never a binder.
+
+A file is read in one pass from text to graph nodes: its tokens are plain
+strings from one regular expression, a loop with a stack of the open
+communications writes each communication as a row for ``terms._build``, and
+a token's line and column are computed again from the text only for a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -25,25 +31,7 @@ import re
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import terms
-from .terms import (
-    END,
-    GlobalComm,
-    GlobalEnd,
-    GlobalExpr,
-    GlobalGraph,
-    GlobalRef,
-    IN,
-    OUT,
-    ProcComm,
-    ProcEnd,
-    ProcExpr,
-    ProcessGraph,
-    ProcRef,
-    Session,
-    TermError,
-    _Value,
-    session_of,
-)
+from .terms import COMM, END, IN, OUT, GlobalGraph, ProcessGraph, Session, TermError, _Value, session_of
 
 KEYWORDS = {"process", "session", "global", "ignored", "end"}
 
@@ -103,231 +91,227 @@ class _OnRead(Mapping):
         return len(self._values)
 
 
-# One alternative per token kind, tried in order at every position; a word
-# that starts with no letter or underscore, and any other character, is
-# "bad".  \w is str.isalnum() or "_", character by character.
-_TOKEN_RE = re.compile(
-    r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<zero>0)|(?P<punct>->|[!?{},.:|=])|(?P<ident>\w+)|(?P<bad>.)"
-)
+# Blanks and comments are skipped, then one token is taken: "->" or a
+# punctuation mark, "0" (before words, so that "0P" is two tokens), a word,
+# any other character, which is bad, or the end of the text, so that the last
+# token is "" (without it, findall would go on inside a trailing comment).
+# \w is str.isalnum() or "_", character by character.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|[!?{},.:|=]|0|\w+|.|\Z)")
+_PUNCT = frozenset(("->", "!", "?", "{", "}", ",", ".", ":", "|", "="))
+_NOT_NAMES = _PUNCT | {"0", ""} | KEYWORDS  # a name is any other token
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """The tokens of text, each (kind, text, line, column) with kind 'ident',
-    'punct', 'zero' or 'eof'."""
-    tokens = []
-    line, start = 1, 0  # the line and the index of its first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # blanks and comments
-            continue
-        pos = m.start()
-        if kind == "nl":
-            line, start = line + 1, pos + 1
-            continue
-        if kind == "bad" or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError(f"unexpected character {text[pos]!r}", Span(line, pos - start + 1))
-        tokens.append((kind, m.group(), line, pos - start + 1))
-    # a comment on the last line ends where it starts, as no column is counted in it
-    end = text.find("#", start)
-    tokens.append(("eof", "", line, (len(text) if end < 0 else end) - start + 1))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as plain strings, "" last; a word that starts with
+    no letter or underscore, and any other character, is bad."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:  # after blanks at its end, the end matches twice
+        tokens.pop()
+    bad = {tok for tok in set(tokens).difference(_PUNCT, ("0", "")) if not (tok[0].isalpha() or tok[0] == "_")}
+    if bad:
+        i = next(i for i, tok in enumerate(tokens) if tok in bad)
+        raise ParseError(f"unexpected character {tokens[i][0]!r}", _span(text, i))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _positions(text: str) -> list[tuple[int, int]]:
+    """The line and column of every token of text, found again from the
+    text: only a diagnostic needs them.  A comment on the last line ends the
+    file where it starts, as no column is counted in it."""
+    out = []
+    line, start, last = 1, 0, 0  # start is the index of the line's first character
+    for m in _TOKEN_RE.finditer(text):
+        pos = m.start(1)
+        line += text.count("\n", last, pos)
+        start = text.rfind("\n", last, pos) + 1 or start  # rfind gives -1 when no line ends between
+        out.append((line, pos - start + 1))
+        if pos == len(text):
+            break  # the end, which matches twice after blanks at the end
+        last = pos
+    end = text.find("#", start)
+    out[-1] = (line, (len(text) if end < 0 else end) - start + 1)
+    return out
 
-    def peek(self) -> tuple[str, str]:
-        """The kind and the text of the next token."""
-        kind, text, _, _ = self.tokens[self.pos]
-        return kind, text
 
-    def span(self, back: int = 0) -> Span:
-        """Where the next token starts, or the token back tokens before it."""
-        _, _, line, column = self.tokens[self.pos - back]
-        return Span(line, column)
+def _span(text: str, i: int) -> Span:
+    return Span(*_positions(text)[i])
 
-    def next(self) -> str:
-        """The text of the next token, which is consumed."""
-        _, text = self.peek()
-        self.pos += 1
-        return text
 
-    def expect(self, kind: str, text: str | None = None) -> str:
-        found_kind, found = self.peek()
-        if found_kind != kind or (text is not None and found != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {found or found_kind!r}", self.span())
-        return self.next()
+def _expected(text: str, tokens: list[str], i: int, want: str) -> ParseError:
+    return ParseError(f"expected {want}, found {tokens[i] or 'eof'!r}", _span(text, i))
 
-    def ident(self, what: str) -> str:
-        kind, text = self.peek()
-        if kind != "ident":
-            raise ParseError(f"expected {what}, found {text or kind!r}", self.span())
-        if text in KEYWORDS:
-            raise ParseError(f"keyword {text!r} cannot be used as {what}", self.span())
-        return self.next()
 
-    def name(self, what: str) -> str:
-        """An identifier checked now; names inside terms are left to the builders."""
-        text = self.ident(f"a {what}")
-        try:
-            terms.check_ident(text, what)
-        except TermError as exc:
-            raise ParseError(str(exc), self.span(back=1)) from None
-        return text
+def _not_a_name(text: str, tokens: list[str], i: int, what: str) -> ParseError:
+    """The fault of token i where a name, what, is due: a keyword or no word."""
+    if tokens[i] in KEYWORDS:
+        return ParseError(f"keyword {tokens[i]!r} cannot be used as {what}", _span(text, i))
+    return _expected(text, tokens, i, what)
 
-    # -- processes ---------------------------------------------------------
 
-    def proc(self) -> ProcExpr:
-        if self.peek() == ("zero", "0"):
-            self.next()
-            return ProcEnd()
-        name = self.ident("a process name or participant")
-        kind, text = self.peek()
-        if kind == "punct" and text in (OUT, IN):
-            self.next()
-            branches = self.branches(self.proc, ProcEnd())
-            return ProcComm(text, name, branches)
-        return ProcRef(name)
+def _word(text: str, tokens: list[str], i: int, what: str) -> str:
+    """Token i, which must be a name: a word and no keyword."""
+    if tokens[i] in _NOT_NAMES:
+        raise _not_a_name(text, tokens, i, what)
+    return tokens[i]
 
-    def branches(self, sub, empty):
-        if self.peek() == ("punct", "{"):
-            self.next()
-            out = [self.branch(sub, empty)]
-            while self.peek() == ("punct", ","):
-                self.next()
-                out.append(self.branch(sub, empty))
-            self.expect("punct", "}")
-            return tuple(out)
-        return (self.branch(sub, empty),)
 
-    def branch(self, sub, empty):
-        label = self.ident("a message label")
-        if self.peek() == ("punct", "."):
-            self.next()
-            return (label, sub())
-        return (label, empty)
+def _name(text: str, tokens: list[str], i: int, what: str) -> str:
+    """Token i as an identifier checked now; names inside terms are left to the builder."""
+    try:
+        return terms.check_ident(_word(text, tokens, i, f"a {what}"), what)
+    except TermError as exc:
+        raise ParseError(str(exc), _span(text, i)) from None
 
-    # -- global types -------------------------------------------------------
 
-    def glob(self) -> GlobalExpr:
-        if self.peek() == ("ident", "end"):
-            self.next()
-            return GlobalEnd()
-        name = self.ident("a global-type name or participant")
-        if self.peek() == ("punct", "->"):
-            self.next()
-            receiver = self.ident("a participant")
-            self.expect("punct", ":")
-            branches = self.branches(self.glob, GlobalEnd())
-            return GlobalComm(name, receiver, branches)
-        return GlobalRef(name)
-
-    # -- sessions and ignored sets -------------------------------------------
-
-    def sess(self) -> list[tuple[str, ProcExpr, Span]]:
-        if self.peek() == ("zero", "0"):
-            self.next()
-            return []
-        out = [self.binding()]
-        while self.peek() == ("punct", "|"):
-            self.next()
-            out.append(self.binding())
-        return out
-
-    def binding(self) -> tuple[str, ProcExpr, Span]:
-        span = self.span()
-        part = self.ident("a participant")
-        self.expect("punct", ":")
-        return (part, self.proc(), span)
-
-    def pset(self) -> frozenset[str]:
-        self.expect("punct", "{")
-        names = []
-        if self.peek() != ("punct", "}"):
-            names.append(self.name("participant"))
-            while self.peek() == ("punct", ","):
-                self.next()
-                names.append(self.name("participant"))
-        self.expect("punct", "}")
-        return frozenset(names)
+def _term(text: str, tokens: list[str], i: int, rows: list, glob: bool) -> tuple:
+    """The process, or with glob the global type, at token i: its target for
+    terms._build, and the index of the token after it.  Every communication
+    is appended to rows as (head, labels, targets); the open ones wait on a
+    stack, so that nesting costs no recursion."""
+    end, what = ("end", "a global-type name or participant") if glob else ("0", "a process name or participant")
+    stack = []  # (row, braced) of the open communications
+    while True:
+        # a term starts at token i
+        tok = tokens[i]
+        label_due = False
+        if tok == end:
+            target, i = None, i + 1
+        elif tok in _NOT_NAMES:
+            raise _not_a_name(text, tokens, i, what)
+        elif glob and tokens[i + 1] == "->":
+            receiver = _word(text, tokens, i + 2, "a participant")
+            if tokens[i + 3] != ":":
+                raise _expected(text, tokens, i + 3, "':'")
+            label_due, head, i = True, (COMM, tok, receiver), i + 4
+        elif not glob and (tokens[i + 1] == OUT or tokens[i + 1] == IN):
+            label_due, head, i = True, (tokens[i + 1], tok), i + 2
+        else:
+            target, i = tok, i + 1  # a name
+        if label_due:
+            stack.append((len(rows), tokens[i] == "{"))
+            rows.append((head, [], []))
+            i += stack[-1][1]
+        # the term is over: its target ends the branch of the innermost open
+        # communication, and a label comes first when a branch is due
+        while True:
+            if label_due:
+                tok = tokens[i]
+                if tok in _NOT_NAMES:
+                    raise _not_a_name(text, tokens, i, "a message label")
+                rows[stack[-1][0]][1].append(tok)
+                i += 1
+                if tokens[i] == ".":
+                    i += 1
+                    break  # the branch goes on with a term
+                target = None
+            if not stack:
+                return target, i
+            row, braced = stack[-1]
+            rows[row][2].append(target)
+            label_due = braced and tokens[i] == ","
+            if label_due:
+                i += 1
+                continue
+            if braced:
+                if tokens[i] != "}":
+                    raise _expected(text, tokens, i, "'}'")
+                i += 1
+            stack.pop()
+            target = row
 
 
 def parse(text: str) -> SpecFile:
     """Parse and check one source file; diagnostics carry positions."""
-    p = _Parser(text)
-    proc_defs: dict[str, ProcExpr] = {}
-    sess_defs: dict[str, list[tuple[str, ProcExpr, Span]]] = {}
-    glob_defs: dict[str, GlobalExpr] = {}
+    tokens = _tokenize(text)
+    proc_rows, glob_rows = [], []  # the rows of terms._build: processes and bindings, global types
+    proc_defs: dict = {}  # name -> target, as terms._build takes them
+    bindings: dict = {}  # "session: participant" -> target
+    glob_defs: dict = {}
+    sess_defs: dict[str, list[str]] = {}  # name -> its participants
     pset_defs: dict[str, frozenset[str]] = {}
-    spans: dict[str, Span] = {}
-
-    def define(name: str, span: Span) -> None:
-        if name in spans:
-            raise DuplicateDefinition(
-                f"name {name!r} already defined at {spans[name]}", span
-            )
-        spans[name] = span
-
-    while p.peek() != ("eof", ""):
-        kw = p.expect("ident")
+    where: dict[str, int] = {}  # definition name or binding key -> its token
+    i = 0
+    while tokens[i]:
+        kw = tokens[i]
+        if kw in _PUNCT or kw == "0":
+            raise _expected(text, tokens, i, "'ident'")
         if kw not in ("process", "session", "global", "ignored"):
-            raise ParseError(
-                f"expected a definition keyword, found {kw!r}", p.span(back=1)
+            raise ParseError(f"expected a definition keyword, found {kw!r}", _span(text, i))
+        name = _name(text, tokens, i + 1, "definition name")
+        if name in where:
+            raise DuplicateDefinition(
+                f"name {name!r} already defined at {_span(text, where[name])}", _span(text, i + 1)
             )
-        span = p.span()
-        name = p.name("definition name")
-        define(name, span)
-        p.expect("punct", "=")
+        where[name] = i + 1
+        if tokens[i + 2] != "=":
+            raise _expected(text, tokens, i + 2, "'='")
+        i += 3
         if kw == "process":
-            proc_defs[name] = p.proc()
-        elif kw == "session":
-            bindings = p.sess()
-            seen: dict[str, Span] = {}
-            for part, _, span in bindings:
-                if part in seen:
-                    raise DuplicateDefinition(
-                        f"participant {part!r} bound twice in session {name!r}",
-                        span,
-                    )
-                seen[part] = span
-            sess_defs[name] = bindings
+            proc_defs[name], i = _term(text, tokens, i, proc_rows, False)
         elif kw == "global":
-            glob_defs[name] = p.glob()
+            glob_defs[name], i = _term(text, tokens, i, glob_rows, True)
+        elif kw == "ignored":
+            if tokens[i] != "{":
+                raise _expected(text, tokens, i, "'{'")
+            names = []
+            i += 1
+            if tokens[i] != "}":
+                names.append(_name(text, tokens, i, "participant"))
+                while tokens[i + 1] == ",":
+                    i += 2
+                    names.append(_name(text, tokens, i, "participant"))
+                i += 1
+            if tokens[i] != "}":
+                raise _expected(text, tokens, i, "'}'")
+            pset_defs[name] = frozenset(names)
+            i += 1
+        elif tokens[i] == "0":
+            sess_defs[name] = []
+            i += 1
         else:
-            pset_defs[name] = p.pset()
+            parts, starts = [], []
+            while True:
+                parts.append(_word(text, tokens, i, "a participant"))
+                starts.append(i)
+                if tokens[i + 1] != ":":
+                    raise _expected(text, tokens, i + 1, "':'")
+                bindings[f"{name}: {parts[-1]}"], i = _term(text, tokens, i + 2, proc_rows, False)
+                if tokens[i] != "|":
+                    break
+                i += 1
+            for k, part in enumerate(parts):  # the first participant bound twice is the fault
+                if part in parts[:k]:
+                    message = f"participant {part!r} bound twice in session {name!r}"
+                    raise DuplicateDefinition(message, _span(text, starts[k]))
+                where[f"{name}: {part}"] = starts[k]
+            sess_defs[name] = parts
 
     # One build of the process system: the definitions are its first roots,
     # so that their faults are met first, then the bindings, under keys that
     # are no identifiers, so that no process name can clash with them.
-    system = dict(proc_defs)
-    for name, bindings in sess_defs.items():
-        for part, expr, span in bindings:
-            system[f"{name}: {part}"], spans[f"{name}: {part}"] = expr, span
+    system = {**proc_defs, **bindings}
     fault = None
     try:
-        process = terms.process_system(system, system)
+        process = terms._build(terms.END_PROCESS, proc_rows, system, system, "process")
     except TermError as exc:
         if exc.root in proc_defs:
-            raise ParseError(str(exc), spans[exc.root]) from exc
+            raise ParseError(str(exc), _span(text, where[exc.root])) from exc
         fault = exc
     try:
-        global_type = terms.global_system(glob_defs, glob_defs)
+        global_type = terms._build(terms.END_GLOBAL, glob_rows, glob_defs, glob_defs, "global type")
     except TermError as exc:
-        raise ParseError(str(exc), spans[exc.root]) from exc
+        raise ParseError(str(exc), _span(text, where[exc.root])) from exc
     # A session is checked after its own bindings and before later ones.
-    for name, bindings in sess_defs.items():
+    for name, parts in sess_defs.items():
         if fault is not None and fault.root.startswith(f"{name}: "):
-            raise ParseError(str(fault), spans[fault.root]) from fault
+            raise ParseError(str(fault), _span(text, where[fault.root])) from fault
         try:
-            session_of((part, terms.END_PROCESS) for part, _, _ in bindings)
+            session_of((part, terms.END_PROCESS) for part in parts)
         except TermError as exc:
-            raise ParseError(str(exc), spans[name]) from exc
+            raise ParseError(str(exc), _span(text, where[name])) from exc
 
     def session(name: str) -> Session:
-        return session_of((part, process(f"{name}: {part}")) for part, _, _ in sess_defs[name])
+        return session_of((part, process(f"{name}: {part}")) for part in sess_defs[name])
 
     return SpecFile(
         _OnRead(process, proc_defs), _OnRead(session, sess_defs), _OnRead(global_type, glob_defs), pset_defs

@@ -206,16 +206,18 @@ class PNode(_Value):
     def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "PNode":
         return PNode(self.kind, self.partner, branches)
 
-    def check(self) -> None:
+    @staticmethod
+    def check(head: tuple, labels: Sequence[str]) -> None:
         """The shape rules of a process state; successors are not looked at."""
-        if self.kind == END:
-            if self.partner is not None or self.branches:
+        kind, partner = head
+        if kind == END:
+            if partner is not None or labels:
                 raise TermError("end node must carry no partner or branches")
-        elif self.kind in (OUT, IN):
-            check_ident(self.partner, "participant")
-            _check_choice(self.labels())
+        elif kind in (OUT, IN):
+            check_ident(partner, "participant")
+            _check_choice(labels)
         else:
-            raise TermError(f"unknown process node kind {self.kind!r}")
+            raise TermError(f"unknown process node kind {kind!r}")
 
 
 class GNode(_Value):
@@ -241,19 +243,21 @@ class GNode(_Value):
     def rebranch(self, branches: tuple[tuple[str, int], ...]) -> "GNode":
         return GNode(self.kind, self.sender, self.receiver, branches)
 
-    def check(self) -> None:
-        """The shape rules of a global-type state; successors are not looked at."""
-        if self.kind == END:
-            if self.sender is not None or self.receiver is not None or self.branches:
+    @staticmethod
+    def check(head: tuple, labels: Sequence[str]) -> None:
+        """The shape rules of a global-type state, as PNode.check's."""
+        kind, sender, receiver = head
+        if kind == END:
+            if sender is not None or receiver is not None or labels:
                 raise TermError("end node must carry no roles or branches")
-        elif self.kind == COMM:
-            check_ident(self.sender, "participant")
-            check_ident(self.receiver, "participant")
-            if self.sender == self.receiver:
-                raise TermError(f"self-communication {self.sender!r}")
-            _check_choice(self.labels())
+        elif kind == COMM:
+            check_ident(sender, "participant")
+            check_ident(receiver, "participant")
+            if sender == receiver:
+                raise TermError(f"self-communication {sender!r}")
+            _check_choice(labels)
         else:
-            raise TermError(f"unknown global node kind {self.kind!r}")
+            raise TermError(f"unknown global node kind {kind!r}")
 
 
 def _kept_hash(value: _Value) -> int:
@@ -293,7 +297,7 @@ class _Graph(_Value):
         if not (0 <= root < n):
             raise TermError("root out of range")
         for node in nodes:
-            node.check()
+            node.check(node.signature(), node.labels())
             for _, tgt in node.branches:
                 if not (0 <= tgt < n):
                     raise TermError(f"branch target {tgt} out of range")
@@ -494,8 +498,8 @@ def minimize_global(g: GlobalGraph) -> GlobalGraph:
 # ---------------------------------------------------------------------------
 
 
-def _resolve(definitions: Mapping, name: str, what: str) -> tuple:
-    """The first equation on the alias chain from name that is no alias, and its name."""
+def _resolve(definitions: Mapping, name: str, what: str):
+    """The target of the first equation on the alias chain from name that is no alias."""
     trail = set()
     while True:
         if name not in definitions:
@@ -504,61 +508,78 @@ def _resolve(definitions: Mapping, name: str, what: str) -> tuple:
             raise UnguardedRecursion(
                 f"{what} {name!r} is defined in terms of itself without any communication"
             )
-        expr = definitions[name]
-        if not isinstance(expr, (ProcRef, GlobalRef)):
-            return expr, name
+        target = definitions[name]
+        if target.__class__ is not str:
+            return target
         trail.add(name)
-        name = expr.name
+        name = target
 
 
-def _build(end: _Graph, definitions: Mapping, roots: Iterable[str], what: str, head) -> Callable:
+def _build(end: _Graph, rows: Sequence, definitions: Mapping, roots: Iterable[str], what: str) -> Callable:
     """The reader of the canonical graphs of the equations named in roots.
 
-    end is the kind's terminated graph and what its name in messages; head
-    turns a communication into its node, whose branches still hold the
-    continuations.  All roots share one node list and one partition
-    refinement, and every fault is raised here, not by the reader.  Nodes are
-    placed depth first from each root in turn, with a communication's head
-    checked before its branches are placed, which fixes the fault reported on
-    input with several.
+    A row is a communication (head, labels, targets): head is its node's
+    signature and each target a row index, an equation's name, or None for
+    the end.  definitions maps every name to its target.  end is the kind's
+    terminated graph and what its name in messages.  All roots share one node
+    list and one partition refinement, and every fault is raised here, not by
+    the reader.  Rows are placed depth first from each root in turn, with a
+    head checked before its branches are placed, which fixes the fault
+    reported on input with several.
     """
-    nodes: list = [end.root_node]  # node 0 is End; minimization drops it when unused
-    targets: list[list[int]] = [[]]  # each node's successors, in branch order
-    named: dict[str, int] = {}
+    node = type(end.root_node)
+    placed: dict[int, int] = {}  # row -> node id; node 0 is End, which minimization drops when unused
+    made: list = []  # the head, labels and successors of node 1, 2, ..., in branch order
     root_ids: dict[str, int] = {}
     for root in roots:
         try:
-            # (expression, its equation's name or None, table and key to store its node under)
-            stack = [(*_resolve(definitions, root, what), root_ids, root)]
+            # (target, table and key to store its node id under)
+            stack = [(_resolve(definitions, root, what), root_ids, root)]
             while stack:
-                expr, name, slot, k = stack.pop()
-                if isinstance(expr, (ProcRef, GlobalRef)):
-                    expr, name = _resolve(definitions, expr.name, what)
-                if isinstance(expr, (ProcEnd, GlobalEnd)):
+                target, slot, k = stack.pop()
+                if target.__class__ is str:
+                    target = _resolve(definitions, target, what)
+                if target is None:
                     nid = 0
-                elif name in named:
-                    nid = named[name]
+                elif target in placed:
+                    nid = placed[target]
                 else:
-                    node = head(expr)
-                    if node.kind == END:
-                        raise TermError(f"unknown {what} node kind {node.kind!r}")
-                    node.check()
-                    nid = len(nodes)
-                    nodes.append(node)
-                    targets.append([0] * len(node.branches))
-                    if name is not None:
-                        named[name] = nid
+                    head, labels, subs = rows[target]
+                    if head[0] == END:
+                        raise TermError(f"unknown {what} node kind {END!r}")
+                    node.check(head, labels)
+                    nid = placed[target] = len(placed) + 1
+                    out = [0] * len(subs)
+                    made.append((head, labels, out))
                     # pushed last branch first, so that the first is placed first
-                    for j in reversed(range(len(node.branches))):
-                        stack.append((node.branches[j][1], None, targets[nid], j))
+                    stack += [(subs[j], out, j) for j in reversed(range(len(subs)))]
                 slot[k] = nid
         except TermError as exc:
             exc.root = root
             raise
-    nodes = [n.rebranch(tuple(sorted(zip(n.labels(), t)))) for n, t in zip(nodes, targets)]
+    nodes = [end.root_node, *(node(*head, tuple(sorted(zip(labels, out)))) for head, labels, out in made)]
     # every node has been checked, so the graph is made without re-checking
     form = _canonical_forms(_make(type(end), tuple(nodes), 0), refine=True)
     return lambda root: form(root_ids[root])
+
+
+def _rows(definitions: Mapping, head: Callable) -> tuple[list, dict]:
+    """The rows of _build for equations written as syntax trees, and each
+    name's target; head(expr) is the signature of a communication."""
+    rows, named = [], dict.fromkeys(definitions)
+    todo = [(expr, named, name) for name, expr in definitions.items()]
+    while todo:
+        expr, slot, k = todo.pop()
+        if isinstance(expr, (ProcRef, GlobalRef)):
+            slot[k] = expr.name
+        elif isinstance(expr, (ProcEnd, GlobalEnd)):
+            slot[k] = None
+        else:
+            slot[k] = len(rows)
+            subs = [None] * len(expr.branches)
+            rows.append((head(expr), [lab for lab, _ in expr.branches], subs))
+            todo += [(sub, subs, j) for j, (_, sub) in enumerate(expr.branches)]
+    return rows, named
 
 
 def process_system(
@@ -573,19 +594,14 @@ def process_system(
     A root's graph is numbered when it is first read, and bisimilar roots
     read one graph.
     """
-    return _build(
-        END_PROCESS, definitions, roots, "process", lambda e: PNode(e.kind, e.partner, e.branches)
-    )
+    return _build(END_PROCESS, *_rows(definitions, lambda e: (e.kind, e.partner)), roots, "process")
 
 
 def global_system(
     definitions: Mapping[str, GlobalExpr], roots: Iterable[str]
 ) -> Callable[[str], GlobalGraph]:
     """Same construction for global-type equations."""
-    return _build(
-        END_GLOBAL, definitions, roots, "global type",
-        lambda e: GNode(COMM, e.sender, e.receiver, e.branches),
-    )
+    return _build(END_GLOBAL, *_rows(definitions, lambda e: (COMM, e.sender, e.receiver)), roots, "global type")
 
 
 def build_process_graph(

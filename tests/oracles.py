@@ -10,7 +10,8 @@ exploration over sessions (explore_oracle), meta's walks over sessions
 (replay_oracle), the global step in rounds over every node
 (global_successor_oracle), type equations solved through the file
 parser's builder, one graph per variable (solve_oracle), the character loop
-of the tokenizer (tokenize_oracle), partition refinement in rounds over every
+of the tokenizer (tokenize_oracle), the recursive-descent parser over
+syntax trees (parse_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
 (pset_oracle), and enumeration that makes every outcome public and solves
 it (enumerate_oracle).  The equivalences, the participant equation and the
@@ -21,18 +22,30 @@ from __future__ import annotations
 
 import math
 
+from mpst import frontend, terms
+from mpst.frontend import DuplicateDefinition, ParseError, Span, SpecFile
 from mpst.semantics import CommLabel, ExploreConfig, StateGraph, closure
 from mpst.terms import (
     END,
     IN,
     OUT,
+    GlobalComm,
+    GlobalEnd,
+    GlobalExpr,
     GlobalGraph,
+    GlobalRef,
+    ProcComm,
+    ProcEnd,
     ProcessGraph,
+    ProcExpr,
+    ProcRef,
     Session,
+    TermError,
     minimize,
     minimize_global,
     normalize_session,
     participants,
+    session_of,
 )
 
 
@@ -422,14 +435,7 @@ def solve_oracle(eqs):
     becomes a global-type expression with its variables named by str, and
     global_system gives one canonical graph per variable."""
     from mpst.inference import FreeVariable, PatEnd, PatVar, UnguardedEquations
-    from mpst.terms import (
-        GlobalComm,
-        GlobalEnd,
-        GlobalRef,
-        UndefinedName,
-        UnguardedRecursion,
-        global_system,
-    )
+    from mpst.terms import UndefinedName, UnguardedRecursion, global_system
 
     def as_global(pat):
         if isinstance(pat, PatEnd):
@@ -565,8 +571,6 @@ _PUNCT = ("->", "!", "?", "{", "}", ",", ".", ":", "|", "=")
 def tokenize_oracle(text):
     """The tokens of text as (kind, text, line, column), one character at a
     time; a ParseError at the first character no token starts with."""
-    from mpst.frontend import ParseError, Span
-
     tokens = []
     line, col = 1, 1
     i = 0
@@ -609,3 +613,212 @@ def tokenize_oracle(text):
             raise ParseError(f"unexpected character {c!r}", Span(line, col))
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+class _Parser:
+    """The recursive-descent parser over the tokens of tokenize_oracle, which
+    builds a syntax tree per definition."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize_oracle(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str]:
+        """The kind and the text of the next token."""
+        kind, text, _, _ = self.tokens[self.pos]
+        return kind, text
+
+    def span(self, back: int = 0) -> Span:
+        """Where the next token starts, or the token back tokens before it."""
+        _, _, line, column = self.tokens[self.pos - back]
+        return Span(line, column)
+
+    def next(self) -> str:
+        """The text of the next token, which is consumed."""
+        _, text = self.peek()
+        self.pos += 1
+        return text
+
+    def expect(self, kind: str, text: str | None = None) -> str:
+        found_kind, found = self.peek()
+        if found_kind != kind or (text is not None and found != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {found or found_kind!r}", self.span())
+        return self.next()
+
+    def ident(self, what: str) -> str:
+        kind, text = self.peek()
+        if kind != "ident":
+            raise ParseError(f"expected {what}, found {text or kind!r}", self.span())
+        if text in frontend.KEYWORDS:
+            raise ParseError(f"keyword {text!r} cannot be used as {what}", self.span())
+        return self.next()
+
+    def name(self, what: str) -> str:
+        """An identifier checked now; names inside terms are left to the builders."""
+        text = self.ident(f"a {what}")
+        try:
+            terms.check_ident(text, what)
+        except TermError as exc:
+            raise ParseError(str(exc), self.span(back=1)) from None
+        return text
+
+    # -- processes ---------------------------------------------------------
+
+    def proc(self) -> ProcExpr:
+        if self.peek() == ("zero", "0"):
+            self.next()
+            return ProcEnd()
+        name = self.ident("a process name or participant")
+        kind, text = self.peek()
+        if kind == "punct" and text in (OUT, IN):
+            self.next()
+            branches = self.branches(self.proc, ProcEnd())
+            return ProcComm(text, name, branches)
+        return ProcRef(name)
+
+    def branches(self, sub, empty):
+        if self.peek() == ("punct", "{"):
+            self.next()
+            out = [self.branch(sub, empty)]
+            while self.peek() == ("punct", ","):
+                self.next()
+                out.append(self.branch(sub, empty))
+            self.expect("punct", "}")
+            return tuple(out)
+        return (self.branch(sub, empty),)
+
+    def branch(self, sub, empty):
+        label = self.ident("a message label")
+        if self.peek() == ("punct", "."):
+            self.next()
+            return (label, sub())
+        return (label, empty)
+
+    # -- global types -------------------------------------------------------
+
+    def glob(self) -> GlobalExpr:
+        if self.peek() == ("ident", "end"):
+            self.next()
+            return GlobalEnd()
+        name = self.ident("a global-type name or participant")
+        if self.peek() == ("punct", "->"):
+            self.next()
+            receiver = self.ident("a participant")
+            self.expect("punct", ":")
+            branches = self.branches(self.glob, GlobalEnd())
+            return GlobalComm(name, receiver, branches)
+        return GlobalRef(name)
+
+    # -- sessions and ignored sets -------------------------------------------
+
+    def sess(self) -> list[tuple[str, ProcExpr, Span]]:
+        if self.peek() == ("zero", "0"):
+            self.next()
+            return []
+        out = [self.binding()]
+        while self.peek() == ("punct", "|"):
+            self.next()
+            out.append(self.binding())
+        return out
+
+    def binding(self) -> tuple[str, ProcExpr, Span]:
+        span = self.span()
+        part = self.ident("a participant")
+        self.expect("punct", ":")
+        return (part, self.proc(), span)
+
+    def pset(self) -> frozenset[str]:
+        self.expect("punct", "{")
+        names = []
+        if self.peek() != ("punct", "}"):
+            names.append(self.name("participant"))
+            while self.peek() == ("punct", ","):
+                self.next()
+                names.append(self.name("participant"))
+        self.expect("punct", "}")
+        return frozenset(names)
+
+
+def parse_oracle(text: str) -> SpecFile:
+    """frontend.parse as a recursive-descent parser: the same terms, ignored
+    sets and faults, each fault at the same position.  Terms are built when
+    the file is parsed, not when first read."""
+    p = _Parser(text)
+    proc_defs: dict[str, ProcExpr] = {}
+    sess_defs: dict[str, list[tuple[str, ProcExpr, Span]]] = {}
+    glob_defs: dict[str, GlobalExpr] = {}
+    pset_defs: dict[str, frozenset[str]] = {}
+    spans: dict[str, Span] = {}
+
+    def define(name: str, span: Span) -> None:
+        if name in spans:
+            raise DuplicateDefinition(
+                f"name {name!r} already defined at {spans[name]}", span
+            )
+        spans[name] = span
+
+    while p.peek() != ("eof", ""):
+        kw = p.expect("ident")
+        if kw not in ("process", "session", "global", "ignored"):
+            raise ParseError(
+                f"expected a definition keyword, found {kw!r}", p.span(back=1)
+            )
+        span = p.span()
+        name = p.name("definition name")
+        define(name, span)
+        p.expect("punct", "=")
+        if kw == "process":
+            proc_defs[name] = p.proc()
+        elif kw == "session":
+            bindings = p.sess()
+            seen: dict[str, Span] = {}
+            for part, _, span in bindings:
+                if part in seen:
+                    raise DuplicateDefinition(
+                        f"participant {part!r} bound twice in session {name!r}",
+                        span,
+                    )
+                seen[part] = span
+            sess_defs[name] = bindings
+        elif kw == "global":
+            glob_defs[name] = p.glob()
+        else:
+            pset_defs[name] = p.pset()
+
+    # One build of the process system: the definitions are its first roots,
+    # so that their faults are met first, then the bindings, under keys that
+    # are no identifiers, so that no process name can clash with them.
+    system = dict(proc_defs)
+    for name, bindings in sess_defs.items():
+        for part, expr, span in bindings:
+            system[f"{name}: {part}"], spans[f"{name}: {part}"] = expr, span
+    fault = None
+    try:
+        process = terms.process_system(system, system)
+    except TermError as exc:
+        if exc.root in proc_defs:
+            raise ParseError(str(exc), spans[exc.root]) from exc
+        fault = exc
+    try:
+        global_type = terms.global_system(glob_defs, glob_defs)
+    except TermError as exc:
+        raise ParseError(str(exc), spans[exc.root]) from exc
+    # A session is checked after its own bindings and before later ones.
+    for name, bindings in sess_defs.items():
+        if fault is not None and fault.root.startswith(f"{name}: "):
+            raise ParseError(str(fault), spans[fault.root]) from fault
+        try:
+            session_of((part, terms.END_PROCESS) for part, _, _ in bindings)
+        except TermError as exc:
+            raise ParseError(str(exc), spans[name]) from exc
+
+    def session(name: str) -> Session:
+        return session_of((part, process(f"{name}: {part}")) for part, _, _ in sess_defs[name])
+
+    return SpecFile(
+        {name: process(name) for name in proc_defs},
+        {name: session(name) for name in sess_defs},
+        {name: global_type(name) for name in glob_defs},
+        pset_defs,
+    )

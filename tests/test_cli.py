@@ -283,21 +283,38 @@ def test_infer_keeps_the_state_budget_under_an_explicit_size(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "--global", "G", "--session", "M", "--ignored", ""],
-        ["analyze", "--session", "M", "--stategraph"],
-    ],
-)
+def _two_party_chain(n: int) -> str:
+    """Process chains P0, Q0 and a global chain G0 of n definitions each, and
+    the session M = p: P0 | q: Q0."""
+    lines = []
+    for i in range(n - 1):
+        lines += [f"process P{i} = q!a . P{i + 1}", f"process Q{i} = p?a . Q{i + 1}"]
+        lines.append(f"global G{i} = p->q:a . G{i + 1}")
+    last = [f"process P{n - 1} = q!a", f"process Q{n - 1} = p?a", f"global G{n - 1} = p->q:a"]
+    return "\n".join(lines + last + ["session M = p: P0 | q: Q0"]) + "\n"
+
+
+# The checker still recurses once per step of the global type.
+@pytest.mark.parametrize("argv", [["check", "--global", "G0", "--session", "M", "--ignored", "q"]])
 def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
     path = tmp_path / "deep.mpst"
-    path.write_text("process P = " + "q!a . " * 2000 + "0\nsession M = p: P\nglobal G = end\n")
+    path.write_text(_two_party_chain(400))
     code = run(argv + [str(path)])
     captured = capsys.readouterr()
     assert code == cli.BUDGET_EXCEEDED
     assert captured.err.startswith("error: ") and "recursion limit" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# The parser is a loop: one definition 2,000 communications long is read.
+@pytest.mark.parametrize("argv, want", [(["--stategraph"], 0), (["--lockfree"], 1)])
+def test_analyze_answers_on_a_long_single_definition(tmp_path, capsys, argv, want):
+    path = tmp_path / "deep.mpst"
+    path.write_text("process P = " + "q!a . " * 2000 + "0\nsession M = p: P\nglobal G = end\n")
+    code = run(["analyze", "--session", "M", *argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == want and captured.err == ""
+    assert captured.out.startswith("* state 0: p: q!a . q!a" if want == 0 else "lock-freedom: fails")
 
 
 def test_depth_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -9,6 +9,8 @@ from mpst.frontend import (
     DuplicateDefinition,
     ParseError,
     Span,
+    _PUNCT,
+    _positions,
     _tokenize,
     format_global,
     format_process,
@@ -32,7 +34,7 @@ from mpst.terms import (
 )
 
 from .conftest import GOLDEN
-from .oracles import globals_equivalent, processes_equivalent, tokenize_oracle
+from .oracles import globals_equivalent, parse_oracle, processes_equivalent, tokenize_oracle
 
 
 class TestParsing:
@@ -306,6 +308,9 @@ SEVERAL_FAULTS = {
     "bad process that no session references": (
         "process P = q!a\nprocess Q = r!b . Nowhere\nsession M = p: P", "undefined process 'Nowhere'", 2
     ),
+    "two bad branches, the first written first": (
+        "global G = p->q:{ b . p->r:{ c, c }, a . q->q:d }", "duplicate branch label 'c'", 1
+    ),
 }
 
 
@@ -371,6 +376,16 @@ def _tokens_or_fault(tokenize, text: str):
         return (exc.message, exc.span)
 
 
+def _kind(tok: str) -> str:
+    return "eof" if not tok else "zero" if tok == "0" else "ident" if tok[0].isalpha() or tok[0] == "_" else "punct"
+
+
+def _positioned(text: str):
+    """The tokens of text as the oracle gives them: each with its kind, and
+    its line and column from the position helper."""
+    return [(_kind(tok), tok, *at) for tok, at in zip(_tokenize(text), _positions(text), strict=True)]
+
+
 def _mutated(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(text) + 1)
@@ -396,11 +411,11 @@ def _source_files() -> list[str]:
 class TestTokenizerAgainstTheOracle:
     @pytest.mark.parametrize("text", TOKEN_CASES)
     def test_edge_cases(self, text):
-        assert _tokens_or_fault(_tokenize, text) == _tokens_or_fault(tokenize_oracle, text)
+        assert _tokens_or_fault(_positioned, text) == _tokens_or_fault(tokenize_oracle, text)
 
     def test_a_trailing_comment_ends_the_file_at_its_hash(self):
-        assert _tokenize("process P = q!a # tail")[-1] == ("eof", "", 1, 17)
-        assert _tokenize("process P = q!a\n  # tail")[-1] == ("eof", "", 2, 3)
+        assert _positioned("process P = q!a # tail")[-1] == ("eof", "", 1, 17)
+        assert _positioned("process P = q!a\n  # tail")[-1] == ("eof", "", 2, 3)
 
     def test_a_bad_character_is_reported_at_its_position(self):
         with pytest.raises(ParseError) as err:
@@ -411,7 +426,7 @@ class TestTokenizerAgainstTheOracle:
         texts = _source_files()
         assert len(texts) > 100
         for text in texts:
-            got = _tokens_or_fault(_tokenize, text)
+            got = _tokens_or_fault(_positioned, text)
             assert isinstance(got, list) and got == _tokens_or_fault(tokenize_oracle, text)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -421,7 +436,81 @@ class TestTokenizerAgainstTheOracle:
         faults = 0
         for _ in range(500):
             text = _mutated(rng, rng.choice(texts))
-            got = _tokens_or_fault(_tokenize, text)
+            got = _tokens_or_fault(_positioned, text)
             assert got == _tokens_or_fault(tokenize_oracle, text), repr(text)
             faults += isinstance(got, tuple)
         assert 50 < faults < 450  # both outcomes are exercised
+
+
+# The parser against the recursive-descent parser over syntax trees it
+# replaced: the same terms and ignored sets, or the same fault at the same
+# position.  Small files add what the sources lack: alias chains, ignored
+# sets, duplicate labels and participants, self-communications and names
+# beyond ASCII.
+FEATURES = [
+    "process ZA = ZB\nprocess ZB = q!a . ZA\nprocess ZC = ZA\nsession ZM = p: ZC | q: p?a . ZQ\nprocess ZQ = p?a . ZQ",
+    "global ZG = ZH\nglobal ZH = p->q:{ a . ZG, b . ZK }\nglobal ZK = end\nignored ZS = { p, q }\nignored ZN = { }",
+    "process \u00e9x = q!a\nsession ZM = x\u00e9: 0 | p: q!\u00e9 . \u00e9x\nglobal \u00b5G = p->q:\u00e9",
+    "process ZA = ZB\nprocess ZB = ZA\nsession ZM = p: ZA",
+    "process ZD = q!{ a . 0, b . ZD, a }\nglobal ZE = p->q:{ a, a . end }",
+    "global ZS = p->p:a . end\nsession ZM = p: q!a | q: p?{ a, b . 0 }",
+    "session ZM = p: 0 | q: p!a | p: q?a | p: 0",
+    "process \u00e9 = q!a\nignored ZI = { \u00e9 }",
+    "process ZP = q!a . ZP\nglobal ZP = end",
+]
+
+# Faults every seed of the mutants meets.
+FAULT_KINDS = [
+    "unexpected character", "expected", "keyword", "already defined", "bound twice", "undefined",
+    "without any communication", "duplicate branch label", "self-communication", "is not a valid identifier",
+]
+
+# Tokens a token-level mutant puts in place of one of the text's own.
+TOKEN_POOL = ["process", "session", "global", "ignored", "end", "0", "p", "q", "a", "P", "G", "\u00e9", *sorted(_PUNCT)]
+
+
+def _outcome(parse, text: str):
+    try:
+        spec = parse(text)
+    except ParseError as exc:
+        return (type(exc), exc.message, exc.span)
+    return [list(m.items()) for m in (spec.processes, spec.sessions, spec.globals, spec.ignored_sets)]
+
+
+def _token_mutated(rng: random.Random, text: str) -> str:
+    """text with one to three of its tokens deleted, doubled or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        try:
+            tokens = tokenize_oracle(text)[:-1]
+        except ParseError:
+            return text
+        if not tokens:
+            return text
+        starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        _, tok, line, column = rng.choice(tokens)
+        i = starts[line - 1] + column - 1
+        new = ["", tok + " " + tok, rng.choice(TOKEN_POOL + [t for _, t, _, _ in tokens])][rng.randrange(3)]
+        text = text[:i] + new + text[i + len(tok):]
+    return text
+
+
+class TestParserAgainstTheOracle:
+    def test_source_files(self):
+        for text in _source_files() + FEATURES:
+            assert _outcome(parse, text) == _outcome(parse_oracle, text)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutated_text(self, seed):
+        rng = random.Random(seed)
+        texts = _source_files()
+        kinds = []
+        for k in range(700):
+            text = rng.choice(texts)
+            if k % 3 == 0:
+                text += "\n" + rng.choice(FEATURES)
+            else:
+                text = (_mutated if k % 3 == 1 else _token_mutated)(rng, text)
+            got = _outcome(parse, text)
+            assert got == _outcome(parse_oracle, text), repr(text)
+            kinds.append(next(kind for kind in FAULT_KINDS if kind in got[1]) if isinstance(got, tuple) else None)
+        assert kinds.count(None) > 40 and all(kind in kinds for kind in FAULT_KINDS)
