@@ -18,6 +18,12 @@ Rule mechanics, given judgment (G, M, P):
 * Weak   -- a nonempty set of active participants outside plays(G) is split
             off and added to the ignored set of the premise's conclusion.
 * Cycle  -- the exact triple already appears in the hypothesis set.
+
+The search runs on plain ids, as explore and inference do: a judgment is
+its key (G at a node, state id, P), a success the tuple (rule, key, premises,
+branch labels, discharged) and a rejection (depth, reason, key, detail).
+Typechecker.check makes the public records, Judgment, Derivation and
+Rejection, from its answer alone; accepts makes none.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .terms import (
     IN,
     OUT,
     Session,
-    _make,
     _Value,
     minimize_global,
     normalize_session,
@@ -43,21 +48,12 @@ from .terms import (
 
 
 class Judgment(_Value):
-    """A judgment (G, M, P).  One the checker makes holds a node of G and a
-    state of a session space, and builds G and M when they are first read."""
+    """A judgment (G, M, P)."""
 
-    __slots__ = ("global_type", "session", "ignored", "_ids")
+    __slots__ = ("global_type", "session", "ignored")
 
     def __init__(self, global_type: GlobalGraph, session: Session, ignored: frozenset[str]) -> None:
         self._set(global_type, session, ignored)
-
-    def __getattr__(self, name: str):
-        if name not in ("global_type", "session"):
-            raise AttributeError(name)
-        g, n, space, s = self._ids
-        object.__setattr__(self, "global_type", g.at(n))
-        object.__setattr__(self, "session", space.session(s))
-        return getattr(self, name)
 
     def to_json_dict(self) -> dict:
         from .frontend import format_global, format_session
@@ -129,7 +125,7 @@ class Derivation(_Value):
 
 
 class Rejection(_Value):
-    __slots__ = ("reason", "judgment", "detail", "depth", "_why")
+    __slots__ = ("reason", "judgment", "detail", "depth")
 
     def __init__(self, reason: str, judgment: Judgment, detail: str, depth: int = 0) -> None:
         # reason is RootMismatch, LabelSetMismatch, ParticipantEquationFailed,
@@ -137,19 +133,8 @@ class Rejection(_Value):
         # judgment the failure sits
         self._set(reason, judgment, detail, depth)
 
-    def __getattr__(self, name: str):
-        # the detail of a rejection made by _rejection, why(), written when first read
-        if name != "detail":
-            raise AttributeError(name)
-        object.__setattr__(self, "detail", self._why())
-        return self.detail
-
     def to_json_dict(self) -> dict:
         return {"reason": self.reason, **self.judgment.to_json_dict(), "detail": self.detail}
-
-
-def _rejection(reason: str, judgment: Judgment, why, depth: int = 0) -> Rejection:
-    return _make(Rejection, reason, judgment, depth=depth, _why=why)
 
 
 def _unbounded_detail(g: GlobalGraph, n: int) -> str:
@@ -157,6 +142,37 @@ def _unbounded_detail(g: GlobalGraph, n: int) -> str:
     v = bounded(g.at(n))
     where = f"at node {v.witness_node} of the global type"
     return f"participant {v.witness_participant!r} can be postponed forever {where}"
+
+
+def _deeper(kept, rejection, up: int = 0):
+    """Of kept (None or a rejection) and a later rejection found up levels
+    below, the one to keep: the later, raised by up, when strictly deeper."""
+    depth = rejection[0] + up
+    return kept if kept is not None and depth <= kept[0] else (depth, *rejection[1:])
+
+
+def _record(space: SessionSpace, node, found) -> Derivation | Rejection:
+    """The public record of an answer of the search: the Rejection found when
+    node is None, else the Derivation of node, one per node of the answer."""
+
+    def judgment(key: tuple) -> Judgment:
+        return Judgment(key[0], space.session(key[1]), key[2])
+
+    if node is None:
+        depth, reason, key, why = found
+        why = _unbounded_detail(key[0], key[0].root) if why is None else why
+        return Rejection(reason, judgment(key), why, depth)
+    made: dict[int, Derivation] = {}  # by id of the node, which the answer keeps alive
+
+    def derivation(node: tuple) -> Derivation:
+        d = made.get(id(node))
+        if d is None:
+            rule, key, premises, labels, discharged = node
+            premises = tuple(map(derivation, premises))
+            d = made[id(node)] = Derivation(rule, judgment(key), premises, labels, discharged)
+        return d
+
+    return derivation(node)
 
 
 class _Space(SessionSpace):
@@ -167,8 +183,8 @@ class _Space(SessionSpace):
     def __init__(self, start: Session, located: dict):
         super().__init__(start)
         self.located = located
-        self.accepted: dict[tuple, list[tuple[frozenset, Derivation]]] = {}
-        self.rejected: dict[tuple, list[tuple[frozenset, Rejection]]] = {}
+        self.accepted: dict[tuple, list[tuple[tuple, frozenset]]] = {}
+        self.rejected: dict[tuple, list[tuple[frozenset, tuple]]] = {}
 
     def session(self, s: int) -> Session:
         m = super().session(s)
@@ -196,86 +212,86 @@ class Typechecker:
 
     def check(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> Derivation | Rejection:
         """A full derivation of the judgment, or the best rejection."""
-        space, s = self.locate(m)
-        g = minimize_global(g)
-        result = self._judge(space, g, g.root, s, frozenset(ignored), frozenset())
-        return result if isinstance(result, Rejection) else result[0]
+        return _record(*self._search(g, m, ignored))
 
     def accepts(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> bool:
-        return isinstance(self.check(g, m, ignored), Derivation)
+        return self._search(g, m, ignored)[1] is not None
 
-    def smallest_accepted_subset(
-        self, g: GlobalGraph, m: Session, p_set: frozenset
-    ) -> frozenset | None:
+    def smallest_accepted_subset(self, g: GlobalGraph, m: Session, p_set: frozenset) -> frozenset | None:
         """The first subset of p_set (smallest, then lexicographic) that types."""
         return next((sub for sub in subsets(p_set) if self.accepts(g, m, sub)), None)
 
-    # The search walks node n of canonical g and state s, keyed on g.at(n), kept
-    # on g, so types that share a subterm share its triples.  _judge gives
-    # (Derivation, refs) on success, where refs is the set of hypothesis triples
-    # the derivation's Cycle leaves point at, else a Rejection.  A success is
-    # reusable under any hypothesis superset of refs; a rejection under any
-    # hypothesis subset of the recorded one.
+    def _search(self, g: GlobalGraph, m: Session, ignored: Iterable[str]) -> tuple:
+        """The space of m and the answer of the search on the judgment."""
+        space, s = self.locate(m)
+        g = minimize_global(g)
+        return space, *self._judge(space, g, g.root, s, frozenset(ignored), frozenset())
+
+    # _judge walks node n of canonical g and state s under the hypothesis keys
+    # hyps.  The key (g.at(n), s, P) is computed once and handed down, so
+    # types that share a subterm share its triples.  It gives (success, refs),
+    # refs the keys the success's Cycle leaves point at, reusable under any
+    # hypothesis superset of refs; or (None, rejection), reusable under any
+    # hypothesis subset of the recorded one.  An Unbounded detail is None
+    # until _record writes it for the one rejection returned.
 
     def _judge(self, space: _Space, g: GlobalGraph, n: int, s: int, p_set: frozenset, hyps: frozenset):
-        triple = (g.at(n), s, p_set)
-        if triple in hyps:
-            return Derivation("Cycle", _judgment(g, n, space, s, p_set)), frozenset([triple])
-        for refs, deriv in space.accepted.get(triple, ()):
-            if refs <= hyps:
-                return deriv, refs
-        for cached_hyps, rej in space.rejected.get(triple, ()):
+        key = (g.at(n), s, p_set)
+        if key in hyps:
+            return ("Cycle", key, (), (), frozenset()), frozenset([key])
+        for result in space.accepted.get(key, ()):
+            if result[1] <= hyps:
+                return result
+        for cached_hyps, result in space.rejected.get(key, ()):
             if hyps <= cached_hyps:
-                return rej
-        result = self._decide(_judgment(g, n, space, s, p_set), hyps)
-        if isinstance(result, Rejection):
-            space.rejected.setdefault(triple, []).append((hyps, result))
+                return result
+        result = self._decide(space, g, n, s, key, hyps)
+        if result[0] is None:
+            space.rejected.setdefault(key, []).append((hyps, result))
         else:
-            space.accepted.setdefault(triple, []).append((result[1], result[0]))
+            space.accepted.setdefault(key, []).append(result)
         return result
 
-    def _decide(self, judgment: Judgment, hyps: frozenset):
-        g, n, space, s = judgment._ids
-        if g.nodes[n].kind == END and not space.plays(s):
-            if not judgment.ignored:
-                return Derivation("End", judgment), frozenset()
-            return _rejection("IgnoredMismatch", judgment, lambda: "the null session carries an empty ignored set")
-        comm = self._try_comm(judgment, hyps) if g.nodes[n].kind == COMM else None
-        if comm is not None and not isinstance(comm, Rejection):
+    def _decide(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+        kind = g.nodes[n].kind
+        if kind == END and not space.plays(s):
+            if not key[2]:
+                return ("End", key, (), (), frozenset()), frozenset()
+            return None, (0, "IgnoredMismatch", key, "the null session carries an empty ignored set")
+        comm = self._try_comm(space, g, n, s, key, hyps) if kind == COMM else None
+        if comm is not None and comm[0] is not None:
             return comm
-        weak = self._try_weak(judgment, hyps)
+        weak = self._try_weak(space, g, n, s, key, hyps)
         # The deeper rejection is the better one; Comm's on a tie.
-        return weak if comm is None or not isinstance(weak, Rejection) or weak.depth > comm.depth else comm
+        return weak if comm is None or weak[0] is not None else (None, _deeper(comm[1], weak[1]))
 
-    def _try_comm(self, judgment: Judgment, hyps: frozenset):
-        g, n, space, s = judgment._ids
-        p_set = judgment.ignored
+    def _try_comm(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+        p_set = key[2]
         node = g.nodes[n]
         p, q = node.sender, node.receiver
         labels = node.labels()
         np, nq = space.node(s, p), space.node(s, q)
         if np is None or np.kind != OUT or np.partner != q:
             why = f"the global type wants {p} to send to {q}, but the session has no such pair"
-            return _rejection("RootMismatch", judgment, lambda: why)
+            return None, (0, "RootMismatch", key, why)
         if nq is None or nq.kind != IN or nq.partner != p:
             why = f"the global type wants {q} to receive from {p}, but the session has no such pair"
-            return _rejection("RootMismatch", judgment, lambda: why)
+            return None, (0, "RootMismatch", key, why)
         if set(np.labels()) != set(labels):
             why = f"{p} sends {sorted(np.labels())} but the global type lists {sorted(labels)}"
-            return _rejection("LabelSetMismatch", judgment, lambda: why)
+            return None, (0, "LabelSetMismatch", key, why)
         if not set(labels) <= set(nq.labels()):
             why = f"{q} accepts {sorted(nq.labels())}, missing some of {sorted(labels)}"
-            return _rejection("LabelSetMismatch", judgment, lambda: why)
+            return None, (0, "LabelSetMismatch", key, why)
         plays, unbounded, _ = _tables(g)
         if n in unbounded:
-            return _rejection("Unbounded", judgment, lambda: _unbounded_detail(g, n))
+            return None, (0, "Unbounded", key, None)
 
         # The checks above are the Comm side condition, so p -> q is ready.
         after = {lab.message: t for lab, t in space.moves(s, p, q)}
-        here = (g.at(n), s, p_set)
-        hyps2 = hyps | {here}
-        branch_options: list[list[tuple[frozenset, Derivation, frozenset]]] = []
-        best_premise_rej: Rejection | None = None
+        hyps2 = hyps | {key}
+        branch_options: list[list[tuple[frozenset, tuple, frozenset]]] = []
+        best = None  # the premise rejection kept
 
         for lab, target in node.branches:
             si = after[lab]
@@ -287,33 +303,28 @@ class Typechecker:
             # \ {p,q} is plays(M_i) \ {p,q}, which is plays(M) \ {p,q}, as a
             # Comm step changes only p's and q's activity.
             if not (plays_gi <= plays_mi and base <= p_set):
-                return _rejection(
-                    "ParticipantEquationFailed",
-                    judgment,
-                    lambda: f"branch {lab!r}: no ignored subset can satisfy "
-                    f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(space.plays(s) - {p, q})}",
+                why = (
+                    f"branch {lab!r}: no ignored subset can satisfy "
+                    f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(space.plays(s) - {p, q})}"
                 )
+                return None, (0, "ParticipantEquationFailed", key, why)
             options = []
             for pi in (base | extra for extra in subsets(plays_gi & p_set)):
-                sub = self._judge(space, g, target, si, pi, hyps2)
-                if isinstance(sub, Rejection):
-                    if best_premise_rej is None or sub.depth >= best_premise_rej.depth:
-                        best_premise_rej = _rejection(sub.reason, sub.judgment, sub._why, sub.depth + 1)
+                sub, found = self._judge(space, g, target, si, pi, hyps2)
+                if sub is None:
+                    best = _deeper(best, found, 1)
                 else:
-                    options.append((pi, sub[0], sub[1]))
+                    options.append((pi, sub, found))
             if not options:
-                assert best_premise_rej is not None
-                return best_premise_rej
+                return None, best
             branch_options.append(options)
 
         combo = self._combine(branch_options, p_set)
         if combo is None:
-            if best_premise_rej is not None:
-                return best_premise_rej
             why = f"no choice of branch ignored sets unions to {sorted(p_set)}"
-            return _rejection("IgnoredMismatch", judgment, lambda: why)
-        refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {here}
-        return Derivation("Comm", judgment, tuple(d for _, d, _ in combo), labels), refs
+            return None, best or (0, "IgnoredMismatch", key, why)
+        refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {key}
+        return ("Comm", key, tuple(d for _, d, _ in combo), labels, frozenset()), refs
 
     @staticmethod
     def _combine(branch_options, p_set: frozenset):
@@ -335,41 +346,28 @@ class Typechecker:
 
         return go(0, frozenset(), [])
 
-    def _try_weak(self, judgment: Judgment, hyps: frozenset):
-        g, n, space, s = judgment._ids
-        p_set = judgment.ignored
+    def _try_weak(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+        p_set = key[2]
         pool = (space.plays(s) & p_set) - _tables(g)[0][n]
         if not pool:
             why = "no active ignored participant outside the global type can be split off"
-            return _rejection("IgnoredMismatch", judgment, lambda: why)
-        here = (g.at(n), s, p_set)
-        hyps2 = hyps | {here}
-        best: Rejection | None = None
+            return None, (0, "IgnoredMismatch", key, why)
+        hyps2 = hyps | {key}
+        best = None
         for split in subsets(pool):
             if not split:
                 continue
-            sub = self._judge(space, g, n, space.without(s, split), p_set - split, hyps2)
-            if isinstance(sub, Rejection):
-                if best is None or sub.depth >= best.depth:
-                    best = _rejection(sub.reason, sub.judgment, sub._why, sub.depth + 1)
-                continue
-            return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
-        return best
+            sub, found = self._judge(space, g, n, space.without(s, split), p_set - split, hyps2)
+            if sub is not None:
+                return ("Weak", key, (sub,), (), split), found - {key}
+            best = _deeper(best, found, 1)
+        return None, best
 
 
-def _judgment(g: GlobalGraph, n: int, space: SessionSpace, s: int, p_set: frozenset) -> Judgment:
-    """The judgment at node n of g and state s of space, on ids."""
-    return _make(Judgment, ignored=p_set, _ids=(g, n, space, s))
-
-
-def typecheck(
-    global_type: GlobalGraph,
-    session: Session,
-    ignored: Iterable[str] = (),
-) -> Derivation | Rejection:
+def typecheck(global_type: GlobalGraph, session: Session, ignored: Iterable[str] = ()) -> Derivation | Rejection:
     """Decide the judgment and return a full derivation or the best rejection."""
     return Typechecker().check(global_type, session, ignored)
 
 
 def accepts(global_type: GlobalGraph, session: Session, ignored: Iterable[str] = ()) -> bool:
-    return isinstance(typecheck(global_type, session, ignored), Derivation)
+    return Typechecker().accepts(global_type, session, ignored)

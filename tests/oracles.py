@@ -13,9 +13,10 @@ parser's builder, one graph per variable (solve_oracle), the character loop
 of the tokenizer (tokenize_oracle), the recursive-descent parser over
 syntax trees (parse_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
-(pset_oracle), and enumeration that makes every outcome public and solves
-it (enumerate_oracle).  The equivalences, the participant equation and the
-agreement check are the plain definitions the tests state facts with.
+(pset_oracle), enumeration that makes every outcome public and solves it
+(enumerate_oracle), and the checker's search with a public record at
+every step (check_oracle).  The equivalences, the participant equation and
+the agreement check are the plain definitions the tests state facts with.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import math
 
 from mpst import frontend, terms
 from mpst.frontend import DuplicateDefinition, ParseError, Span, SpecFile
-from mpst.semantics import CommLabel, ExploreConfig, StateGraph, closure
+from mpst.semantics import CommLabel, ExploreConfig, SessionSpace, StateGraph, closure
 from mpst.terms import (
+    COMM,
     END,
     IN,
     OUT,
@@ -47,6 +49,7 @@ from mpst.terms import (
     participants,
     session_of,
 )
+from mpst.typecheck import Derivation, Judgment, Rejection
 
 
 def processes_equivalent(a: ProcessGraph, b: ProcessGraph) -> bool:
@@ -429,6 +432,162 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
                 return True
     return False
 
+
+
+class _OracleSpace(SessionSpace):
+    """typecheck._Space: a session space with tables of public records, and
+    each session it builds entered in located."""
+
+    def __init__(self, start: Session, located: dict):
+        super().__init__(start)
+        self.located, self.accepted, self.rejected = located, {}, {}
+
+    def session(self, s: int) -> Session:
+        m = super().session(s)
+        self.located.setdefault(m, (self, s))
+        return m
+
+
+def check_oracle(g, m, ignored, located=None):
+    """typecheck.Typechecker.check as it was when its search made a public
+    record at every step: a Judgment per judgment met, and a Derivation or a
+    Rejection with its detail per answer of _judge.  located, a dict kept
+    over calls, shares session spaces and their tables as one Typechecker
+    does."""
+    located = {} if located is None else located
+    m = normalize_session(m)
+    if m not in located:
+        start = _OracleSpace(m, located)
+        located[m] = (start, start.start)
+    space, s = located[m]
+    g = minimize_global(g)
+    result = _OracleSearch(space, g).judge(g.root, s, frozenset(ignored), frozenset())
+    return result if isinstance(result, Rejection) else result[0]
+
+
+class _OracleSearch:
+    """The search of check_oracle over node ids of g and state ids of space:
+    judge gives (Derivation, refs) or a Rejection, and the tables hold them."""
+
+    def __init__(self, space: _OracleSpace, g: GlobalGraph):
+        self.space, self.g = space, g
+
+    def judge(self, n: int, s: int, p_set: frozenset, hyps: frozenset):
+        space = self.space
+        triple = (self.g.at(n), s, p_set)
+        judgment = Judgment(self.g.at(n), space.session(s), p_set)
+        if triple in hyps:
+            return Derivation("Cycle", judgment), frozenset([triple])
+        for refs, deriv in space.accepted.get(triple, ()):
+            if refs <= hyps:
+                return deriv, refs
+        for cached_hyps, rej in space.rejected.get(triple, ()):
+            if hyps <= cached_hyps:
+                return rej
+        result = self.decide(n, s, judgment, hyps)
+        if isinstance(result, Rejection):
+            space.rejected.setdefault(triple, []).append((hyps, result))
+        else:
+            space.accepted.setdefault(triple, []).append((result[1], result[0]))
+        return result
+
+    def decide(self, n: int, s: int, judgment: Judgment, hyps: frozenset):
+        if self.g.nodes[n].kind == END and not self.space.plays(s):
+            if not judgment.ignored:
+                return Derivation("End", judgment), frozenset()
+            return Rejection("IgnoredMismatch", judgment, "the null session carries an empty ignored set")
+        comm = self.try_comm(n, s, judgment, hyps) if self.g.nodes[n].kind == COMM else None
+        if comm is not None and not isinstance(comm, Rejection):
+            return comm
+        weak = self.try_weak(n, s, judgment, hyps)
+        # The deeper rejection is the better one; Comm's on a tie.
+        return weak if comm is None or not isinstance(weak, Rejection) or weak.depth > comm.depth else comm
+
+    def try_comm(self, n: int, s: int, judgment: Judgment, hyps: frozenset):
+        from mpst.analysis import _tables
+        from mpst.semantics import subsets
+        from mpst.typecheck import Typechecker, _unbounded_detail
+
+        g, space, p_set = self.g, self.space, judgment.ignored
+        node = g.nodes[n]
+        p, q = node.sender, node.receiver
+        labels = node.labels()
+        np, nq = space.node(s, p), space.node(s, q)
+        if np is None or np.kind != OUT or np.partner != q:
+            why = f"the global type wants {p} to send to {q}, but the session has no such pair"
+            return Rejection("RootMismatch", judgment, why)
+        if nq is None or nq.kind != IN or nq.partner != p:
+            why = f"the global type wants {q} to receive from {p}, but the session has no such pair"
+            return Rejection("RootMismatch", judgment, why)
+        if set(np.labels()) != set(labels):
+            why = f"{p} sends {sorted(np.labels())} but the global type lists {sorted(labels)}"
+            return Rejection("LabelSetMismatch", judgment, why)
+        if not set(labels) <= set(nq.labels()):
+            why = f"{q} accepts {sorted(nq.labels())}, missing some of {sorted(labels)}"
+            return Rejection("LabelSetMismatch", judgment, why)
+        plays, unbounded, _ = _tables(g)
+        if n in unbounded:
+            return Rejection("Unbounded", judgment, _unbounded_detail(g, n))
+
+        after = {lab.message: t for lab, t in space.moves(s, p, q)}
+        here = (g.at(n), s, p_set)
+        hyps2 = hyps | {here}
+        branch_options = []
+        best_premise_rej = None
+        for lab, target in node.branches:
+            si = after[lab]
+            plays_gi = plays[target]
+            plays_mi = space.plays(si)
+            base = plays_mi - plays_gi
+            if not (plays_gi <= plays_mi and base <= p_set):
+                why = (
+                    f"branch {lab!r}: no ignored subset can satisfy "
+                    f"(plays(G_{lab}) | P_{lab}) \\ {{{p},{q}}} = {sorted(space.plays(s) - {p, q})}"
+                )
+                return Rejection("ParticipantEquationFailed", judgment, why)
+            options = []
+            for pi in (base | extra for extra in subsets(plays_gi & p_set)):
+                sub = self.judge(target, si, pi, hyps2)
+                if isinstance(sub, Rejection):
+                    if best_premise_rej is None or sub.depth >= best_premise_rej.depth:
+                        best_premise_rej = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
+                else:
+                    options.append((pi, sub[0], sub[1]))
+            if not options:
+                return best_premise_rej
+            branch_options.append(options)
+
+        combo = Typechecker._combine(branch_options, p_set)
+        if combo is None:
+            if best_premise_rej is not None:
+                return best_premise_rej
+            why = f"no choice of branch ignored sets unions to {sorted(p_set)}"
+            return Rejection("IgnoredMismatch", judgment, why)
+        refs = frozenset().union(*(r for _, _, r in combo)) - {here}
+        return Derivation("Comm", judgment, tuple(d for _, d, _ in combo), labels), refs
+
+    def try_weak(self, n: int, s: int, judgment: Judgment, hyps: frozenset):
+        from mpst.analysis import _tables
+        from mpst.semantics import subsets
+
+        space, p_set = self.space, judgment.ignored
+        pool = (space.plays(s) & p_set) - _tables(self.g)[0][n]
+        if not pool:
+            why = "no active ignored participant outside the global type can be split off"
+            return Rejection("IgnoredMismatch", judgment, why)
+        here = (self.g.at(n), s, p_set)
+        hyps2 = hyps | {here}
+        best = None
+        for split in subsets(pool):
+            if not split:
+                continue
+            sub = self.judge(n, space.without(s, split), p_set - split, hyps2)
+            if isinstance(sub, Rejection):
+                if best is None or sub.depth >= best.depth:
+                    best = Rejection(sub.reason, sub.judgment, sub.detail, sub.depth + 1)
+                continue
+            return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
+        return best
 
 def solve_oracle(eqs):
     """Type equations solved through the file parser's path: each pattern

@@ -1,11 +1,26 @@
+import importlib
+import random
+from collections import Counter
+from itertools import chain
+
 import pytest
 
-from mpst.frontend import parse
-from mpst.metatheory import check_plays_equation
-from mpst.terms import END_GLOBAL, normalize_session, session_of
-from mpst.typecheck import Derivation, Rejection, Typechecker, accepts, typecheck
+from mpst import terms
+from mpst.frontend import format_session, parse
+from mpst.metatheory import (
+    check_plays_equation,
+    check_replacement,
+    check_session_fidelity,
+    check_subject_reduction,
+    run_file_suite,
+)
+from mpst.random_sessions import random_global, random_session
+from mpst.semantics import ExploreConfig, StateLimitExceeded, global_transitions, subsets
+from mpst.terms import END_GLOBAL, normalize_session, participants, session_of
+from mpst.typecheck import Derivation, Judgment, Rejection, Typechecker, accepts, typecheck
 
-from .oracles import check_participant_equation, without
+from .conftest import GOLDEN, load_golden
+from .oracles import check_oracle, check_participant_equation, without
 
 
 def first_global(text):
@@ -290,3 +305,190 @@ class TestSessionSpaces:
         space, _ = checker.locate(m)
         keys = [*space.accepted, *space.rejected]
         assert keys and all(isinstance(s, int) for _, s, _ in keys)
+
+
+def _report(result):
+    """What a check reports: its JSON, and a derivation's text or a
+    rejection's depth."""
+    extra = result.to_text() if isinstance(result, Derivation) else result.depth
+    return type(result).__name__, result.to_json_dict(), extra
+
+
+def _golden_triples():
+    """Every global x session x ignored subset of the session's participants
+    of every golden."""
+    for path in sorted(GOLDEN.glob("*.mpst")):
+        spec = load_golden(path.name)
+        for g in spec.globals.values():
+            for m in spec.sessions.values():
+                for p in subsets(participants(m)):
+                    yield g, m, p
+
+
+def _random_triples(seeds):
+    """Per seed a random session against a random global type over its
+    participants and against each step of that type, under every ignored
+    subset of the session's participants."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        m = random_session(rng, 3, 3, labels=("a", "b"))
+        parts = participants(m)
+        g = random_global(rng, sorted(parts if len(parts) > 1 else parts | {"p", "q"}), 3, ("a", "b"))
+        for g2 in [g, *(step for _, step in global_transitions(g))]:
+            for p in subsets(parts):
+                yield g2, m, p
+
+
+def _inferred_triples():
+    """The solved types of each golden session under every ignored subset of
+    its participants, and of the random sessions of seeds 0-399 under their
+    own ignored sets."""
+    from mpst.inference import SearchBudget, solved
+
+    for path in sorted(GOLDEN.glob("*.mpst")):
+        for m in load_golden(path.name).sessions.values():
+            for *_, g, _ in solved(m):
+                for p in subsets(participants(m)):
+                    yield g, m, p
+    for seed in range(400):
+        m = random_session(random.Random(seed), 3, 3, labels=("a", "b"))
+        for *_, g, p in solved(m, SearchBudget(max_size=8, max_outcomes=6)):
+            yield g, m, p
+
+
+class TestAgainstTheOracle:
+    """The search on plain tuples against check_oracle, the search that made
+    a public record at every step: the same report from one checker shared
+    over all inputs, whose tables carry over from query to query, and from a
+    fresh checker per input."""
+
+    def _agree(self, triples):
+        checker, located = Typechecker(), {}
+        for g, m, p in triples:
+            assert _report(checker.check(g, m, p)) == _report(check_oracle(g, m, p, located)), (g, m, p)
+            assert _report(Typechecker().check(g, m, p)) == _report(check_oracle(g, m, p)), (g, m, p)
+
+    def test_goldens(self):
+        self._agree(_golden_triples())
+
+    def test_random_sessions(self):
+        self._agree(_random_triples(range(400)))
+
+    def test_inferred_triples(self):
+        self._agree(_inferred_triples())
+
+
+class TestPremiseTieRule:
+    """Among the rejections of a judgment's premises, a later one replaces the
+    kept one only when it sits strictly deeper; on a tie the earlier stays."""
+
+    def test_a_later_rejection_one_level_deeper_replaces_the_kept_one(self):
+        # Under {p, q} the root's branch-a premise is tried under {}, {p}, {q}
+        # and {p, q} in turn.  It fails one level below itself under {} and
+        # two under {p} and {q}, so the answer is {p}'s, three levels below
+        # the root, not {}'s at two; the tie with {q} keeps {p}'s.
+        spec = parse(
+            "process P0 = q?{ a . P0, b . P01 }\nprocess P01 = q!{ a . P02, b . P01 }\n"
+            "process P02 = q!b . P02\nprocess P1 = p!{ a . P1, b . P1 }\n"
+            "session M = p: P0 | q: P1\nglobal G = q->p:{ a . G, b . G }"
+        )
+        result = typecheck(spec.globals["G"], spec.sessions["M"], {"p", "q"})
+        assert isinstance(result, Rejection)
+        assert (result.reason, result.depth, result.judgment.ignored) == ("RootMismatch", 3, frozenset())
+        assert format_session(result.judgment.session) == (
+            "p: P0 | q: P1  where  P0 = q!{ a . P01, b . P0 } ; P01 = q!b . P01 ; P1 = p!{ a . P1, b . P1 }"
+        )
+
+    def test_on_a_tie_the_earlier_rejection_stays(self):
+        # After the root step q sends a or b, and the global type lists only
+        # a: the premise fails at once under {} and under {p}, and the answer
+        # names the first, under {}.
+        spec = parse(
+            "process P0 = q?a . P0\nprocess P1 = p!a . p!{ a . P1, b . p!a . P1 }\n"
+            "session M = p: P0 | q: P1\nglobal G = q->p:a . G"
+        )
+        result = typecheck(spec.globals["G"], spec.sessions["M"], {"p"})
+        assert isinstance(result, Rejection)
+        assert (result.reason, result.depth, result.judgment.ignored) == ("LabelSetMismatch", 1, frozenset())
+        assert format_session(result.judgment.session) == (
+            "p: P0 | q: P1  where  P0 = q?a . P0 ; P1 = p!{ a . P11, b . p!a . P11 } ; P11 = p!a . P1"
+        )
+
+
+class TestRecordsOnlyForAnswers:
+    """The search builds no Judgment, Derivation or Rejection: check makes
+    them for its answer alone, one per node, and accepts, the subset search
+    and meta's walks make none."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = Counter()
+        classes = (Judgment, Derivation, Rejection)
+        for cls in classes:
+
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                made[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        make = terms._make
+
+        def counting_make(cls, *fields, **memo):
+            if cls in classes:
+                made[cls.__name__] += 1
+            return make(cls, *fields, **memo)
+
+        monkeypatch.setattr(terms, "_make", counting_make)
+        monkeypatch.setattr(importlib.import_module("mpst.typecheck"), "_make", counting_make, raising=False)
+        return made
+
+    def test_accepts_and_walks_build_none(self, made):
+        config = ExploreConfig(max_states=150)
+        for g, m, p in _golden_triples():
+            checker = Typechecker()
+            checker.accepts(g, m, p)
+            accepts(g, m, p)
+            checker.smallest_accepted_subset(g, m, participants(m))
+            for walk in (check_subject_reduction, check_session_fidelity):
+                try:
+                    walk(g, m, p, checker, config)
+                except StateLimitExceeded:
+                    pass
+            check_replacement(g, m, p, random.Random(0), checker=checker)
+        assert made == {}
+
+    def test_check_builds_one_record_per_node_of_its_answer(self, made):
+        checker, shared = Typechecker(), 0
+        for g, m, p in chain(_golden_triples(), _inferred_triples()):
+            made.clear()
+            result = checker.check(g, m, p)
+            if isinstance(result, Derivation):
+                nodes = list(result.iter_nodes())
+                distinct = len({id(d) for d in nodes})
+                shared += len(nodes) - distinct
+                assert made == {"Derivation": distinct, "Judgment": distinct}
+            else:
+                assert made == {"Rejection": 1, "Judgment": 1}
+        assert shared  # some answer reaches one node twice
+
+    def test_meta_builds_only_its_answers(self, made, monkeypatch):
+        answers, check = [], Typechecker.check
+
+        def kept(self, *args):
+            answers.append(check(self, *args))
+            return answers[-1]
+
+        monkeypatch.setattr(Typechecker, "check", kept)
+        for path in sorted(GOLDEN.glob("*.mpst")):
+            try:
+                run_file_suite(load_golden(path.name), config=ExploreConfig(max_states=400))
+            except StateLimitExceeded:
+                pass
+        want = Counter()
+        for result in answers:
+            if isinstance(result, Derivation):
+                distinct = len({id(d) for d in result.iter_nodes()})
+                want.update(Derivation=distinct, Judgment=distinct)
+            else:
+                want.update(Rejection=1, Judgment=1)
+        assert made == want == {"Judgment": 28, "Derivation": 23, "Rejection": 5}
