@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .semantics import ExploreConfig, StateGraph, Trace, _predecessors, _settle, explore
-from .terms import COMM, GlobalGraph, Session, _Value
+from .semantics import ExploreConfig, StateGraph, Trace, _settle, explore
+from .terms import COMM, GlobalGraph, Session, _Value, _predecessors
 
 # Fixed note attached to lock-freedom reports: the verdict follows the literal
 # existential-continuation reading, which accepts sessions that a fairness

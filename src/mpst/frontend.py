@@ -31,7 +31,7 @@ import re
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import terms
-from .terms import COMM, END, IN, OUT, GlobalGraph, ProcessGraph, Session, TermError, _Value, session_of
+from .terms import COMM, END, IN, OUT, GlobalGraph, ProcessGraph, Session, TermError, _Value, _predecessors, session_of
 
 KEYWORDS = {"process", "session", "global", "ignored", "end"}
 
@@ -324,21 +324,6 @@ def parse(text: str) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 
-def _named_nodes(g: ProcessGraph | GlobalGraph) -> list[int]:
-    """Root plus every node the root reaches by several references.  A back
-    reference needs no more: a node other than the root that a walk from the
-    root enters by its one reference is no ancestor of that reference."""
-    indeg = dict.fromkeys(range(len(g.nodes)), 0)
-    seen, todo = {g.root}, [g.root]
-    while todo:
-        for _, t in g.nodes[todo.pop()].branches:
-            indeg[t] += 1
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return sorted({g.root} | {i for i, d in indeg.items() if d > 1})
-
-
 def _render(g: ProcessGraph | GlobalGraph, head, end_text: str, base: str) -> str:
     """The equations of g named base, base1, ...; head(node) is the text of a
     communication node before its branches."""
@@ -347,9 +332,9 @@ def _render(g: ProcessGraph | GlobalGraph, head, end_text: str, base: str) -> st
     def is_end(i: int) -> bool:
         return g.nodes[i].kind == END
 
-    named = [i for i in _named_nodes(g) if not is_end(i)]
-    if root not in named and not is_end(root):
-        named.insert(0, root)
+    # the root and every node it reaches by several references: a node it
+    # enters by one reference is no ancestor of that reference
+    named = [i for i, js in _predecessors(g).items() if (i == root or len(js) > 1) and not is_end(i)]
     names: dict[int, str] = {}
     for k, i in enumerate(sorted(named, key=lambda i: (i != root, i))):
         names[i] = base if k == 0 else f"{base}{k}"
@@ -409,7 +394,7 @@ def _binding_text(p: str, g: ProcessGraph, k: int) -> tuple[str, list[str]]:
     it names: none when one line with no branch back to the root says it."""
     g = terms.minimize(g)
     lines = format_process(g, f"P{k}").splitlines()
-    if len(lines) == 1 and all(t != g.root for node in g.nodes for _, t in node.branches):
+    if len(lines) == 1 and not _predecessors(g)[g.root]:
         return f"{p}: {lines[0].split(' = ', 1)[1]}", []
     return f"{p}: P{k}", lines
 

@@ -33,6 +33,7 @@ from .terms import (
     _canonical_forms,
     _derived_session,
     _make,
+    _predecessors,
     minimize_global,
     normalize_session,
     participants,
@@ -254,19 +255,18 @@ class SessionSpace:
 
     def _move_table(self, i: int, np: int, nq: int) -> tuple[tuple[CommLabel, int, int], ...]:
         """The move table entry of sender index i at send node np and its
-        partner at node nq: (label, node ids after it) per message when the
-        Comm side condition holds, none otherwise.  The condition: the partner
-        receives from i and accepts every label i may send."""
-        moves = self._ready.get((i, np, nq))
-        if moves is None:
-            p, pg = self.names[i], self._graphs[i]
-            node = pg.nodes[np]
-            qg = self._graphs[self._index[node.partner]]
-            qnode, after = qg.nodes[nq], dict(qg.nodes[nq].branches)
-            ready = qnode.kind == IN and qnode.partner == p and all(h in after for h in node.labels())
-            moves = self._ready[i, np, nq] = tuple(
-                (CommLabel(p, h, node.partner), _live(pg, t), _live(qg, after[h])) for h, t in node.branches
-            ) if ready else ()
+        partner at node nq, which the caller missed in _ready: (label, node
+        ids after it) per message when the Comm side condition holds, none
+        otherwise.  The condition: the partner receives from i and accepts
+        every label i may send."""
+        p, pg = self.names[i], self._graphs[i]
+        node = pg.nodes[np]
+        qg = self._graphs[self._index[node.partner]]
+        qnode, after = qg.nodes[nq], dict(qg.nodes[nq].branches)
+        ready = qnode.kind == IN and qnode.partner == p and all(h in after for h in node.labels())
+        moves = self._ready[i, np, nq] = tuple(
+            (CommLabel(p, h, node.partner), _live(pg, t), _live(qg, after[h])) for h, t in node.branches
+        ) if ready else ()
         return moves
 
     def plays(self, s: int) -> frozenset[str]:
@@ -333,7 +333,7 @@ class SessionSpace:
         m = self._sessions.get(s)
         if m is None:
             graphs = zip(self.names, self._graphs, self.vectors[s])
-            m = self._sessions[s] = _derived_session(tuple((p, g._subgraph(n)) for p, g, n in graphs if n >= 0), True)
+            m = self._sessions[s] = _derived_session(tuple((p, g._subgraph(n)) for p, g, n in graphs if n >= 0))
         return m
 
     def text(self, s: int) -> str:
@@ -379,24 +379,6 @@ def _candidate_labels(g: GlobalGraph) -> list[CommLabel]:
             for lab, _ in node.branches:
                 labels.add(CommLabel(node.sender, lab, node.receiver))
     return sorted(labels)
-
-
-def _predecessors(g: GlobalGraph) -> dict[int, list[int]]:
-    """The nodes the root of g reaches, in the order found, each with the
-    nodes that branch to it, one entry per branch.  Kept on g."""
-
-    def compute() -> dict[int, list[int]]:
-        reachable = [g.root]  # grows while it is read
-        preds: dict[int, list[int]] = {g.root: []}
-        for i in reachable:
-            for _, t in g.nodes[i].branches:
-                if t not in preds:
-                    preds[t] = []
-                    reachable.append(t)
-                preds[t].append(i)
-        return preds
-
-    return g.cached("preds", compute)
 
 
 def _settle(g: GlobalGraph, seeds: Iterable[int], waits: dict[int, int]) -> list[int]:

@@ -384,6 +384,24 @@ END_PROCESS = ProcessGraph((PNode(END, None, ()),), 0)
 END_GLOBAL = GlobalGraph((GNode(END, None, None, ()),), 0)
 
 
+def _predecessors(g: _Graph) -> dict[int, list[int]]:
+    """The nodes the root of g reaches, in the order found, each with the
+    nodes that branch to it, one entry per branch.  Kept on g."""
+
+    def compute() -> dict[int, list[int]]:
+        reachable = [g.root]  # grows while it is read
+        preds: dict[int, list[int]] = {g.root: []}
+        for i in reachable:
+            for _, t in g.nodes[i].branches:
+                if t not in preds:
+                    preds[t] = []
+                    reachable.append(t)
+                preds[t].append(i)
+        return preds
+
+    return g.cached("preds", compute)
+
+
 # ---------------------------------------------------------------------------
 # Bisimulation minimization and canonical numbering.
 #
@@ -646,9 +664,6 @@ class Session(_Value):
             raise TermError("session bindings must be sorted by participant")
         self._set(bindings)
 
-    def _known_normal(self) -> bool:
-        return getattr(self, "_normal", self) is None
-
     @property
     def is_null(self) -> bool:
         return all(g.is_end for _, g in self.bindings)
@@ -663,19 +678,12 @@ class Session(_Value):
         return iter(self.bindings)
 
     def replace(self, participant: str, graph: ProcessGraph) -> "Session":
-        for k, (p, _) in enumerate(self.bindings):
-            if p == participant:
-                bindings = self.bindings[:k] + ((p, graph),) + self.bindings[k + 1 :]
-                normal = self._known_normal() and graph._known_canonical() and not graph.is_end
-                return _derived_session(bindings, normal)
-        pairs = dict(self.bindings)
-        pairs[participant] = graph
-        return session_of(pairs)
+        return session_of({**dict(self.bindings), participant: graph})
 
 
-def _derived_session(bindings: tuple[tuple[str, ProcessGraph], ...], normal: bool) -> Session:
-    """A session whose bindings come, in order, from a validated one."""
-    return _make(Session, bindings, _normal=None) if normal else _make(Session, bindings)
+def _derived_session(bindings: tuple[tuple[str, ProcessGraph], ...]) -> Session:
+    """A normal session whose bindings come, in order, from a validated one."""
+    return _make(Session, bindings, _normal=None)
 
 
 def session_of(bindings: Mapping[str, ProcessGraph] | Iterable[tuple[str, ProcessGraph]]) -> Session:
@@ -694,7 +702,7 @@ def normalize_session(s: Session) -> Session:
         normal = s._normal
     except AttributeError:
         kept = tuple((p, g._canonical()) for p, g in s.bindings if not g.is_end)
-        normal = None if kept == s.bindings else _derived_session(kept, True)
+        normal = None if kept == s.bindings else _derived_session(kept)
         object.__setattr__(s, "_normal", normal)
     return s if normal is None else normal
 

@@ -14,7 +14,8 @@ Rule mechanics, given judgment (G, M, P):
             exactly I, q must receive from p at least I; G must be bounded;
             every branch premise (G_i, M_i, P_i) must hold with the side
             condition (plays(G_i) | P_i) \\ {p,q} = plays of the residual
-            session, and the P_i must union to P.
+            session, and the P_i must union to P (the first such choice in
+            branch, then subset order, found in one pass over the branches).
 * Weak   -- a nonempty set of active participants outside plays(G) is split
             off and added to the ignored set of the premise's conclusion.
 * Cycle  -- the exact triple already appears in the hypothesis set.
@@ -29,7 +30,6 @@ Rejection, from its answer alone; accepts makes none.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from typing import Iterable
 
 from .analysis import _tables, bounded
@@ -290,7 +290,10 @@ class Typechecker:
         # The checks above are the Comm side condition, so p -> q is ready.
         after = {lab.message: t for lab, t in space.moves(s, p, q)}
         hyps2 = hyps | {key}
-        branch_options: list[list[tuple[frozenset, tuple, frozenset]]] = []
+        # picks: each union of the premise ignored sets chosen so far, in the
+        # order first reached, to the first choice reaching it (premises, refs);
+        # so picks[P] is the choice a depth-first search would find first.
+        picks: dict[frozenset, tuple[tuple, frozenset]] = {frozenset(): ((), frozenset())}
         best = None  # the premise rejection kept
 
         for lab, target in node.branches:
@@ -317,34 +320,18 @@ class Typechecker:
                     options.append((pi, sub, found))
             if not options:
                 return None, best
-            branch_options.append(options)
+            # entries outer, options inner: the entry kept per union is the DFS's
+            extended: dict[frozenset, tuple[tuple, frozenset]] = {}
+            for union, (subs, refs) in picks.items():
+                for pi, sub, found in options:
+                    extended.setdefault(union | pi, (subs + (sub,), refs | found))
+            picks = extended
 
-        combo = self._combine(branch_options, p_set)
-        if combo is None:
+        if p_set not in picks:
             why = f"no choice of branch ignored sets unions to {sorted(p_set)}"
             return None, best or (0, "IgnoredMismatch", key, why)
-        refs = frozenset(chain.from_iterable(r for _, _, r in combo)) - {key}
-        return ("Comm", key, tuple(d for _, d, _ in combo), labels, frozenset()), refs
-
-    @staticmethod
-    def _combine(branch_options, p_set: frozenset):
-        """Pick one option per branch so the ignored sets union to p_set."""
-
-        def go(idx: int, union: frozenset, acc: list):
-            if idx == len(branch_options):
-                return list(acc) if union == p_set else None
-            # Prune when the options left cannot cover p_set any more.
-            if not p_set <= union.union(*(pi for opts in branch_options[idx:] for pi, _, _ in opts)):
-                return None
-            for option in branch_options[idx]:
-                acc.append(option)
-                found = go(idx + 1, union | option[0], acc)
-                if found is not None:
-                    return found
-                acc.pop()
-            return None
-
-        return go(0, frozenset(), [])
+        subs, refs = picks[p_set]
+        return ("Comm", key, subs, labels, frozenset()), refs - {key}
 
     def _try_weak(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
         p_set = key[2]

@@ -451,7 +451,8 @@ class _OracleSpace(SessionSpace):
 def check_oracle(g, m, ignored, located=None):
     """typecheck.Typechecker.check as it was when its search made a public
     record at every step: a Judgment per judgment met, and a Derivation or a
-    Rejection with its detail per answer of _judge.  located, a dict kept
+    Rejection with its detail per answer of _judge; Comm picks its premise
+    ignored sets by a depth-first search over branches.  located, a dict kept
     over calls, shares session spaces and their tables as one Typechecker
     does."""
     located = {} if located is None else located
@@ -506,7 +507,7 @@ class _OracleSearch:
     def try_comm(self, n: int, s: int, judgment: Judgment, hyps: frozenset):
         from mpst.analysis import _tables
         from mpst.semantics import subsets
-        from mpst.typecheck import Typechecker, _unbounded_detail
+        from mpst.typecheck import _unbounded_detail
 
         g, space, p_set = self.g, self.space, judgment.ignored
         node = g.nodes[n]
@@ -557,7 +558,7 @@ class _OracleSearch:
                 return best_premise_rej
             branch_options.append(options)
 
-        combo = Typechecker._combine(branch_options, p_set)
+        combo = _first_combination(branch_options, p_set)
         if combo is None:
             if best_premise_rej is not None:
                 return best_premise_rej
@@ -588,6 +589,28 @@ class _OracleSearch:
                 continue
             return Derivation("Weak", judgment, (sub[0],), (), split), sub[1] - {here}
         return best
+
+
+def _first_combination(branch_options, p_set: frozenset):
+    """The first choice of one option per branch, depth first over branches
+    and then options, whose ignored sets union to p_set; None if none does."""
+
+    def go(idx: int, union: frozenset, acc: list):
+        if idx == len(branch_options):
+            return list(acc) if union == p_set else None
+        # Prune when the options left cannot cover p_set any more.
+        if not p_set <= union.union(*(pi for opts in branch_options[idx:] for pi, _, _ in opts)):
+            return None
+        for option in branch_options[idx]:
+            acc.append(option)
+            found = go(idx + 1, union | option[0], acc)
+            if found is not None:
+                return found
+            acc.pop()
+        return None
+
+    return go(0, frozenset(), [])
+
 
 def solve_oracle(eqs):
     """Type equations solved through the file parser's path: each pattern

@@ -243,6 +243,23 @@ class TestSessions:
     def test_empty_equivalent_to_all_zero(self):
         assert sessions_equivalent(session_of({}), session_of({"p": END_PROCESS}))
 
+    def test_replace_adds_an_absent_participant(self, social_media):
+        m = normalize_session(social_media.sessions["M"])
+        z = build_process_graph({"Z": out("p", ("hi", ProcEnd()))})
+        s = m.replace("z", z)
+        assert [p for p, _ in s.bindings] == ["p", "q", "u", "z"]
+        assert s.get("z") == z and s == session_of({**dict(m.bindings), "z": z})
+
+    def test_replace_is_the_session_of_the_merged_bindings(self, social_media):
+        raw = social_media.sessions["M"]
+        z = build_process_graph({"Z": out("p", ("hi", ProcRef("Z")))})
+        for m in (raw, normalize_session(raw)):
+            for p, _ in m.bindings:
+                for g in (z, _doubled(z), END_PROCESS):
+                    merged = session_of({**dict(m.bindings), p: g})
+                    assert m.replace(p, g) == merged
+                    assert normalize_session(m.replace(p, g)) == normalize_session(merged)
+
     def test_step_changes_equivalence(self, social_media):
         from mpst.semantics import session_transitions
 

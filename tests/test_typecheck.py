@@ -365,8 +365,11 @@ class TestAgainstTheOracle:
     def _agree(self, triples):
         checker, located = Typechecker(), {}
         for g, m, p in triples:
-            assert _report(checker.check(g, m, p)) == _report(check_oracle(g, m, p, located)), (g, m, p)
-            assert _report(Typechecker().check(g, m, p)) == _report(check_oracle(g, m, p)), (g, m, p)
+            shared, fresh = checker.check(g, m, p), Typechecker().check(g, m, p)
+            assert _report(shared) == _report(check_oracle(g, m, p, located)), (g, m, p)
+            assert _report(fresh) == _report(check_oracle(g, m, p)), (g, m, p)
+            # a reused checker may give another derivation, never another verdict
+            assert isinstance(shared, Derivation) == isinstance(fresh, Derivation), (g, m, p)
 
     def test_goldens(self):
         self._agree(_golden_triples())
@@ -413,6 +416,25 @@ class TestPremiseTieRule:
         assert format_session(result.judgment.session) == (
             "p: P0 | q: P1  where  P0 = q?a . P0 ; P1 = p!{ a . P11, b . p!a . P11 } ; P11 = p!a . P1"
         )
+
+
+class TestPremisePickOrder:
+    """Comm takes the first choice of premise ignored sets that unions to P,
+    in branch order and then in each branch's subset order."""
+
+    @pytest.mark.parametrize("ignored", [{"p"}, {"q"}, {"p", "q"}])
+    def test_the_first_branch_takes_the_smallest_set(self, ignored):
+        # Each branch types under {} as a Comm and under P as a Cycle back to
+        # the root: the first choice keeps {} on branch a and gives P to b.
+        spec = parse(
+            "process P0 = q!{ a . P0, b . P0 }\nprocess P1 = p?{ a . P1, b . P1 }\n"
+            "session M = p: P0 | q: P1\nglobal G = p->q:{ a . G, b . G }"
+        )
+        result = typecheck(spec.globals["G"], spec.sessions["M"], ignored)
+        assert isinstance(result, Derivation) and result.rule == "Comm"
+        premises = [(d.rule, d.judgment.ignored) for d in result.premises]
+        assert result.branch_labels == ("a", "b")
+        assert premises == [("Comm", frozenset()), ("Cycle", frozenset(ignored))]
 
 
 class TestRecordsOnlyForAnswers:
