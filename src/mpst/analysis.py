@@ -10,9 +10,10 @@ global step uses too (semantics._settle), so neither recurses.
 
 Liveness verdicts are decided exactly on the finite reachable-state graph.
 A participant is locked in a state when no path from that state contains a
-communication involving it.  Only the existence of such a continuation is
-required: a verdict of "lock-free" does not promise that every scheduler
-eventually takes it.
+communication involving it: when the state is not in the count-down, every
+wait 1, from the sources of the edges involving it.  Only the existence of
+such a continuation is required: a verdict of "lock-free" does not promise
+that every scheduler eventually takes it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def _settling(g: GlobalGraph, meets: list[int]) -> tuple[list[int], list[int]]:
     from meets, the nodes where p is sender or receiver: a node settles at
     one branch into the first (some path from it meets p), and at all of its
     branches into the second (every path from it meets p)."""
-    region = _settle(g, meets, dict.fromkeys(_predecessors(g), 1))
-    return region, _settle(g, meets, {i: len(g.nodes[i].branches) for i in region})
+    preds = _predecessors(g)
+    region = _settle(preds, meets, dict.fromkeys(preds, 1))
+    return region, _settle(preds, meets, {i: len(g.nodes[i].branches) for i in region})
 
 
 def depth(g: GlobalGraph, p: str) -> int | float:
@@ -108,8 +110,8 @@ def _tables(g: GlobalGraph) -> tuple[dict[int, frozenset[str]], set[int], Bounde
 
 def _bounded(g: GlobalGraph) -> tuple[dict[int, frozenset[str]], set[int], BoundednessVerdict]:
     """Per node the root of g reaches, who plays in its subterm and whether
-    it is unbounded, which is whether it reaches a witness (one reverse pass
-    from them over the predecessor index); then the verdict of g."""
+    it is unbounded, which is whether it reaches a witness (a count-down
+    from the witnesses, every wait 1); then the verdict of g."""
     preds = _predecessors(g)
     plays = dict.fromkeys(preds, frozenset())
     unbounded: set[int] = set()
@@ -122,12 +124,7 @@ def _bounded(g: GlobalGraph) -> tuple[dict[int, frozenset[str]], set[int], Bound
         if unsettled:
             witnesses.append((min(unsettled), p))
             unbounded |= unsettled
-    todo = list(unbounded)
-    while todo:
-        for j in preds[todo.pop()]:
-            if j not in unbounded:
-                unbounded.add(j)
-                todo.append(j)
+    unbounded = set(_settle(preds, unbounded, dict.fromkeys(preds, 1)))
     return plays, unbounded, BoundednessVerdict(False, *min(witnesses)) if witnesses else BoundednessVerdict(True)
 
 
@@ -185,18 +182,6 @@ class LivenessVerdict(_Value):
         return out
 
 
-def _states_reaching(graph: StateGraph, seeds: set[int]) -> set[int]:
-    """The seeds and the states with a path into them."""
-    reach = set(seeds)
-    todo = list(seeds)
-    while todo:
-        for i in graph.predecessors(todo.pop()):
-            if i not in reach:
-                reach.add(i)
-                todo.append(i)
-    return reach
-
-
 def excluded_lock_free(
     s: Session,
     ignored: frozenset[str] | set[str] = frozenset(),
@@ -215,11 +200,12 @@ def excluded_lock_free(
     for i, lab, _ in graph.edges:
         involving[lab.sender].add(i)
         involving[lab.receiver].add(i)
+    preds, n = graph._predecessor_index, len(graph.states)
     live: dict[str, set[int]] = {}  # p -> states some path from which involves p
-    for i in range(len(graph.states)):
+    for i in range(n):
         for p in sorted(graph.plays(i) - ignored):
             if p not in live:
-                live[p] = _states_reaching(graph, involving[p])
+                live[p] = set(_settle(preds, involving[p], dict.fromkeys(range(n), 1)))
             if i not in live[p]:
                 witness = (i, graph.states[i], p, graph.path_to(i))
                 return LivenessVerdict("lock-freedom", ignored, False, *witness, LOCKFREEDOM_NOTE)

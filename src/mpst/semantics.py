@@ -4,8 +4,8 @@ Session steps: a sender whose whole label set is accepted by the matching
 receiver hands over one message and both move to the chosen continuations;
 nobody else changes.  Global steps: a root communication fires directly, or a
 communication between two roles untouched by the root choice fires inside
-every branch at once.  A step is one count-down (_settle), as boundedness
-and depth in analysis are.
+every branch at once.  A step is one count-down (_settle), as boundedness,
+depth and lock-freedom in analysis are.
 
 A SessionSpace numbers the sessions reachable from one start by Comm and
 Weak steps, so that explore, inference, the checker and meta walk small
@@ -381,13 +381,16 @@ def _candidate_labels(g: GlobalGraph) -> list[CommLabel]:
     return sorted(labels)
 
 
-def _settle(g: GlobalGraph, seeds: Iterable[int], waits: dict[int, int]) -> list[int]:
-    """The nodes that settle, in order: the seeds, nodes the root of g
-    reaches, then each node i of waits once waits[i] of its branches lead to
-    settled nodes; waits is used up.  The least model of those rules (Dowling
-    and Gallier 1984): a node that only a cycle through it would settle never
-    does.  O(N + E) over the N nodes and E branches the root reaches."""
-    preds = _predecessors(g)
+def _settle(
+    preds: dict[int, list[int]] | list[tuple[int, ...]], seeds: Iterable[int], waits: dict[int, int]
+) -> list[int]:
+    """The nodes that settle, in order: the seeds, then each node i of waits
+    once waits[i] of its edges lead to settled nodes; waits is used up.
+    preds[i] lists the sources of the edges into i, one per edge (a global
+    type's _predecessors, a state graph's predecessor index); with every
+    wait 1 the order is the seeds and all that reach them.  The least model
+    of those rules (Dowling and Gallier 1984): a node that only a cycle
+    through it would settle never does.  O(N + E) over preds."""
     order = list(seeds)
     settled = set(order)
     for i in order:  # grows while it is read
@@ -425,7 +428,7 @@ def global_successor(g: GlobalGraph, label: CommLabel) -> GlobalGraph | None:
             waits[i] = len(node.branches)
     stepped, out = dict(fires), list(nodes)
     ids = {node: i for i, node in enumerate(nodes)}
-    for i in _settle(g, fires, waits)[len(fires):]:
+    for i in _settle(_predecessors(g), fires, waits)[len(fires):]:
         copy = nodes[i].rebranch(tuple((lab, stepped[t]) for lab, t in nodes[i].branches))
         stepped[i] = k = ids.setdefault(copy, len(out))
         if k == len(out):

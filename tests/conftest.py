@@ -20,6 +20,17 @@ def global_chain(n: int) -> str:
     return "\n".join(lines + [f"global G{n} = r->s:b"]) + "\n"
 
 
+def two_party_chain(n: int, last_q: str = "p?a") -> str:
+    """Process chains P0, Q0 and a global chain G0 of n definitions each, and
+    the session M = p: P0 | q: Q0; the last definition of Q is last_q."""
+    lines = []
+    for i in range(n - 1):
+        lines += [f"process P{i} = q!a . P{i + 1}", f"process Q{i} = p?a . Q{i + 1}"]
+        lines.append(f"global G{i} = p->q:a . G{i + 1}")
+    last = [f"process P{n - 1} = q!a", f"process Q{n - 1} = {last_q}", f"global G{n - 1} = p->q:a"]
+    return "\n".join(lines + last + ["session M = p: P0 | q: Q0"]) + "\n"
+
+
 def pairs_text(k: int) -> str:
     """A file whose session M runs k independent ping-pong pairs p{i} <-> q{i}."""
     lines, binds = [], []

@@ -15,17 +15,21 @@ syntax trees (parse_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
 (pset_oracle), enumeration that makes every outcome public and solves it
 (enumerate_oracle), and the checker's search with a public record at
-every step (check_oracle).  The equivalences, the participant equation and
+every step (check_oracle).  gfp_accepts decides typing with no search at
+all, as the greatest fixpoint over the triples the root reaches.  The
+equivalences, the participant equation and
 the agreement check are the plain definitions the tests state facts with.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from mpst import frontend, terms
+from mpst.analysis import _tables
 from mpst.frontend import DuplicateDefinition, ParseError, Span, SpecFile
-from mpst.semantics import CommLabel, ExploreConfig, SessionSpace, StateGraph, closure
+from mpst.semantics import CommLabel, ExploreConfig, SessionSpace, StateGraph, closure, subsets
 from mpst.terms import (
     COMM,
     END,
@@ -432,6 +436,75 @@ def naive_typecheck(g, m, ignored, hyps=frozenset(), work=None) -> bool:
                 return True
     return False
 
+
+def gfp_accepts(g, m, ignored) -> bool:
+    """The typing judgment as a greatest fixpoint, with no hypothesis sets
+    and no search order.  A triple is a node of canonical g, a state id of
+    one SessionSpace and an ignored set P.  First collect the triples the
+    root reaches through End, Comm and Weak, each with its premises; then a
+    worklist refutes a triple when End fails, every Weak premise is refuted
+    and no choice of unrefuted Comm premises, one per branch, unions to P,
+    and puts the parents of each refuted triple back.  The root holds when
+    it is never refuted.  No recursion, so deep chains decide too."""
+    g = minimize_global(g)
+    space = SessionSpace(m)
+    plays, unbounded, _ = _tables(g)
+    root = (g.root, space.start, frozenset(ignored))
+    rules: dict[tuple, tuple] = {}  # triple -> (End holds, Comm premises per branch or None, Weak premises)
+    parents: defaultdict[tuple, set[tuple]] = defaultdict(set)
+    todo = [root]
+    while todo:
+        triple = todo.pop()
+        if triple in rules:
+            continue
+        n, s, p_set = triple
+        node = g.nodes[n]
+        end = node.kind == END and not space.plays(s) and not p_set
+        comm = None
+        if node.kind == COMM and n not in unbounded:
+            p, q = node.sender, node.receiver
+            np, nq = space.node(s, p), space.node(s, q)
+            labels = set(node.labels())
+            if (
+                np is not None and np.kind == OUT and np.partner == q and set(np.labels()) == labels
+                and nq is not None and nq.kind == IN and nq.partner == p and labels <= set(nq.labels())
+            ):
+                after = {lab.message: t for lab, t in space.moves(s, p, q)}
+                comm = []
+                for lab, target in node.branches:
+                    si = after[lab]
+                    base = space.plays(si) - plays[target]
+                    if not (plays[target] <= space.plays(si) and base <= p_set):
+                        comm = None  # no premise ignored set solves the participant equation
+                        break
+                    comm.append([(target, si, base | extra) for extra in subsets(plays[target] & p_set)])
+        pool = (space.plays(s) & p_set) - plays[n]
+        weak = [(n, space.without(s, split), p_set - split) for split in subsets(pool) if split]
+        rules[triple] = (end, comm, weak)
+        for premise in weak + [t for options in comm or () for t in options]:
+            parents[premise].add(triple)
+            todo.append(premise)
+
+    refuted: set[tuple] = set()
+
+    def holds(triple) -> bool:
+        end, comm, weak = rules[triple]
+        if end or any(t not in refuted for t in weak):
+            return True
+        if comm is None:
+            return False
+        unions = {frozenset()}
+        for options in comm:
+            unions = {u | t[2] for u in unions for t in options if t not in refuted}
+        return triple[2] in unions
+
+    todo = list(rules)
+    while todo:
+        triple = todo.pop()
+        if triple not in refuted and not holds(triple):
+            refuted.add(triple)
+            todo.extend(parents[triple])
+    return root not in refuted
 
 
 class _OracleSpace(SessionSpace):

@@ -18,7 +18,7 @@ from mpst.inference import NoSolutionWithinBudget, infer_minimal
 from mpst.semantics import subsets
 from mpst.terms import participants
 
-from .conftest import GOLDEN, global_chain, golden_path, load_golden
+from .conftest import GOLDEN, global_chain, golden_path, load_golden, two_party_chain
 
 
 def schema(name: str) -> dict:
@@ -283,22 +283,11 @@ def test_infer_keeps_the_state_budget_under_an_explicit_size(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def _two_party_chain(n: int) -> str:
-    """Process chains P0, Q0 and a global chain G0 of n definitions each, and
-    the session M = p: P0 | q: Q0."""
-    lines = []
-    for i in range(n - 1):
-        lines += [f"process P{i} = q!a . P{i + 1}", f"process Q{i} = p?a . Q{i + 1}"]
-        lines.append(f"global G{i} = p->q:a . G{i + 1}")
-    last = [f"process P{n - 1} = q!a", f"process Q{n - 1} = p?a", f"global G{n - 1} = p->q:a"]
-    return "\n".join(lines + last + ["session M = p: P0 | q: Q0"]) + "\n"
-
-
 # The checker still recurses once per step of the global type.
 @pytest.mark.parametrize("argv", [["check", "--global", "G0", "--session", "M", "--ignored", "q"]])
 def test_input_nested_too_deeply_is_exit_3(tmp_path, capsys, argv):
     path = tmp_path / "deep.mpst"
-    path.write_text(_two_party_chain(400))
+    path.write_text(two_party_chain(400))
     code = run(argv + [str(path)])
     captured = capsys.readouterr()
     assert code == cli.BUDGET_EXCEEDED

@@ -19,8 +19,8 @@ from mpst.semantics import ExploreConfig, StateLimitExceeded, global_transitions
 from mpst.terms import END_GLOBAL, normalize_session, participants, session_of
 from mpst.typecheck import Derivation, Judgment, Rejection, Typechecker, accepts, typecheck
 
-from .conftest import GOLDEN, load_golden
-from .oracles import check_oracle, check_participant_equation, without
+from .conftest import GOLDEN, load_golden, two_party_chain
+from .oracles import check_oracle, check_participant_equation, gfp_accepts, without
 
 
 def first_global(text):
@@ -370,6 +370,7 @@ class TestAgainstTheOracle:
             assert _report(fresh) == _report(check_oracle(g, m, p)), (g, m, p)
             # a reused checker may give another derivation, never another verdict
             assert isinstance(shared, Derivation) == isinstance(fresh, Derivation), (g, m, p)
+            assert gfp_accepts(g, m, p) == isinstance(fresh, Derivation), (g, m, p)
 
     def test_goldens(self):
         self._agree(_golden_triples())
@@ -379,6 +380,25 @@ class TestAgainstTheOracle:
 
     def test_inferred_triples(self):
         self._agree(_inferred_triples())
+
+
+class TestFixpointJudgeOnChains:
+    """gfp_accepts on typed chains too long for naive_typecheck, and for the
+    checker in tier-1 time or within the recursion limit."""
+
+    def test_a_150_chain_types_one_step_behind_under_both_ignored(self):
+        spec = parse(two_party_chain(150))
+        assert gfp_accepts(spec.globals["G1"], spec.sessions["M"], {"p", "q"})
+
+    def test_a_400_chain_types_under_no_ignored(self):
+        spec = parse(two_party_chain(400))
+        assert gfp_accepts(spec.globals["G0"], spec.sessions["M"], set())
+
+    def test_a_30_chain_that_deadlocks_at_its_end_is_rejected_as_the_checker_says(self):
+        spec = parse(two_party_chain(30, last_q="p?a . p?b"))
+        g, m = spec.globals["G0"], spec.sessions["M"]
+        assert not gfp_accepts(g, m, {"p", "q"})
+        assert not accepts(g, m, {"p", "q"})
 
 
 class TestPremiseTieRule:
