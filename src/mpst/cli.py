@@ -170,18 +170,14 @@ def cmd_infer(ns: argparse.Namespace) -> int:
     budget = inference.SearchBudget(
         max_size=ns.max_size, max_outcomes=ns.max_outcomes, explore=ExploreConfig(max_states=ns.max_states)
     )
-    found = inference.solved(m, budget)
-    if ns.minimal:
-        best = inference.pick_minimal(m, found)
-        found = [best] if best else []
     payload_outcomes = []
-    for outcome, theta, g, p in found:
+    for g, p, outcome in inference.chosen(m, budget, ns.minimal):
         entry = {
             "global": format_global(g),
             "ignored": sorted(p),
         }
         if ns.show_equations:
-            entry["equations"] = inference.render_outcome(outcome)
+            entry["equations"] = inference.render_outcome(outcome())
         payload_outcomes.append(entry)
     if ns.format == "json":
         _emit(

@@ -34,17 +34,23 @@ from a counter shared by the call in order of first occurrence; every
 derivation advances the counter by its number of equations, one per
 variable.  ``infer`` relabels each derivation, or with ``raw`` yields it
 unnumbered with the id its first variable is given.
-``enumerate_solutions`` takes the raw ones, solves each with ``solutions``
-and relabels only what it yields, so each outcome keeps the ids ``infer``
-gives it.  A call's solving table keys each equation graph by its nodes,
-(sender, receiver, branches) with aliases resolved, and its root; a new key
-alone is built and refined, and the table keeps its canonical graph,
-interned, with each node's block.  Public outcomes and
-``solve_type_equations`` flatten into the same solver.
+The answers come from one raw pass (``_answers``): each derivation is
+placed on the call's solving table and keyed by its canonical root type and
+its root p-set in the least solution, both read before any p-set is solved;
+boundedness, the least p-set solution and its exact verification run for a
+new key only.  ``enumerate_solutions`` relabels each answer it yields, so
+each outcome keeps the ids ``infer`` gives it.  ``chosen`` keeps every
+answer or a running least ``minimal_key`` over them, and makes an answer's
+outcome only when it is shown.  The table keys each equation graph by its
+nodes, (sender, receiver, branches) with aliases resolved, and its root; a
+new key alone is built and refined, and the table keeps its canonical
+graph, interned, with each node's block.  Public outcomes (``solutions``)
+and ``solve_type_equations`` flatten into the same solver.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from operator import add
@@ -241,8 +247,9 @@ class _Search:
     def dead(self, m: int, goals: tuple, allow_weak: bool) -> list:
         """The steps of a premise at budget 1: End and Cycle.  A Comm or Weak
         step would give its own premise budget 0, which derives nothing, so
-        all it does is mark the cap pruned."""
-        if self.space.comms(m) or (allow_weak and self.space.plays(m)):
+        all it does is mark the cap pruned; once the cap is pruned, there is
+        nothing left to look up."""
+        if not self.pruned and (self.space.comms(m) or (allow_weak and self.space.plays(m))):
             self.pruned = True
         return self.ends(m, goals)
 
@@ -342,8 +349,8 @@ def infer(s: Session, budget: SearchBudget = SearchBudget(), *, raw: bool = Fals
     Deterministic for a fixed budget; raises BudgetExhausted only when the
     size cap pruned the tree before anything at all could be emitted.  With
     raw, each derivation comes as the search made it, with the id its first
-    variable is given and the session space, so that enumerate_solutions
-    makes public only what it keeps.
+    variable is given and the session space, so that the answers are made
+    public only when they are kept.
     """
     search = _Search(s)
     first = 0
@@ -423,24 +430,34 @@ def _places(table: dict, eqs: Sequence[tuple], root) -> tuple[list[GlobalGraph],
     return roots, where
 
 
-def _solve(table: dict, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[tuple]) -> tuple[dict, dict] | None:
-    """The places of the type variables and the p-set solution of one
-    system, or None when it has none under this strategy (see solutions).
-    peqs maps each p-set variable to (literals, variables), and the solution
-    keeps its order; conds are (type variable, p-set variable, p, q,
-    target)."""
+def _bounds(table: dict, eqs: Sequence[tuple], root, peqs: dict, conds: Sequence[tuple]) -> tuple:
+    """One system before its p-sets are solved: the (type, ignored set) it
+    solves to if it does (every p-set variable of a derivation is read from
+    the root's, so the root's least p-set is the union of every literal and
+    lower bound), the places of its type variables, who plays in the type
+    of each condition, and the lower bounds the conditions force, in the
+    order of peqs: variable -> (literals, variables).  conds are (type
+    variable, p-set variable, p, q, target)."""
     roots, where = _places(table, eqs, root)
-    if not all(bounded(g) for g in roots):
-        return None
-    lb = dict.fromkeys(peqs, _NO_NAMES)
     plays = [_tables(g)[0][n] for g, n in (where[c[0]] for c in conds)]
+    lb = dict.fromkeys(peqs, _NO_NAMES)
     for (_, pv, _, _, target), have in zip(conds, plays):
         lb[pv] = lb[pv] | (target - have)
+    key = roots[0], _NO_NAMES.union(*(lits for lits, _ in peqs.values()), *lb.values())
+    return key, roots, where, plays, lb
+
+
+def _psets(roots: list, peqs: dict, conds: Sequence[tuple], plays: list, lb: dict) -> dict | None:
+    """The p-set solution of a system _bounds has placed, the least above
+    lb, which it updates; None when the system has none under this strategy
+    (see solutions)."""
+    if not all(bounded(g) for g in roots):
+        return None
     psol = _least(peqs, lb)
     if any(psol[v] != _union(lits, vs, psol) for v, (lits, vs) in peqs.items()):
         return None
     agreed = all((have | psol[pv]) - {p, q} == target for (_, pv, p, q, target), have in zip(conds, plays))
-    return (where, psol) if agreed else None
+    return psol if agreed else None
 
 
 def _flatten(eqs: Mapping[TypeVar, TypePattern]) -> list[tuple]:
@@ -508,7 +525,7 @@ def solve_pset_equations(
     return _least({v: (pat.literals, pat.vars) for v, pat in eqs.items()}, values)
 
 
-def solutions(outcome: InferenceOutcome | tuple, *, interned: dict | None = None) -> list[Substitution]:
+def solutions(outcome: InferenceOutcome, *, interned: dict | None = None) -> list[Substitution]:
     """Solve one outcome: zero or one substitution under this strategy.
 
     Types are solved first and every bound graph must be bounded.  Conditions
@@ -516,26 +533,20 @@ def solutions(outcome: InferenceOutcome | tuple, *, interned: dict | None = None
     solved type cannot supply); the least p-set solution above those bounds is
     verified against the equations and conditions exactly.
 
-    The outcome may also be a derivation as ``infer(raw=True)`` yields it;
-    its substitution is then keyed by the derivation's int variables.
     ``interned`` is a solving table shared by the calls of one enumeration:
     it keeps each equation graph solved so far, and each canonical graph as
     its first equal instance, on which solutions are read, so each equation
     graph is refined once and what is memoized on a graph is computed once.
     """
-    if outcome.__class__ is tuple:
-        eqs, peqs, conds, goals = outcome[0], dict(outcome[1]), outcome[2], outcome[3]
-        root, named = goals[0][2], len(eqs)
-    else:
-        eqs, root, named = _flatten(outcome.type_eqs), outcome.root_typevar, len(outcome.type_eqs)
-        peqs = {v: (pat.literals, pat.vars) for v, pat in outcome.pset_eqs.items()}
-        conds = [(c.typevar, c.psetvar, c.p, c.q, c.target) for c in outcome.conditions]
-    found = _solve({} if interned is None else interned, eqs, root, peqs, conds)
-    if found is None:
+    eqs = _flatten(outcome.type_eqs)
+    peqs = {v: (pat.literals, pat.vars) for v, pat in outcome.pset_eqs.items()}
+    conds = [(c.typevar, c.psetvar, c.p, c.q, c.target) for c in outcome.conditions]
+    _, roots, where, plays, lb = _bounds({} if interned is None else interned, eqs, outcome.root_typevar, peqs, conds)
+    psol = _psets(roots, peqs, conds, plays, lb)
+    if psol is None:
         return []
-    where, psol = found
     # where follows eqs, which list the outcome's own variables first.
-    return [Substitution({v: g.at(n) for v, (g, n) in itertools.islice(where.items(), named)}, psol)]
+    return [Substitution({v: g.at(n) for v, (g, n) in itertools.islice(where.items(), len(outcome.type_eqs))}, psol)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,58 +556,72 @@ def solutions(outcome: InferenceOutcome | tuple, *, interned: dict | None = None
 Solved = tuple[InferenceOutcome, Substitution, GlobalGraph, frozenset[str]]
 
 
+def _answers(s: Session, budget: SearchBudget) -> Iterator[tuple]:
+    """Each derivation whose (type, ignored set) is new and whose system
+    solves, raw: (type, ignored set, derivation, the id of its first
+    variable, session space, places, p-set solution).  Only a key not
+    answered before is checked for boundedness, solved and verified."""
+    table: dict = {}
+    seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
+    for piece, first, space in infer(s, budget, raw=True):
+        peqs, conds = dict(piece[1]), piece[2]
+        key, roots, where, plays, lb = _bounds(table, piece[0], piece[3][0][2], peqs, conds)
+        if key in seen:
+            continue
+        psol = _psets(roots, peqs, conds, plays, lb)
+        if psol is not None:
+            seen.add(key)
+            yield key + (piece, first, space, where, psol)
+
+
 def enumerate_solutions(s: Session, budget: SearchBudget = SearchBudget()) -> Iterator[Solved]:
     """Solved outcomes with duplicates (same type up to bisimilarity and same
     ignored set) removed.  Each derivation is solved raw, on one table for
     the call, and made public only when it is yielded."""
-    table: dict = {}
-    seen: set[tuple[GlobalGraph, frozenset[str]]] = set()
-    for piece, first, space in infer(s, budget, raw=True):
-        _, pv0, tv0 = piece[3][0]
-        for theta in solutions(piece, interned=table):
-            key = (theta.types[tv0], theta.psets[pv0])
-            if key in seen:
-                continue
-            seen.add(key)
-            outcome = _relabel(piece, first, space)
-            # _relabel and the solution both keep the order of the equations.
-            types = dict(zip(outcome.type_eqs, theta.types.values()))
-            yield (outcome, Substitution(types, dict(zip(outcome.pset_eqs, theta.psets.values())))) + key
+    for g, p, piece, first, space, where, psol in _answers(s, budget):
+        outcome = _relabel(piece, first, space)
+        # _relabel keeps the order of the equations, and so do the solutions.
+        types = {v: h.at(n) for v, (h, n) in zip(outcome.type_eqs, where.values())}
+        yield outcome, Substitution(types, dict(zip(outcome.pset_eqs, psol.values()))), g, p
 
 
-def solved(s: Session, budget: SearchBudget = SearchBudget()) -> list[Solved]:
-    """All of enumerate_solutions; none when the size cap cut every derivation."""
-    try:
-        return list(enumerate_solutions(s, budget))
-    except BudgetExhausted:
-        return []
-
-
-def minimal_key(outcome: InferenceOutcome, ignored: frozenset[str]) -> tuple:
+def minimal_key(weak_count: int, ignored: frozenset[str]) -> tuple:
     """What "minimal" orders solutions by: fewest ignored participants, then
     fewest Weak steps, then the ignored names."""
-    return (len(ignored), outcome.weak_count, tuple(sorted(ignored)))
+    return (len(ignored), weak_count, tuple(sorted(ignored)))
 
 
-def pick_minimal(s: Session, found: list[Solved]) -> Solved | None:
-    """The entry of found with the least minimal_key, the first among equals,
-    re-checked through typecheck; None when found is empty."""
-    if not found:
-        return None
-    best = min(found, key=lambda entry: minimal_key(entry[0], entry[3]))
-    if not isinstance(typecheck(best[2], s, best[3]), Derivation):
+def chosen(s: Session, budget: SearchBudget, minimal: bool) -> list[tuple]:
+    """What ``mpst infer`` prints, as (type, ignored set, outcome): every
+    answer, or with minimal the one of least minimal_key, the first among
+    equals, re-checked through typecheck; none when the size cap cut every
+    derivation.  outcome() makes the answer's InferenceOutcome."""
+    found: list[tuple] = []
+    least = None
+    try:
+        for g, p, piece, first, space, _, _ in _answers(s, budget):
+            if minimal:
+                key = minimal_key(piece[5], p)
+                if least is not None and key >= least:
+                    continue
+                least = key
+                found.clear()
+            found.append((g, p, functools.partial(_relabel, piece, first, space)))
+    except BudgetExhausted:
+        pass
+    if minimal and found and not isinstance(typecheck(found[0][0], s, found[0][1]), Derivation):
         raise RuntimeError("inference produced a solution the checker rejects; this is a bug")
-    return best
+    return found
 
 
 def infer_minimal(
     s: Session, budget: SearchBudget = SearchBudget()
 ) -> tuple[GlobalGraph, frozenset[str]]:
     """The solution with the fewest ignored participants within the budget."""
-    best = pick_minimal(s, solved(s, budget))
-    if best is None:
+    found = chosen(s, budget, minimal=True)
+    if not found:
         raise NoSolutionWithinBudget("inference found no solution within the budget")
-    return best[2], best[3]
+    return found[0][0], found[0][1]
 
 
 # ---------------------------------------------------------------------------

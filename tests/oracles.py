@@ -14,8 +14,9 @@ of the tokenizer (tokenize_oracle), the recursive-descent parser over
 syntax trees (parse_oracle), partition refinement in rounds over every
 node (refine_oracle), p-set equations solved in Kleene rounds
 (pset_oracle), enumeration that makes every outcome public and solves it
-(enumerate_oracle), and the checker's search with a public record at
-every step (check_oracle).  gfp_accepts decides typing with no search at
+(enumerate_oracle), the minimal answer picked from the whole list of
+solved outcomes (pick_minimal over solved), and the checker's search with
+a public record at every step (check_oracle).  gfp_accepts decides typing with no search at
 all, as the greatest fixpoint over the triples the root reaches.  The
 equivalences, the participant equation and
 the agreement check are the plain definitions the tests state facts with.
@@ -793,6 +794,32 @@ def enumerate_oracle(s, budget):
                 continue
             seen.add((g, p))
             yield outcome, theta, g, p
+
+
+def solved(s, budget=None):
+    """All of inference.enumerate_solutions as a list; none when the size
+    cap cut every derivation."""
+    from mpst.inference import BudgetExhausted, SearchBudget, enumerate_solutions
+
+    try:
+        return list(enumerate_solutions(s, SearchBudget() if budget is None else budget))
+    except BudgetExhausted:
+        return []
+
+
+def pick_minimal(s, found):
+    """The entry of found (as solved gives them) with the least
+    inference.minimal_key, the first among equals, re-checked through
+    typecheck; None when found is empty."""
+    from mpst.inference import minimal_key
+    from mpst.typecheck import typecheck
+
+    if not found:
+        return None
+    best = min(found, key=lambda entry: minimal_key(entry[0].weak_count, entry[3]))
+    if not isinstance(typecheck(best[2], s, best[3]), Derivation):
+        raise RuntimeError("inference produced a solution the checker rejects; this is a bug")
+    return best
 
 
 def refine_oracle(sigs, branches):

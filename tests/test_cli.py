@@ -11,14 +11,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mpst import analysis, cli
+from mpst import analysis, cli, inference
 from mpst.cli import run
-from mpst.frontend import format_global
-from mpst.inference import NoSolutionWithinBudget, infer_minimal
+from mpst.frontend import format_global, parse
+from mpst.inference import NoSolutionWithinBudget, infer_minimal, render_outcome
 from mpst.semantics import subsets
 from mpst.terms import participants
 
 from .conftest import GOLDEN, global_chain, golden_path, load_golden, two_party_chain
+from .oracles import pick_minimal, solved
 
 
 def schema(name: str) -> dict:
@@ -595,13 +596,61 @@ class TestFrontDoor:
     def test_infer_minimal_matches_the_library(self, capsys, path):
         for name, m in load_golden(path.name).sessions.items():
             code, data = run_json(capsys, ["infer", "--session", name, "--minimal", str(path)])
-            try:
-                g, p = infer_minimal(m)
-            except NoSolutionWithinBudget:
+            best = pick_minimal(m, solved(m))
+            if best is None:
                 assert code == 1 and data["solutions"] == []
                 continue
             assert code == 0
-            assert data["solutions"] == [{"global": format_global(g), "ignored": sorted(p)}]
+            assert data["solutions"] == [{"global": format_global(best[2]), "ignored": sorted(best[3])}]
+
+
+class TestMinimalInference:
+    """infer_minimal and mpst infer --minimal keep a running least over the
+    raw answers and make public objects only for what they show;
+    tests/oracles.py::pick_minimal takes the least of the whole solved list.
+    They give the same answer, wrong ones included."""
+
+    def test_minimal_inputs(self, capsys, tmp_path):
+        from .test_inference import minimal_inputs
+
+        path = tmp_path / "in.mpst"
+        answered = 0
+        for case, text, name, budget in minimal_inputs():
+            m = parse(text).sessions[name]
+            best = pick_minimal(m, solved(m, budget))
+            try:
+                assert infer_minimal(m, budget) == (best[2], best[3]), case
+            except NoSolutionWithinBudget:
+                assert best is None, case
+            path.write_text(text, encoding="utf-8")
+            argv = ["infer", "--session", name, "--minimal", "--max-outcomes", str(budget.max_outcomes), str(path)]
+            if budget.max_size is not None:
+                argv[1:1] = ["--max-size", str(budget.max_size)]
+            want = [] if best is None else [{"global": format_global(best[2]), "ignored": sorted(best[3])}]
+            payload = {"command": "infer", "session": name, "minimal": True, "solutions": want}
+            assert run_json(capsys, argv) == (1 if best is None else 0, payload), case
+            if best is not None:
+                answered += 1
+                want[0]["equations"] = render_outcome(best[0])
+            assert run_json(capsys, argv + ["--show-equations"]) == (1 if best is None else 0, payload), case
+        assert answered > 200
+
+    def test_minimal_builds_one_outcome_only_to_show_it(self, capsys, monkeypatch):
+        made = []
+
+        def counted(cls):
+            return lambda *args: made.append(cls.__name__) or cls(*args)
+
+        for cls in (inference.InferenceOutcome, inference.Substitution):
+            monkeypatch.setattr(inference, cls.__name__, counted(cls))
+        argv = ["infer", "--session", "M", "--minimal", SOCIAL]
+        assert run(argv) == 0
+        assert made == []
+        assert run(argv + ["--show-equations"]) == 0
+        assert made == ["InferenceOutcome"]
+        assert run(argv[:3] + [SOCIAL]) == 0
+        assert made == ["InferenceOutcome"]
+        capsys.readouterr()
 
 
 def _digest_inputs(tmp_path):

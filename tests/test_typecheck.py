@@ -343,7 +343,9 @@ def _inferred_triples():
     """The solved types of each golden session under every ignored subset of
     its participants, and of the random sessions of seeds 0-399 under their
     own ignored sets."""
-    from mpst.inference import SearchBudget, solved
+    from mpst.inference import SearchBudget
+
+    from .oracles import solved
 
     for path in sorted(GOLDEN.glob("*.mpst")):
         for m in load_golden(path.name).sessions.values():
