@@ -41,7 +41,9 @@ boundedness, the least p-set solution and its exact verification run for a
 new key only.  ``enumerate_solutions`` relabels each answer it yields, so
 each outcome keeps the ids ``infer`` gives it.  ``chosen`` keeps every
 answer or a running least ``minimal_key`` over them, and makes an answer's
-outcome only when it is shown.  The table keys each equation graph by its
+outcome only when it is shown.  Under minimal it stops at the first answer
+whose ignored set is empty: that key, (0, 0, ()), is the least there is, and
+ties keep the first answer.  The table keys each equation graph by its
 nodes, (sender, receiver, branches) with aliases resolved, and its root; a
 new key alone is built and refined, and the table keeps its canonical
 graph, interned, with each node's block.  Public outcomes (``solutions``)
@@ -59,7 +61,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .analysis import _tables, bounded
 from .semantics import ExploreConfig, SessionSpace, closure, subsets
 from .terms import COMM, END, GlobalGraph, GNode, Session, _Ordered, _Value, minimize_global
-from .typecheck import Derivation, typecheck
+from .typecheck import accepts
 
 
 class UnguardedEquations(Exception):
@@ -594,8 +596,10 @@ def minimal_key(weak_count: int, ignored: frozenset[str]) -> tuple:
 def chosen(s: Session, budget: SearchBudget, minimal: bool) -> list[tuple]:
     """What ``mpst infer`` prints, as (type, ignored set, outcome): every
     answer, or with minimal the one of least minimal_key, the first among
-    equals, re-checked through typecheck; none when the size cap cut every
-    derivation.  outcome() makes the answer's InferenceOutcome."""
+    equals, re-checked with accepts; none when the size cap cut every
+    derivation.  minimal stops at the first empty ignored set, whose key
+    (0, 0, ()) nothing later beats.  outcome() makes the answer's
+    InferenceOutcome."""
     found: list[tuple] = []
     least = None
     try:
@@ -607,9 +611,11 @@ def chosen(s: Session, budget: SearchBudget, minimal: bool) -> list[tuple]:
                 least = key
                 found.clear()
             found.append((g, p, functools.partial(_relabel, piece, first, space)))
+            if least == (0, 0, ()):
+                break
     except BudgetExhausted:
         pass
-    if minimal and found and not isinstance(typecheck(found[0][0], s, found[0][1]), Derivation):
+    if minimal and found and not accepts(found[0][0], s, found[0][1]):
         raise RuntimeError("inference produced a solution the checker rejects; this is a bug")
     return found
 

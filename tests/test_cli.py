@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -608,7 +609,10 @@ class TestMinimalInference:
     """infer_minimal and mpst infer --minimal keep a running least over the
     raw answers and make public objects only for what they show;
     tests/oracles.py::pick_minimal takes the least of the whole solved list.
-    They give the same answer, wrong ones included."""
+    They give the same answer, wrong ones included.  The running least stops
+    at the first answer whose ignored set is empty: its key, (0, 0, ()), is
+    the least there is, and ties keep the first answer.  The pick is
+    re-checked with accepts, which makes no derivation records."""
 
     def test_minimal_inputs(self, capsys, tmp_path):
         from .test_inference import minimal_inputs
@@ -650,6 +654,56 @@ class TestMinimalInference:
         assert made == ["InferenceOutcome"]
         assert run(argv[:3] + [SOCIAL]) == 0
         assert made == ["InferenceOutcome"]
+        capsys.readouterr()
+
+    def test_minimal_stops_at_the_first_empty_ignored_set(self, monkeypatch):
+        from .test_inference import _pairs_text, _server_text
+
+        real = inference.infer
+        drawn = []
+
+        def counted(*args, **kwargs):
+            for item in real(*args, **kwargs):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(inference, "infer", counted)
+        cases = [
+            (load_golden("two_loops.mpst").sessions["M"], frozenset()),
+            (parse(_pairs_text(2)).sessions["M"], frozenset()),
+            (parse(_server_text(3)).sessions["M"], {"u"}),
+        ]
+        for m, answer in cases:
+            # A full pass: each raw derivation's ignored sets, solved one by one.
+            sets = []
+            for piece, first, space in real(m, raw=True):
+                outcome = inference._relabel(piece, first, space)
+                sets.append([theta.psets[outcome.root_psetvar] for theta in inference.solutions(outcome)])
+            empty = next((k + 1 for k, found in enumerate(sets) if frozenset() in found), None)
+            drawn.clear()
+            assert infer_minimal(m)[1] == answer
+            if answer:
+                assert empty is None
+                assert len(drawn) == len(sets)
+            else:
+                assert empty < len(sets)
+                assert len(drawn) == empty
+
+    def test_a_pick_the_checker_rejects_is_a_bug(self, monkeypatch):
+        checker = importlib.import_module("mpst.typecheck")
+        monkeypatch.setattr(checker.Typechecker, "accepts", lambda self, g, m, ignored: False)
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            infer_minimal(load_golden("social_media.mpst").sessions["M"])
+
+    def test_minimal_rechecks_its_pick_without_records(self, capsys, monkeypatch):
+        checker = importlib.import_module("mpst.typecheck")
+        real = checker._record
+        made = []
+        monkeypatch.setattr(checker, "_record", lambda *args: made.append(args) or real(*args))
+        assert run(["infer", "--session", "M", "--minimal", SOCIAL]) == 0
+        assert made == []
+        assert run(["check", "--global", "G", "--session", "M", "--ignored", "u", SOCIAL]) == 0
+        assert len(made) == 1
         capsys.readouterr()
 
 

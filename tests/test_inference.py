@@ -355,6 +355,18 @@ class TestInferMinimal:
         assert pick_minimal(m, []) is None
         assert solved(m, SearchBudget(max_size=1)) == []
 
+    def test_a_weak_step_makes_the_ignored_set_nonempty(self):
+        # A Weak step's split is nonempty and a literal of the root p-set, so
+        # an answer with an empty ignored set took no Weak step: its key is
+        # the least, (0, 0, ()), exactly when its ignored set is empty.
+        weak = 0
+        for case, text, name, budget in minimal_inputs():
+            for outcome, _, _, p in solved(parse(text).sessions[name], budget):
+                weak += outcome.weak_count > 0
+                assert p or outcome.weak_count == 0, case
+                assert (minimal_key(outcome.weak_count, p) == (0, 0, ())) == (not p), case
+        assert weak > 300
+
 
 class TestSoundness:
     @pytest.mark.parametrize("seed", range(15))
