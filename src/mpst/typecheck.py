@@ -5,7 +5,9 @@ The coinductive rules (End/Comm/Weak) are decided through their inductive
 reformulation: a hypothesis set collects the judgments currently being
 derived, and a repeated judgment closes the branch (rule Cycle).  Cycle is
 applied eagerly; a derivation containing a repetition can always be truncated
-there, so eagerness loses nothing.
+there, so eagerness loses nothing.  The hypothesis set is the search stack,
+and the one table kept across queries holds the successes that depend on no
+hypothesis: those hold under any hypotheses.
 
 Rule mechanics, given judgment (G, M, P):
 
@@ -176,15 +178,14 @@ def _record(space: SessionSpace, node, found) -> Derivation | Rejection:
 
 
 class _Space(SessionSpace):
-    """A session space with the judgment tables of its states, keyed on
-    (G, state id, P).  Each session it builds is entered in located, the
+    """A session space with the table of its states' successes that depend
+    on no hypothesis, keyed on (G, state id, P).  Each session it builds is entered in located, the
     checker's table of sessions, so that a query on it is decided here."""
 
     def __init__(self, start: Session, located: dict):
         super().__init__(start)
         self.located = located
-        self.accepted: dict[tuple, list[tuple[tuple, frozenset]]] = {}
-        self.rejected: dict[tuple, list[tuple[frozenset, tuple]]] = {}
+        self.accepted: dict[tuple, tuple] = {}
 
     def session(self, s: int) -> Session:
         m = super().session(s)
@@ -194,7 +195,7 @@ class _Space(SessionSpace):
 
 class Typechecker:
     """The decision procedure, with caches that persist across queries: one
-    session space per start session asked about, with its judgments."""
+    session space per start session asked about, with its table."""
 
     def __init__(self) -> None:
         self._located: dict[Session, tuple[_Space, int]] = {}
@@ -225,34 +226,31 @@ class Typechecker:
         """The space of m and the answer of the search on the judgment."""
         space, s = self.locate(m)
         g = minimize_global(g)
-        return space, *self._judge(space, g, g.root, s, frozenset(ignored), frozenset())
+        return space, *self._judge(space, g, g.root, s, frozenset(ignored), set())
 
-    # _judge walks node n of canonical g and state s under the hypothesis keys
-    # hyps.  The key (g.at(n), s, P) is computed once and handed down, so
-    # types that share a subterm share its triples.  It gives (success, refs),
-    # refs the keys the success's Cycle leaves point at, reusable under any
-    # hypothesis superset of refs; or (None, rejection), reusable under any
-    # hypothesis subset of the recorded one.  An Unbounded detail is None
-    # until _record writes it for the one rejection returned.
+    # _judge walks node n of canonical g and state s under hyps, the keys of
+    # the judgments being derived: the search stack, one set per query.  The
+    # key (g.at(n), s, P) is computed once and handed down, so types that
+    # share a subterm share its triples.  It gives (success, refs), refs the
+    # keys the success's Cycle leaves point at, or (None, rejection).  The
+    # one rule of the table: an entry is a success whose refs are empty, as
+    # it depends on no hypothesis.  An Unbounded detail is None until _record
+    # writes it for the one rejection returned.
 
-    def _judge(self, space: _Space, g: GlobalGraph, n: int, s: int, p_set: frozenset, hyps: frozenset):
+    def _judge(self, space: _Space, g: GlobalGraph, n: int, s: int, p_set: frozenset, hyps: set):
         key = (g.at(n), s, p_set)
         if key in hyps:
             return ("Cycle", key, (), (), frozenset()), frozenset([key])
-        for result in space.accepted.get(key, ()):
-            if result[1] <= hyps:
-                return result
-        for cached_hyps, result in space.rejected.get(key, ()):
-            if hyps <= cached_hyps:
-                return result
-        result = self._decide(space, g, n, s, key, hyps)
-        if result[0] is None:
-            space.rejected.setdefault(key, []).append((hyps, result))
-        else:
-            space.accepted.setdefault(key, []).append(result)
+        result = space.accepted.get(key)
+        if result is None:
+            hyps.add(key)
+            result = self._decide(space, g, n, s, key, hyps)
+            hyps.remove(key)
+            if result[0] is not None and not result[1]:
+                space.accepted[key] = result
         return result
 
-    def _decide(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+    def _decide(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: set):
         kind = g.nodes[n].kind
         if kind == END and not space.plays(s):
             if not key[2]:
@@ -265,7 +263,7 @@ class Typechecker:
         # The deeper rejection is the better one; Comm's on a tie.
         return weak if comm is None or weak[0] is not None else (None, _deeper(comm[1], weak[1]))
 
-    def _try_comm(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+    def _try_comm(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: set):
         p_set = key[2]
         node = g.nodes[n]
         p, q = node.sender, node.receiver
@@ -289,7 +287,6 @@ class Typechecker:
 
         # The checks above are the Comm side condition, so p -> q is ready.
         after = {lab.message: t for lab, t in space.moves(s, p, q)}
-        hyps2 = hyps | {key}
         # picks: each union of the premise ignored sets chosen so far, in the
         # order first reached, to the first choice reaching it (premises, refs);
         # so picks[P] is the choice a depth-first search would find first.
@@ -313,7 +310,7 @@ class Typechecker:
                 return None, (0, "ParticipantEquationFailed", key, why)
             options = []
             for pi in (base | extra for extra in subsets(plays_gi & p_set)):
-                sub, found = self._judge(space, g, target, si, pi, hyps2)
+                sub, found = self._judge(space, g, target, si, pi, hyps)
                 if sub is None:
                     best = _deeper(best, found, 1)
                 else:
@@ -333,18 +330,17 @@ class Typechecker:
         subs, refs = picks[p_set]
         return ("Comm", key, subs, labels, frozenset()), refs - {key}
 
-    def _try_weak(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: frozenset):
+    def _try_weak(self, space: _Space, g: GlobalGraph, n: int, s: int, key: tuple, hyps: set):
         p_set = key[2]
         pool = (space.plays(s) & p_set) - _tables(g)[0][n]
         if not pool:
             why = "no active ignored participant outside the global type can be split off"
             return None, (0, "IgnoredMismatch", key, why)
-        hyps2 = hyps | {key}
         best = None
         for split in subsets(pool):
             if not split:
                 continue
-            sub, found = self._judge(space, g, n, space.without(s, split), p_set - split, hyps2)
+            sub, found = self._judge(space, g, n, space.without(s, split), p_set - split, hyps)
             if sub is not None:
                 return ("Weak", key, (sub,), (), split), found - {key}
             best = _deeper(best, found, 1)

@@ -336,6 +336,27 @@ def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, make):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "budget, argv, error",
+    [
+        ("size=x", ["infer", "--session", "M", SOCIAL], "malformed MPST_BUDGET value 'x'"),
+        ("bogus=1", ["infer", "--session", "M", SOCIAL], "unknown MPST_BUDGET key 'bogus'"),
+        ("", ["check", "--global", "G", "--session", "M", "missing.mpst"], "no such file: missing.mpst"),
+        ("", ["analyze", "--lockfree", SOCIAL], "--session is required"),
+        ("", ["analyze", "--session", "N", "--lockfree", SOCIAL], f"session 'N' is not defined in {SOCIAL}"),
+        ("", ["analyze", "--bounded", SOCIAL], "--global is required"),
+    ],
+    ids=["budget_value", "budget_key", "missing_file", "no_session", "undefined_session", "no_global"],
+)
+def test_usage_errors_name_their_cause(tmp_path, capsys, monkeypatch, budget, argv, error):
+    monkeypatch.setenv("MPST_BUDGET", budget)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
     path = tmp_path / "bom.mpst"
     path.write_bytes(b"\xef\xbb\xbf" + Path(SOCIAL).read_bytes())

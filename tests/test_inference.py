@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import mpst
-from mpst import analysis, metatheory, semantics, terms, typecheck
+from mpst import analysis, inference, metatheory, semantics, terms, typecheck
 from mpst.analysis import plays_global
 from mpst.frontend import format_global, format_process, parse
 from mpst.inference import (
@@ -564,6 +564,43 @@ class TestPinnedEnumeration:
         budget = _PINNED_BUDGETS[budget_name]
         got = {name: _enumeration_digest(m, budget) for name, m in _pinned_sessions().items()}
         assert got == self.DIGESTS[budget_name]
+
+
+class TestWidthCuts:
+    """A goal takes at most _WIDTH alternatives: its Cycle leaves first, then
+    its Comm steps and Weak splits.  Each cut marks the size cap pruned, so
+    a search that the width leaves empty raises BudgetExhausted."""
+
+    LOOP = "process P = q!a . P\nprocess Q = p?a . Q\nsession M = p: P | q: Q"
+
+    def _search(self):
+        search = inference._Search(parse(self.LOOP).sessions["M"])
+        return search, search.space.start
+
+    def test_cycle_leaves_past_the_width_are_cut(self, monkeypatch):
+        search, m = self._search()
+        goals = ((m, 0, 1), (m, 2, 3))
+        assert search.ends(m, goals) == [(1, (0,)), (3, (2,))] and not search.pruned
+        monkeypatch.setattr(inference, "_WIDTH", 1)
+        search, m = self._search()
+        assert search.ends(m, goals) == [(1, (0,))]
+        assert search.pruned
+
+    def test_comm_steps_past_the_width_are_cut(self, monkeypatch):
+        # The Cycle leaf back to the goal on the stack takes the one
+        # alternative there is.
+        monkeypatch.setattr(inference, "_WIDTH", 1)
+        search, m = self._search()
+        assert list(search.derive(m, 4, 5, ((m, 0, 1),), 3, False)) == [inference._leaf(m, 4, 5, 1, (0,))]
+        assert search.pruned
+
+    def test_nothing_within_the_width_is_budget_exhausted(self, monkeypatch):
+        m = parse(self.LOOP).sessions["M"]
+        budget = SearchBudget(max_size=8)
+        assert list(infer(m, budget))
+        monkeypatch.setattr(inference, "_WIDTH", 0)
+        with pytest.raises(BudgetExhausted, match="no complete derivation within size 8"):
+            list(infer(m, budget))
 
 
 class TestReuse:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mpst import cli, metatheory
 from mpst.frontend import parse
 from mpst.inference import SearchBudget, enumerate_solutions
 from mpst.metatheory import (
@@ -17,7 +18,8 @@ from mpst.metatheory import (
 )
 from mpst.random_sessions import random_session
 from mpst.semantics import ExploreConfig, StateLimitExceeded, subsets
-from mpst.terms import normalize_session, participants
+from mpst.terms import END_GLOBAL, normalize_session, participants
+from mpst.typecheck import Derivation, Judgment
 
 from .conftest import GOLDEN, load_golden
 from .oracles import replay_oracle
@@ -229,3 +231,62 @@ class TestWalksAgainstTheOracle:
             ours = _walked(walk, g, m, frozenset(), "check", config)
             assert isinstance(ours[0], str)
             assert ours == _walked(lambda *args: replay_oracle(check, *args), g, m, frozenset(), "check", config)
+
+
+class TestViolationReports:
+    """Each check's report on a planted fault: a judgment no derivation of
+    the checker carries, a session step or state the checks exist to rule
+    out, or an analysis that answers wrongly."""
+
+    SPEC = (
+        "session Split = p: r!a . q!a | q: p?a | r: p?a\n"
+        "session Stuck = p: q?a | q: p?a\n"
+        "session Aside = p: r!a | q: p?a | r: p?a\n"
+        "global G = p->q:a"
+    )
+
+    def test_plays_equation(self):
+        spec = parse(self.SPEC)
+        node = Derivation("End", Judgment(END_GLOBAL, spec.sessions["Stuck"], frozenset()))
+        assert [str(v) for v in check_plays_equation(node)] == [
+            "[plays-equation] plays(G) | P = [] but plays(M) = ['p', 'q'] at a End node"
+        ]
+
+    def test_top_partner_outside_the_global_type(self):
+        spec = parse(self.SPEC)
+        m = normalize_session(spec.sessions["Aside"])
+        assert [str(v) for v in check_top_partner_closure(spec.globals["G"], m, set())] == [
+            "[top-partner] p occurs in the global type but its top partner 'r' does not"
+        ]
+
+    def test_lock_freedom(self):
+        spec = parse(self.SPEC)
+        assert [str(v) for v in check_lock_freedom_soundness(spec.globals["G"], spec.sessions["Stuck"], set())] == [
+            "[lock-freedom] typed session is not lock-free for []: participant p locked in state 0"
+        ]
+
+    def test_a_session_step_with_one_endpoint_in_the_global_type(self):
+        # p talks to r, which the global type does not mention, so the step
+        # can neither be matched nor leave the judgment intact.
+        spec = parse(self.SPEC)
+        g, m = spec.globals["G"], spec.sessions["Split"]
+        assert [str(v) for v in check_subject_reduction(g, m, set(), _Recording("all"))] == [
+            "[subject-reduction] step p a r: exactly one endpoint occurs in the global type"
+        ]
+
+    def test_meta_prints_each_violation_of_a_combo(self, capsys, monkeypatch):
+        # With top_partner answering a participant no global type plays, the
+        # one accepted combo of social_media.mpst fails the closure for
+        # every participant of G.
+        monkeypatch.setattr(metatheory, "top_partner", lambda m, p: "z")
+        assert cli.run(["meta", str(GOLDEN / "social_media.mpst")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "G |- M []: not derivable (ParticipantEquationFailed)",
+            "G |- M [u]: VIOLATIONS",
+            "  [top-partner] p occurs in the global type but its top partner 'z' does not",
+            "  [top-partner] q occurs in the global type but its top partner 'z' does not",
+            "  [top-partner] u occurs in the global type but its top partner 'z' does not",
+            "meta: violations found",
+        ]

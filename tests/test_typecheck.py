@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from collections import Counter
 from itertools import chain
 
@@ -303,8 +304,18 @@ class TestSessionSpaces:
         g, m = social_media.globals["G"], social_media.sessions["M"]
         assert checker.accepts(g, m, {"u"})
         space, _ = checker.locate(m)
-        keys = [*space.accepted, *space.rejected]
-        assert keys and all(isinstance(s, int) for _, s, _ in keys)
+        assert space.accepted and all(isinstance(s, int) for _, s, _ in space.accepted)
+
+    def test_the_table_keeps_only_successes_that_depend_on_no_hypothesis(self, social_media):
+        # The derivation under {u} closes its one Cycle at its root: the
+        # root is kept, and three of its six Comm steps, which lean on the
+        # root's hypothesis, are decided again when met again.
+        checker = Typechecker()
+        g, m = social_media.globals["G"], social_media.sessions["M"]
+        assert checker.check(g, m, {"u"}).rule_counts() == Counter(Comm=6, Weak=1, End=1, Cycle=1)
+        space, _ = checker.locate(m)
+        assert all(success is not None and not refs for success, refs in space.accepted.values())
+        assert Counter(success[0] for success, _ in space.accepted.values()) == Counter(Comm=3, Weak=1, End=1)
 
 
 def _report(result):
@@ -358,6 +369,18 @@ def _inferred_triples():
             yield g, m, p
 
 
+def _chain_triples(n):
+    """Every step G_i of the typed two-party chain of n definitions, and of
+    the chain that deadlocks at its end, under every ignored subset of
+    {p, q}."""
+    for last_q in ("p?a", "p?a . p?b"):
+        spec = parse(two_party_chain(n, last_q=last_q))
+        m = spec.sessions["M"]
+        for g in spec.globals.values():
+            for p in subsets(frozenset({"p", "q"})):
+                yield g, m, p
+
+
 class TestAgainstTheOracle:
     """The search on plain tuples against check_oracle, the search that made
     a public record at every step: the same report from one checker shared
@@ -383,6 +406,11 @@ class TestAgainstTheOracle:
     def test_inferred_triples(self):
         self._agree(_inferred_triples())
 
+    def test_typed_chains(self):
+        # The steps of a chain share most of their judgments, so here the
+        # shared checker's table and the oracle's reuse rules differ most.
+        self._agree(_chain_triples(12))
+
 
 class TestFixpointJudgeOnChains:
     """gfp_accepts on typed chains too long for naive_typecheck, and for the
@@ -395,6 +423,19 @@ class TestFixpointJudgeOnChains:
     def test_a_400_chain_types_under_no_ignored(self):
         spec = parse(two_party_chain(400))
         assert gfp_accepts(spec.globals["G0"], spec.sessions["M"], set())
+
+    def test_a_50_chain_is_decided_in_time_and_its_table_keeps_no_rejection(self):
+        # The chain's judgments come back under many search stacks; this
+        # takes under a second on a 2-core x86-64 machine.
+        spec = parse(two_party_chain(50))
+        g, m = spec.globals["G1"], spec.sessions["M"]
+        checker = Typechecker()
+        start = time.perf_counter()
+        assert checker.accepts(g, m, {"p", "q"})
+        assert time.perf_counter() - start < 2.5
+        space, _ = checker.locate(m)
+        assert space.accepted
+        assert all(success is not None and not refs for success, refs in space.accepted.values())
 
     def test_a_30_chain_that_deadlocks_at_its_end_is_rejected_as_the_checker_says(self):
         spec = parse(two_party_chain(30, last_q="p?a . p?b"))
